@@ -142,7 +142,8 @@ def cmd_estimate(args) -> int:
         "estimator": result.estimator_id,
         "value": float(result.value),
         "n": sample.n,
-        "diagnostics": {k: float(v) for k, v in result.diagnostics.items()},
+        # JSON has no inf or nan: such diagnostics (alpha_star at r = 0) are null
+        "diagnostics": {k: float(v) if math.isfinite(v) else None for k, v in result.diagnostics.items()},
         "version": __version__,
     }
     print(json.dumps(doc, sort_keys=True))

@@ -230,6 +230,8 @@ class LogNormal:
     def __post_init__(self):
         if self.sigma <= 0.0:
             raise ValueError("LogNormal sigma must be positive")
+        if self.mu + 0.5 * self.sigma**2 > math.log(np.finfo(float).max):
+            raise ValueError("LogNormal mean exp(mu + sigma^2/2) overflows a float")
 
 
 @dataclass(frozen=True)

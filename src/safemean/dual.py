@@ -1,4 +1,4 @@
-"""One-dimensional dual solvers for worst-case means over KL balls.
+"""One-dimensional dual solver for worst-case means over KL balls.
 
 The worst-case (smallest) mean over distributions Q with empirical KL
 divergence KL(P_n, Q) <= r has the concave dual
@@ -9,10 +9,12 @@ The sign of g'(alpha) equals the sign of
 
     d(alpha) = mean_i log(alpha + z_i) + log(mean_i 1/(alpha + z_i)) - r,
 
-which is nonincreasing, so the maximizer is found by bisection on d with a
-doubling upper bracket, then polished by Newton steps. The optimizer of the
-primal problem puts weight (1/n) * nu / (alpha* + z_i) on each sample point
-plus a remainder atom at zero, which certifies the solution.
+which is nonincreasing and convex. One solver takes safeguarded Newton steps
+on d, slope m1 - m2/m1 with m_k = mean (alpha + z)^-k, for a (batch, n) matrix
+of samples scaled by powers of two; a single sample is a batch of one. The
+primal optimizer puts weight (1/n) * nu / (alpha* + z_i) on each sample point
+plus an atom at zero, which certifies the solution; the value is that
+witness's mean, which unlike nu - alpha* neither cancels nor goes negative.
 """
 
 from __future__ import annotations
@@ -35,8 +37,12 @@ __all__ = [
     "log_likelihood_ratio",
 ]
 
-DEFAULT_TOL = 1e-10
-_ZERO_BRACKET_FLOOR = 1e-300
+# Constants in units of the row scale 2**e, where max z / 2**e lies in [0.5, 1).
+_ZERO_START = 1e-12  # first point tried on a row that contains a zero
+_ZERO_BRACKET_FLOOR = 1e-300  # no root is sought below this
+_STEP_TOL = 1e-10  # Newton step relative to alpha; the error after it is of order its square
+_FLAT_TOL = 8 * np.finfo(float).eps
+_MAX_ITER = 200
 
 
 class DualSolverError(RuntimeError):
@@ -51,9 +57,11 @@ class DualSolverError(RuntimeError):
 class DualSolution:
     """Solved dual instance.
 
-    value = exp(-r) * exp(mean log(alpha_star + z_i)) - alpha_star = nu - alpha_star,
-    nu = exp(mean log(alpha_star + z_i) - r), and atom is the probability the
-    primal optimizer adds at zero (zero whenever alpha_star > 0).
+    value = nu * mean(z_i / (alpha_star + z_i)), which equals
+    exp(-r) * exp(mean log(alpha_star + z_i)) - alpha_star = nu - alpha_star
+    at the optimum, nu = exp(mean log(alpha_star + z_i) - r), and atom is the
+    probability the primal optimizer adds at zero (zero whenever
+    alpha_star > 0). bracket[1] is inf if no point right of the root was seen.
     """
 
     alpha_star: float
@@ -63,10 +71,6 @@ class DualSolution:
     iterations: int
     bracket: tuple
     radius: float
-
-
-def _merged(s: Sample):
-    return s.weighted_support()
 
 
 def kl_dro_dual_objective(s: Sample, r: float, alpha: float) -> float:
@@ -79,188 +83,120 @@ def kl_dro_dual_objective(s: Sample, r: float, alpha: float) -> float:
         raise ValueError("alpha must be non-negative")
     if r < 0:
         raise ValueError("radius must be non-negative")
-    v, w = _merged(s)
+    v, w = s.weighted_support()
     if alpha == 0.0 and v[0] == 0.0:
         return 0.0
     return math.exp(-r + float(np.dot(w, np.log(alpha + v)))) - alpha
 
 
-def _make_d(v: np.ndarray, w: np.ndarray, r: float):
-    def mean_log(alpha: float) -> float:
-        return float(np.dot(w, np.log(alpha + v)))
+def _solve_rows(X: np.ndarray, r: float, weights=None):
+    """Maximize the dual for every row of a (batch, n) matrix of samples.
 
-    def mean_inv(alpha: float) -> float:
-        return float(np.dot(w, 1.0 / (alpha + v)))
-
-    def d(alpha: float) -> float:
-        return mean_log(alpha) + math.log(mean_inv(alpha)) - r
-
-    return d, mean_log, mean_inv
-
-
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 400):
-    """Golden-section maximization of a unimodal f on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if b - a <= tol * max(1.0, abs(a) + abs(b)):
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def solve_kl_dro_dual(s: Sample, r: float, tol: float = DEFAULT_TOL, max_iter: int = 200) -> DualSolution:
-    """Maximize the dual objective over alpha >= 0.
-
-    Returns the maximizer with its certificate ingredients (nu, atom). The
-    stationarity residual after the Newton polish is at machine-precision
-    level, so the reconstructed primal witness matches the dual value to
-    ~1e-12 relative.
-    """
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    v, w = _merged(s)
-    if v[-1] == 0.0:
-        # Degenerate all-zero sample: the smallest achievable mean is 0 and the
-        # KL constraint is slack (the empirical distribution itself attains it).
-        return DualSolution(0.0, 0.0, 0.0, 0.0, 0, (0.0, 0.0), r)
-
-    d, mean_log, mean_inv = _make_d(v, w, r)
-    iterations = 0
-    scale = max(1.0, float(v[-1]))
-
-    if v[0] > 0.0:
-        d0 = d(0.0)
-        iterations += 1
-        if d0 <= 0.0:
-            # Boundary maximizer: mass exp(d0) stays on the sample, the rest
-            # moves to the zero atom.
-            nu = math.exp(mean_log(0.0) - r)
-            return DualSolution(0.0, nu, nu, 1.0 - math.exp(d0), iterations, (0.0, 0.0), r)
-        lo = 0.0
-    else:
-        # A zero observation forces an interior maximizer; approach from a
-        # strictly positive lower bracket.
-        lo = 1e-12 * scale
-        while d(lo) <= 0.0:
-            lo *= 1e-3
-            iterations += 1
-            if lo < _ZERO_BRACKET_FLOOR:
-                raise DualSolverError("no positive lower bracket for the dual derivative", (lo, scale))
-
-    hi = scale
-    d_hi = d(hi)
-    iterations += 1
-    while d_hi > 0.0:
-        lo, hi = hi, 2.0 * hi
-        d_hi = d(hi)
-        iterations += 1
-        if hi > 1e306:
-            raise DualSolverError("dual derivative never became negative", (lo, hi))
-
-    converged = False
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-        if d(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol * max(1.0, mid):
-            converged = True
-            break
-    if not converged:
-        # Concavity makes this unreachable in practice; fall back to a direct
-        # golden-section maximization of g before giving up.
-        g = lambda a: math.exp(-r + mean_log(a)) - a
-        alpha, _ = _golden_max(g, lo, hi)
-        if not math.isfinite(alpha):
-            raise DualSolverError(f"bisection did not converge in {max_iter} iterations", (lo, hi))
-    else:
-        alpha = 0.5 * (lo + hi)
-
-    # Newton polish on d drives the stationarity residual to ~1e-16 so that
-    # the witness weights sum to one at machine precision.
-    for _ in range(12):
-        resid = d(alpha)
-        if abs(resid) < 1e-15:
-            break
-        h = mean_inv(alpha)
-        h_prime = -float(np.dot(w, 1.0 / (alpha + v) ** 2))
-        slope = h + h_prime / h
-        if slope == 0.0:
-            break
-        step = resid / slope
-        candidate = alpha - step
-        if not math.isfinite(candidate) or candidate < 0.0:
-            break
-        alpha = candidate
-        iterations += 1
-
-    nu = math.exp(mean_log(alpha) - r)
-    atom = max(0.0, 1.0 - nu * mean_inv(alpha))
-    return DualSolution(alpha, nu - alpha, nu, atom, iterations, (lo, hi), r)
-
-
-def solve_kl_dro_dual_batch(X: np.ndarray, r: float, iterations: int = 52) -> np.ndarray:
-    """Dual values for a batch of samples (rows of X), vectorized.
-
-    Fixed-count bisection; agrees with the scalar solver to ~1e-12 relative.
-    Intended for Monte Carlo experiments where only the value is needed.
+    Column j carries probability weights[j] (default 1/n). Returns alpha*, nu,
+    the value, the atom, the iteration count and the final bracket (lo, hi)
+    of every row; all-zero rows take no iterations and report zeros.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be a (batch, n) array")
     if r <= 0:
         raise ValueError("radius must be positive")
-    scale = np.maximum(X.max(axis=1), 1.0)
-    has_zero = X.min(axis=1) <= 0.0
-    all_zero = X.max(axis=1) == 0.0
+    B, n = X.shape
+    top = X.max(axis=1)
+    if not np.isfinite(top).all():
+        raise DualSolverError("non-finite sample value")
+    # z = x * 2**-e is exact; the clamp keeps 2**-e finite for subnormal maxima.
+    e = np.maximum(np.frexp(top)[1], -1021)
+    Z = X * np.ldexp(1.0, -e)[:, None]
+    zmin = Z.min(axis=1)
+    w = np.full(n, 1.0 / n) if weights is None else weights
+    alpha, lo, hi, iterations = np.zeros(B), np.zeros(B), np.zeros(B), np.zeros(B, dtype=int)
+    rows = np.flatnonzero(top)
+    # Rows without a zero start at a = 0 (d(0) <= 0 means alpha* = 0). a_lo is
+    # the largest point seen left of the root (on rows with a zero, the floor).
+    a = (zmin[rows] == 0.0) * _ZERO_START
+    a_lo = (zmin[rows] == 0.0) * _ZERO_BRACKET_FLOOR
+    a_hi = a_lo + np.inf
+    T = np.empty_like(Z)
+    # Non-finite steps, from a = 0 or a vanishing slope, fail the bracket test.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(1, _MAX_ITER + 1):
+            if rows.size == 0:
+                break
+            u = np.take(Z, rows, axis=0, out=T[: rows.size], mode="clip")  # "raise" buffers out
+            u += a[:, None]
+            # u = p / (a + z) with p = min(a + z) lies in (0, 1]: its means
+            # v_k = p**k * m_k neither overflow nor underflow, and
+            # d = log v1 - mean log u - r has no log(a + z) terms to cancel.
+            p = a + zmin[rows]
+            np.divide(p[:, None], u, out=u)
+            v1 = u @ w
+            v2 = np.einsum("ij,ij,j->i", u, u, w)
+            mean_log_u = np.log(u, out=u) @ w
+            f = np.log(v1) - mean_log_u  # d + r >= 0
+            d = f - r
+            slope = (v2 / v1 - v1) / p  # -d'(a) = m2/m1 - m1 >= 0
+            a_lo = np.where(d > 0.0, a, a_lo)
+            a_hi = np.where(d > 0.0, a_hi, a)
+            # The Newton step on f**-1/2, exact where f ~ 1/a**2 (small r), or
+            # in log a, along which d is linear near a = 0, when the step on d
+            # is longer than a.
+            nxt = a + (f + f) * (np.sqrt(f / r) - 1.0) / slope
+            abs_d, a_slope = np.abs(d), a * slope
+            far = abs_d > a_slope
+            if np.count_nonzero(far):
+                nxt = np.where(far & (a > 0.0), a * np.exp(d / a_slope), nxt)
+            ok = (nxt >= a_lo) & (nxt < a_hi)
+            # Done once the Newton step is below the tolerance or |d| is within
+            # rounding (log v1 and mean log u are <= 0, |log v1| <= |mean log u|).
+            flat = _FLAT_TOL - 2.0 * _FLAT_TOL * mean_log_u
+            done = abs_d <= np.maximum(flat, _STEP_TOL * a_slope)
+            if np.count_nonzero(ok) < ok.size:
+                # double (no point right of the root yet), shrink or bisect
+                fallback = np.where(a_lo > _ZERO_BRACKET_FLOOR, 0.5 * (a_lo + a_hi), 1e-3 * a_hi)
+                nxt = np.where(ok, nxt, np.where(a_hi == np.inf, np.maximum(2.0 * a, 1.0), fallback))
+                if np.any((nxt > 0.0) & (nxt < _ZERO_BRACKET_FLOOR)):
+                    raise DualSolverError("no positive lower bracket for the dual derivative")
+                # after a rejected step only a flat d or a closed bracket ends
+                # a row, as at a = 0 when d(0) <= 0
+                done = (done & ok) | (abs_d <= flat) | (a_hi - a_lo <= _FLAT_TOL * a_lo)
+            if np.count_nonzero(done):
+                finished = rows[done]
+                alpha[finished] = np.where(ok, nxt, a)[done]
+                lo[finished], hi[finished], iterations[finished] = a_lo[done], a_hi[done], it
+                rows, nxt, a_lo, a_hi = (x[~done] for x in (rows, nxt, a_lo, a_hi))
+            a = nxt
+    if rows.size:
+        bracket = tuple(np.ldexp([a_lo[0], a_hi[0]], e[rows[0]]))
+        raise DualSolverError(f"no convergence in {_MAX_ITER} iterations", bracket)
 
-    def d(alpha):
-        t = alpha[:, None] + X
-        return np.log(t).mean(axis=1) + np.log((1.0 / t).mean(axis=1)) - r
+    # nu, value and atom at alpha*; all-zero rows are evaluated at alpha = 1.
+    solved = top > 0.0
+    a = alpha + ~solved
+    p = a + zmin
+    np.add(Z, a[:, None], out=T)
+    witness_mass = np.divide(Z, T, out=Z) @ w
+    v1 = np.divide(p[:, None], T, out=T) @ w
+    nu = np.exp(np.log(p) - np.log(T, out=T) @ w - r) * solved
+    atom = np.maximum(0.0, 1.0 - nu * v1 / p) * solved
+    value, nu, alpha, lo, hi = (np.ldexp(x, e) for x in (nu * witness_mass, nu, alpha, lo, hi))
+    if not np.isfinite(nu).all():  # value <= nu and alpha <= nu
+        raise DualSolverError("non-finite dual solution")
+    return alpha, nu, value, atom, iterations, lo, hi
 
-    lo = np.where(has_zero, 1e-12 * scale, 0.0)
-    d_lo = d(lo)
-    boundary = (~has_zero) & (d_lo <= 0.0)
-    active = ~(boundary | all_zero)
 
-    hi = scale.copy()
-    d_hi = d(hi)
-    for _ in range(600):
-        grow = active & (d_hi > 0.0)
-        if not grow.any():
-            break
-        lo = np.where(grow, hi, lo)
-        hi = np.where(grow, 2.0 * hi, hi)
-        d_hi = np.where(grow, d(hi), d_hi)
-    else:
-        raise DualSolverError("batched bracket search failed", (float(lo.min()), float(hi.max())))
+def solve_kl_dro_dual(s: Sample, r: float) -> DualSolution:
+    """Maximize the dual over alpha >= 0 for one sample, with its certificate
+    ingredients (nu, atom): a batch of one, the sample's distinct values
+    weighted by their frequencies."""
+    v, w = s.weighted_support()
+    alpha, nu, value, atom, it, lo, hi = (x[0] for x in _solve_rows(v[None, :], r, w))
+    return DualSolution(float(alpha), float(value), float(nu), float(atom), int(it), (float(lo), float(hi)), r)
 
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        positive = d(mid) > 0.0
-        lo = np.where(active & positive, mid, lo)
-        hi = np.where(active & ~positive, mid, hi)
 
-    alpha = np.where(active, 0.5 * (lo + hi), 0.0)
-    mean_log = np.log(alpha[:, None] + np.where(all_zero[:, None], 1.0, X)).mean(axis=1)
-    values = np.exp(mean_log - r) - alpha
-    return np.where(all_zero, 0.0, values)
+def solve_kl_dro_dual_batch(X: np.ndarray, r: float) -> np.ndarray:
+    """Dual values for a batch of samples (rows of X)."""
+    return _solve_rows(X, r)[2]
 
 
 def primal_witness(s: Sample, sol: DualSolution) -> DiscreteDistribution:
@@ -271,7 +207,7 @@ def primal_witness(s: Sample, sol: DualSolution) -> DiscreteDistribution:
     witness mean equals the dual value and its empirical KL divergence from
     the sample equals the solve radius, which certifies optimality of both.
     """
-    v, w = _merged(s)
+    v, w = s.weighted_support()
     if v[-1] == 0.0:
         return DiscreteDistribution([0.0], [1.0])
     alpha, nu = sol.alpha_star, sol.nu
@@ -296,7 +232,7 @@ def primal_witness(s: Sample, sol: DualSolution) -> DiscreteDistribution:
 
 def witness_empirical_kl(s: Sample, sol: DualSolution) -> float:
     """Empirical KL divergence from the sample to the witness: mean log((alpha*+z_i)/nu)."""
-    v, w = _merged(s)
+    v, w = s.weighted_support()
     return float(np.dot(w, np.log((sol.alpha_star + v) / sol.nu)))
 
 
@@ -310,7 +246,7 @@ def kl_inf(s: Sample, mu: float, tol: float = 1e-13) -> float:
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
-    v, w = _merged(s)
+    v, w = s.weighted_support()
     x = v / mu
 
     def dphi(t: float) -> float:

@@ -37,8 +37,8 @@ MAX_ORACLE_SUPPORT = 64
 class CertificateReport:
     """Outcome of one certificate check.
 
-    Passing means: witness on the simplex, |empirical KL - r| <= 1e-8,
-    |witness mean - dual value| <= 1e-9 relative, and no probe violations.
+    Passing means: witness on the simplex, |empirical KL - r| <= 1e-8, value
+    >= 0 and |witness mean - value| <= 1e-9 * value, and no probe violations.
     """
 
     primal_feasible: bool
@@ -52,7 +52,8 @@ class CertificateReport:
         return (
             self.primal_feasible
             and self.kl_gap <= KL_GAP_TOL
-            and self.duality_gap <= DUALITY_GAP_TOL * max(1.0, abs(self.value))
+            and self.value >= 0.0
+            and self.duality_gap <= DUALITY_GAP_TOL * abs(self.value)
             and self.probe_violations == 0
         )
 

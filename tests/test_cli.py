@@ -44,6 +44,26 @@ def test_estimate_kl_two_point(two_point, capsys):
     assert "alpha_star" in doc["diagnostics"]
 
 
+def _reject_constant(name):
+    raise ValueError(f"not valid JSON: {name}")
+
+
+def test_estimate_kl_zero_radius_prints_valid_json(two_point, capsys):
+    # alpha* is infinite at r = 0; the output must still be strict JSON
+    assert main(["estimate", "--estimator", "kl", "--r", "0", "--input", two_point]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert doc["value"] == 1.0
+    assert doc["diagnostics"]["alpha_star"] is None
+
+
+def test_estimate_kl_extreme_magnitude(tmp_path, capsys):
+    path = tmp_path / "extreme.txt"
+    path.write_text("0\n1e308\n")
+    assert main(["estimate", "--estimator", "kl", "--r", "0.3", "--input", str(path)]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    assert 0.0 < value < 1e308
+
+
 def test_estimate_mean(two_point, capsys):
     assert main(["estimate", "--estimator", "mean", "--input", two_point]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == 1.0
@@ -180,3 +200,15 @@ def test_rates_variance_ratio(tmp_path):
 
 def test_rates_requires_a_mode(capsys):
     assert main(["rates"]) == 2
+
+
+def test_simulate_oversized_lognormal_is_usage_error(capsys):
+    # exp(mu + sigma^2/2) overflows: a bad --dist, not a validation failure
+    code = main(
+        [
+            "simulate", "--dist", "lognormal:0:1000", "--estimator", "mean",
+            "--n", "10", "--trials", "5", "--seed", "1",
+        ]
+    )
+    assert code == 2
+    assert "lognormal" in capsys.readouterr().err

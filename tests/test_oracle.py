@@ -115,3 +115,7 @@ def test_certificate_report_pass_logic():
     assert not CertificateReport(True, 1e-4, 1e-12, 0, 1.0).passed
     assert not CertificateReport(True, 1e-10, 1e-5, 0, 1.0).passed
     assert not CertificateReport(True, 1e-10, 1e-12, 3, 1.0).passed
+    # an impossible (negative) value fails however small its gap, and so does
+    # a gap that is small in absolute terms but not relative to the value
+    assert not CertificateReport(True, 1e-10, 1e-20, 0, -1.6e-11).passed
+    assert not CertificateReport(True, 1e-10, 1e-12, 0, 2e-9).passed
