@@ -3,7 +3,13 @@ rate fitting, large-deviation rates, and population variance-ratio curves.
 
 Reproducibility contract: every trial draws from its own RNG substream keyed
 by (master seed, trial index), so results are bit-identical regardless of
-batching or worker-thread count.
+batching or worker-thread count. Trial i of seed s is exactly what
+default_rng(SeedSequence((s, i))) draws, but streams are built a block of
+trials at a time: the SeedSequence hash runs in uint32 arithmetic over the
+whole block, each row's PCG64 state is set into one generator per block,
+and the inverse-CDF transform runs in place on the block. draw_sample is a
+block of one. A draw or estimate that is not finite raises DualSolverError,
+so it is never counted as a safe trial.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .core import (
     survival_probability,
     true_mean,
 )
-from .dual import solve_kl_dro_dual_batch
+from .dual import DualSolverError, solve_kl_dro_dual_batch
 from .estimators import (
     EstimatorConfig,
     estimate,
@@ -104,32 +110,131 @@ def wilson_interval(hits: int, trials: int):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _trial_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, index)))
+# SeedSequence hashing constants and pool size (numpy/random/bit_generator.pyx)
+# and the PCG64 128-bit multiplier (numpy/random/src/pcg64/pcg64.h).
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _draw_matrix(spec: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draws; one row of a trial batch."""
-    u = rng.random(n)
-    if isinstance(spec, Pareto):
-        return spec.scale * (1.0 - u) ** (-1.0 / spec.shape)
-    if isinstance(spec, LogNormal):
-        u = np.clip(u, 1e-16, 1.0 - 1e-16)
-        return np.exp(spec.mu + spec.sigma * ndtri(u))
-    if isinstance(spec, ScaledBernoulli):
-        return np.where(u < spec.p, spec.high, 0.0)
+def _words(x: int) -> list:
+    """The uint32 words SeedSequence makes of a non-negative int, low word first."""
+    if x < 0:
+        raise ValueError("seed and stream must be non-negative")
+    words = [x & _M32]
+    while x > _M32:
+        x >>= 32
+        words.append(x & _M32)
+    return words
+
+
+def _seed_state(entropy: list) -> list:
+    """SeedSequence(entropy).generate_state(4, np.uint64) as 8 uint32 words.
+
+    Each entropy word is an int or a uint32 array holding one word per row, so
+    one pass seeds a whole block; words that are the same for every row stay
+    Python ints (masked to 32 bits) until a per-row word is mixed in.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
+        return result ^ result >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL)]
+    for i_src in range(_POOL):
+        for i_dst in range(_POOL):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL:]:
+        for i_dst in range(_POOL):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % _POOL] ^ hash_const
+        hash_const = hash_const * _MULT_B & _M32
+        value = value * hash_const & _M32
+        state.append(value ^ value >> 16)
+    return state
+
+
+def _draw_block(spec: DistributionSpec, seed: int, start: int, X: np.ndarray) -> None:
+    """Fill the (rows, n) block X with trials start, ..., start + rows - 1.
+
+    Row j is what default_rng(SeedSequence((seed, start + j))) draws, then
+    the inverse-CDF transform, bit for bit: the seed sequence is hashed for
+    all rows at once, each row's PCG64 {state, inc} is set by the
+    pcg64_set_seed steps into a generator owned by this call, and the
+    transform runs in place on the whole block with the same ufuncs in the
+    same order. A draw that overflows a float raises DualSolverError.
+    """
+    rows = X.shape[0]
+    if rows == 1:
+        index = _words(start)
+    elif start + rows <= 1 << 32:
+        index = [np.arange(start, start + rows, dtype=np.uint32)]
+    else:
+        raise ValueError("trial indices must stay below 2**32")
+    entropy = _words(seed) + index
     if isinstance(spec, PointMass):
-        return np.full(n, spec.value)
-    if isinstance(spec, UniformBounded):
-        return spec.lo + (spec.hi - spec.lo) * u
-    raise TypeError(f"unsupported distribution spec {spec!r}")
+        X.fill(spec.value)
+        return
+    w = np.empty((8, rows), dtype=np.uint64)
+    for k, word in enumerate(_seed_state(entropy)):
+        w[k] = word
+    # generate_state(4, np.uint64) is (w0 | w1 << 32, ..., w6 | w7 << 32); pcg64_set_seed
+    # takes the first two as the seed's high and low halves, the last two as inc's
+    halves = (w[0::2] | w[1::2] << 32).tolist()
+    bitgen = np.random.PCG64(0)  # any seed: every row's state is set below
+    gen = np.random.Generator(bitgen)
+    for row, s_hi, s_lo, i_hi, i_lo in zip(X, *halves):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        gen.random(out=row)
+    with np.errstate(over="ignore"):
+        if isinstance(spec, Pareto):
+            np.subtract(1.0, X, out=X)
+            X **= -1.0 / spec.shape
+            X *= spec.scale
+        elif isinstance(spec, LogNormal):
+            np.clip(X, 1e-16, 1.0 - 1e-16, out=X)
+            ndtri(X, out=X)
+            X *= spec.sigma
+            X += spec.mu
+            np.exp(X, out=X)
+        elif isinstance(spec, ScaledBernoulli):
+            np.less(X, spec.p, out=X)
+            X *= spec.high
+        elif isinstance(spec, UniformBounded):
+            X *= spec.hi - spec.lo
+            X += spec.lo
+        else:
+            raise TypeError(f"unsupported distribution spec {spec!r}")
+    if not np.isfinite(X.max()):
+        raise DualSolverError(f"{spec!r} draws a value that overflows a float")
 
 
 def draw_sample(spec: DistributionSpec, n: int, seed: int, stream: int = 0) -> Sample:
     """n i.i.d. draws; deterministic in (spec, n, seed, stream)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Sample(_draw_matrix(spec, n, _trial_rng(seed, stream)))
+    X = np.empty((1, n))
+    _draw_block(spec, seed, stream, X)
+    return Sample(X[0])
 
 
 def _estimate_batch(cfg: EstimatorConfig, X: np.ndarray) -> np.ndarray:
@@ -201,11 +306,13 @@ def _run_event_trials(
     starts = list(range(0, trials, batch_size))
 
     def run_chunk(start: int) -> int:
-        count = min(batch_size, trials - start)
-        X = np.empty((count, n))
-        for j in range(count):
-            X[j] = _draw_matrix(spec, n, _trial_rng(seed, start + j))
-        values = _estimate_batch(cfg, X)
+        X = np.empty((min(batch_size, trials - start), n))
+        _draw_block(spec, seed, start, X)
+        # an overflow shows up as a non-finite estimate, reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _estimate_batch(cfg, X)
+        if not np.all(np.isfinite(values)):
+            raise DualSolverError(f"non-finite {cfg.kind} estimate in trials {start}..{start + len(X) - 1}")
         if event == "disappointment":
             return int(np.sum(values > mu))
         return int(np.sum(values < mu - b))
@@ -303,9 +410,11 @@ def laplace_transform(spec: DistributionSpec, s: float) -> float:
         )
         return val
     if isinstance(spec, LogNormal):
-        # integrate in standard-normal space for stable tails
+        # integrate in standard-normal space for stable tails; the exponent is
+        # capped at 709, exactly, since exp(-exp(709)) is already 0
+        log_s = math.log(s)
         val, _ = quad(
-            lambda y: math.exp(-s * math.exp(spec.mu + spec.sigma * y))
+            lambda y: math.exp(-math.exp(min(spec.mu + spec.sigma * y + log_s, 709.0)))
             * math.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi),
             -np.inf, np.inf, epsabs=1e-14, epsrel=1e-11, limit=400,
         )

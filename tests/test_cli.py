@@ -212,3 +212,47 @@ def test_simulate_oversized_lognormal_is_usage_error(capsys):
     )
     assert code == 2
     assert "lognormal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "estimator",
+    [
+        ["varreg", "--lambda-schedule", "logn"],
+        ["trunc", "--a", "2", "--A", "5", "--lambda", "3"],
+    ],
+)
+def test_simulate_overflowing_draws_are_numeric_failure(tmp_path, capsys, estimator):
+    # exp(709 + z) overflows for z > 0.78: varreg's estimate would be NaN and
+    # trunc's would cap the infinite draws, so each counted a wrong answer
+    out = tmp_path / "sim.csv"
+    code = main(
+        [
+            "simulate", "--dist", "lognormal:709:1", "--estimator", *estimator,
+            "--n", "100", "--trials", "2000", "--seed", "7",
+            "--event", "conservatism", "--b", "0.5", "--out", str(out),
+        ]
+    )
+    assert code == 3
+    assert not out.exists()
+    assert "overflows" in capsys.readouterr().err
+
+
+def test_simulate_non_finite_estimate_is_numeric_failure(tmp_path, capsys):
+    # every draw is finite, but the sum behind the sample mean overflows
+    out = tmp_path / "sim.csv"
+    code = main(
+        [
+            "simulate", "--dist", "uniform:0:1e308", "--estimator", "mean",
+            "--n", "10", "--trials", "20", "--seed", "7", "--out", str(out),
+        ]
+    )
+    assert code == 3
+    assert not out.exists()
+    assert "non-finite mean estimate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dist", ["lognormal:0:1", "lognormal:0:30"])
+def test_rates_cramer_lognormal(capsys, dist):
+    assert main(["rates", "--cramer", "--dist", dist, "--b", "0.5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert math.isfinite(doc["rate"]) and doc["rate"] >= 0.0

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import binom
 
 from safemean import (
@@ -28,6 +29,8 @@ from safemean import (
 )
 from safemean.montecarlo import (
     TrialReport,
+    _draw_block,
+    _run_event_trials,
     reports_to_csv,
     reports_to_json,
     solve_population_dual,
@@ -59,6 +62,75 @@ def test_draw_reproducible():
     c = draw_sample(LogNormal(0.0, 1.0), 50, seed=9, stream=5)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
+
+
+ALL_KINDS = (
+    Pareto(2.5, 1.0),
+    LogNormal(0.3, 2.0),
+    ScaledBernoulli(0.3, 2.5),
+    PointMass(1.5),
+    UniformBounded(0.5, 3.0),
+)
+
+
+def _reference_draw(spec, n, seed, index):
+    """One trial as drawn before trial blocks: a generator per (seed, index)."""
+    u = np.random.default_rng(np.random.SeedSequence((seed, index))).random(n)
+    if isinstance(spec, Pareto):
+        return spec.scale * (1.0 - u) ** (-1.0 / spec.shape)
+    if isinstance(spec, LogNormal):
+        u = np.clip(u, 1e-16, 1.0 - 1e-16)
+        return np.exp(spec.mu + spec.sigma * ndtri(u))
+    if isinstance(spec, ScaledBernoulli):
+        return np.where(u < spec.p, spec.high, 0.0)
+    if isinstance(spec, PointMass):
+        return np.full(n, spec.value)
+    return spec.lo + (spec.hi - spec.lo) * u
+
+
+@pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda spec: type(spec).__name__)
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5])
+def test_block_draw_matches_per_trial_generators(spec, seed):
+    n = 9
+    # blocks covering trial indices 0, 1, 4095 and 2**32 - 1
+    for start, rows in ((0, 2), (4094, 3), (2**32 - 2, 2)):
+        X = np.empty((rows, n))
+        _draw_block(spec, seed, start, X)
+        expected = np.array([_reference_draw(spec, n, seed, start + j) for j in range(rows)])
+        assert np.array_equal(X, expected)
+    for stream in (0, 1, 4095, 2**32 - 1, 2**32):
+        got = draw_sample(spec, n, seed, stream=stream).values
+        assert np.array_equal(got, np.sort(_reference_draw(spec, n, seed, stream)))
+
+
+def test_draw_rejects_negative_seeds_and_out_of_range_blocks():
+    with pytest.raises(ValueError):
+        draw_sample(Pareto(2.5, 1.0), 5, seed=-1)
+    with pytest.raises(ValueError):
+        draw_sample(Pareto(2.5, 1.0), 5, seed=1, stream=-1)
+    with pytest.raises(ValueError):
+        disappointment_probability(Pareto(2.5, 1.0), EstimatorConfig("mean"), 5, 10, seed=-1)
+    with pytest.raises(ValueError):
+        _draw_block(Pareto(2.5, 1.0), 1, 2**32 - 1, np.empty((2, 5)))
+
+
+@pytest.mark.parametrize(
+    "cfg,event,b",
+    [
+        (EstimatorConfig("kl", r=0.02), "disappointment", 0.0),
+        (EstimatorConfig("varreg", lam=1.0), "conservatism", 0.3),
+    ],
+    ids=["kl", "varreg"],
+)
+def test_hits_do_not_depend_on_batching_or_threads(cfg, event, b):
+    spec, n, trials, seed = Pareto(2.5, 1.0), 20, 150, 13
+    hits = {
+        (batch_size, threads): _run_event_trials(spec, cfg, n, trials, seed, event, b, threads, batch_size)
+        for batch_size in (1, 7, None)
+        for threads in (1, 2)
+    }
+    assert len(set(hits.values())) == 1
+    assert 0 < hits[None, 1] < trials
 
 
 def test_wilson_interval_basics():
@@ -172,6 +244,13 @@ def test_laplace_transform_closed_forms():
         np.linspace(1, 400, 2_000_000),
     )
     assert laplace_transform(Pareto(2.5, 1.0), 0.5) == pytest.approx(direct, rel=1e-5)
+
+
+@pytest.mark.parametrize("s", [0.05, 0.3, 1.0, 4.0])
+def test_laplace_transform_lognormal_matches_gauss_hermite(s):
+    nodes, weights = np.polynomial.hermite_e.hermegauss(200)
+    expected = float(np.sum(weights * np.exp(-s * np.exp(nodes)))) / math.sqrt(2.0 * math.pi)
+    assert laplace_transform(LogNormal(0.0, 1.0), s) == pytest.approx(expected, abs=1e-9)
 
 
 def test_cramer_rate_examples():
