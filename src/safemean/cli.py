@@ -197,7 +197,7 @@ def cmd_validate(args) -> int:
     if args.instances < 1:
         raise UsageError("--instances must be >= 1")
     t0 = time.perf_counter()
-    worst_kl = worst_gap = 0.0
+    worst_kl = worst_gap = worst_value_gap = 0.0
     total_violations = 0
     failures = 0
     for i, (sample, r) in enumerate(random_instances(args.instances, args.seed)):
@@ -205,13 +205,15 @@ def cmd_validate(args) -> int:
         report = verify_certificate(sample, r, probes=args.probes, seed=args.seed + i, check_radius=check_radius)
         worst_kl = max(worst_kl, report.kl_gap)
         worst_gap = max(worst_gap, report.duality_gap / max(1.0, abs(report.value)))
+        if report.duality_gap > 0.0:  # the ratio CertificateReport.passed bounds
+            worst_value_gap = max(worst_value_gap, report.duality_gap / abs(report.value) if report.value else math.inf)
         total_violations += report.probe_violations
         if not report.passed:
             failures += 1
     print(
         f"validate: {args.instances} instances, {failures} failures, "
         f"max kl gap {_fmt(worst_kl)}, max relative duality gap {_fmt(worst_gap)}, "
-        f"probe violations {total_violations}"
+        f"probe violations {total_violations}, max duality gap / |value| {_fmt(worst_value_gap)}"
     )
     print(f"validate: done in {time.perf_counter() - t0:.1f}s", file=sys.stderr)
     return EXIT_OK if failures == 0 else EXIT_VALIDATION

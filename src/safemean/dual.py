@@ -46,10 +46,10 @@ _MAX_ITER = 200
 
 
 class DualSolverError(RuntimeError):
-    """Solver failed to converge; carries the last bracket examined."""
+    """Numeric failure; a solve that did not converge carries its last bracket."""
 
-    def __init__(self, message: str, bracket=(math.nan, math.nan)):
-        super().__init__(f"{message} (last bracket: [{bracket[0]!r}, {bracket[1]!r}])")
+    def __init__(self, message: str, bracket=None):
+        super().__init__(message if bracket is None else f"{message} (last bracket: [{bracket[0]!r}, {bracket[1]!r}])")
         self.bracket = bracket
 
 

@@ -39,7 +39,7 @@ from .core import (
 from .dual import DualSolverError, solve_kl_dro_dual_batch
 from .estimators import (
     EstimatorConfig,
-    estimate,
+    estimate,  # noqa: F401 -- not called here; perfbench/spans.py wraps this name
     kl_disappointment_bound,
     truncation_constants,
 )
@@ -257,7 +257,7 @@ def _estimate_batch(cfg: EstimatorConfig, X: np.ndarray) -> np.ndarray:
         r = cfg.resolve_lambda(n) / n
         removal = math.sqrt(r / 2.0)
         if removal > 1.0:
-            raise ValueError("sqrt(r/2) exceeds 1")
+            raise ValueError(f"sqrt(r/2) = {removal:g} exceeds 1; radius too large for mass removal")
         S = np.sort(X, axis=1)[:, ::-1]
         atoms = int(math.floor(removal * n))
         removed = S[:, :atoms].sum(axis=1) / n if atoms > 0 else np.zeros(X.shape[0])
@@ -271,6 +271,20 @@ def _estimate_batch(cfg: EstimatorConfig, X: np.ndarray) -> np.ndarray:
             return X.mean(axis=1)
         return solve_kl_dro_dual_batch(X, r)
     raise ValueError(f"unknown estimator kind {kind!r}")
+
+
+def _finite_estimates(cfg: EstimatorConfig, X: np.ndarray, where: str) -> np.ndarray:
+    """_estimate_batch; an overflow shows up as a non-finite estimate, which raises."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _estimate_batch(cfg, X)
+    if not np.all(np.isfinite(values)):
+        raise DualSolverError(f"non-finite {cfg.kind} estimate in {where}")
+    return values
+
+
+def _event_hits(values: np.ndarray, event: str, mu: float, b: float) -> np.ndarray:
+    """Which estimates disappoint (exceed mu) or are conservative (below mu - b)."""
+    return values > mu if event == "disappointment" else values < mu - b
 
 
 def _fill_bound(cfg: EstimatorConfig, event: str, n: int, spec: DistributionSpec, b: float):
@@ -308,14 +322,8 @@ def _run_event_trials(
     def run_chunk(start: int) -> int:
         X = np.empty((min(batch_size, trials - start), n))
         _draw_block(spec, seed, start, X)
-        # an overflow shows up as a non-finite estimate, reported below
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = _estimate_batch(cfg, X)
-        if not np.all(np.isfinite(values)):
-            raise DualSolverError(f"non-finite {cfg.kind} estimate in trials {start}..{start + len(X) - 1}")
-        if event == "disappointment":
-            return int(np.sum(values > mu))
-        return int(np.sum(values < mu - b))
+        values = _finite_estimates(cfg, X, f"trials {start}..{start + len(X) - 1}")
+        return int(np.count_nonzero(_event_hits(values, event, mu, b)))
 
     if threads <= 1 or len(starts) == 1:
         return sum(run_chunk(s0) for s0 in starts)
@@ -370,18 +378,26 @@ def exact_bernoulli_event_probability(
     """Exact event probability for two-point samples by binomial enumeration.
 
     A size-n sample from a scaled Bernoulli is determined by its count of
-    high values, so P[event] = sum over k of Binom(n, p) pmf(k) * 1{event at k}.
+    high values, so P[event] = sum over k of Binom(n, p) pmf(k) * 1{event at k},
+    the patterns estimated by the batch kernels, 2**17 values at a time.
     Useful where the event is far too rare for Monte Carlo.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if event not in ("disappointment", "conservatism"):
+        raise ValueError(f"unknown event {event!r}")
+    if event == "conservatism" and b <= 0:
+        raise ValueError("b must be positive")
     mu = true_mean(spec)
     pmf = binom.pmf(np.arange(n + 1), n, spec.p)
+    rows = max(1, 2**17 // n)
     total = 0.0
-    for k in range(n + 1):
-        values = np.concatenate([np.zeros(n - k), np.full(k, spec.high)])
-        est = estimate(cfg, Sample(values)).value
-        hit = est > mu if event == "disappointment" else est < mu - b
-        if hit:
-            total += float(pmf[k])
+    for k0 in range(0, n + 1, rows):
+        k = np.arange(k0, min(k0 + rows, n + 1))
+        X = spec.high * (np.arange(n) >= n - k[:, None])  # n - k zeros, then k high values
+        values = _finite_estimates(cfg, X, f"count patterns {k[0]}..{k[-1]}")
+        for p in pmf[k[_event_hits(values, event, mu, b)]]:
+            total += float(p)
     return total
 
 

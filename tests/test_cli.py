@@ -153,6 +153,17 @@ def test_validate_passes(capsys):
     assert "0 failures" in capsys.readouterr().out
 
 
+def test_validate_reports_gap_relative_to_value(capsys):
+    # the fields before the value-relative gap are unchanged; that gap is the
+    # ratio CertificateReport.passed bounds by 1e-9
+    assert main(["validate", "--instances", "15", "--seed", "1", "--probes", "300"]) == 0
+    line = capsys.readouterr().out.strip()
+    head, tail = line.split(", max duality gap / |value| ")
+    assert head.startswith("validate: 15 instances, 0 failures, max kl gap ")
+    assert head.endswith(", probe violations 0")
+    assert 0.0 <= float(tail) <= 1e-9
+
+
 def test_validate_zero_instances(capsys):
     assert main(["validate", "--instances", "0"]) == 2
 
@@ -249,6 +260,20 @@ def test_simulate_non_finite_estimate_is_numeric_failure(tmp_path, capsys):
     assert code == 3
     assert not out.exists()
     assert "non-finite mean estimate" in capsys.readouterr().err
+
+
+def test_numeric_failure_without_a_solve_reports_no_bracket(capsys):
+    # the draws overflow before any dual solve runs: there is no bracket to report
+    code = main(
+        [
+            "simulate", "--dist", "lognormal:709:1", "--estimator", "varreg", "--lambda-schedule", "logn",
+            "--n", "100", "--trials", "20", "--seed", "7",
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "overflows" in err
+    assert "nan" not in err and "bracket" not in err
 
 
 @pytest.mark.parametrize("dist", ["lognormal:0:1", "lognormal:0:30"])

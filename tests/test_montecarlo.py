@@ -27,6 +27,8 @@ from safemean import (
     variance_ratio_curve,
     wilson_interval,
 )
+from safemean.dual import DualSolverError
+from safemean.estimators import estimate
 from safemean.montecarlo import (
     TrialReport,
     _draw_block,
@@ -221,6 +223,61 @@ def test_exact_bernoulli_enumeration_matches_binomial():
     pc = exact_bernoulli_event_probability(BERN, EstimatorConfig("mean"), 21, "conservatism", b=0.5)
     expected_c = float(binom.cdf(5, 21, 0.5))
     assert pc == pytest.approx(expected_c, rel=1e-12)
+
+
+def _scalar_enumeration(spec, cfg, n, event, b):
+    """Exact enumeration as it was before batching: one scalar estimate per count."""
+    mu = true_mean(spec)
+    pmf = binom.pmf(np.arange(n + 1), n, spec.p)
+    total = 0.0
+    for k in range(n + 1):
+        values = np.concatenate([np.zeros(n - k), np.full(k, spec.high)])
+        est = estimate(cfg, Sample(values)).value
+        if (est > mu) if event == "disappointment" else (est < mu - b):
+            total += float(pmf[k])
+    return total
+
+
+ENUM_CONFIGS = (
+    EstimatorConfig("mean", delta=0.05),
+    EstimatorConfig("wasserstein", r=0.05),
+    EstimatorConfig("trunc", lam=2.0, A=5.0),
+    EstimatorConfig("varreg", schedule=RadiusSchedule.log_n()),
+    EstimatorConfig("tv", lam=5.0),  # sqrt(r/2) > 1 at n = 1 and 2: both paths raise
+    EstimatorConfig("kl", schedule=RadiusSchedule.log_n()),
+)
+
+
+@pytest.mark.parametrize("cfg", ENUM_CONFIGS, ids=lambda cfg: cfg.kind)
+@pytest.mark.parametrize("event", ["disappointment", "conservatism"])
+def test_batched_enumeration_matches_scalar_loop(cfg, event):
+    spec = ScaledBernoulli(0.4, 2.5)
+    for n in (1, 2, 50, 200):
+        try:
+            expected = _scalar_enumeration(spec, cfg, n, event, 0.5)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                exact_bernoulli_event_probability(spec, cfg, n, event, b=0.5)
+            assert str(info.value) == str(exc)
+            continue
+        assert exact_bernoulli_event_probability(spec, cfg, n, event, b=0.5) == expected
+
+
+def test_enumeration_rejects_unknown_event_and_non_positive_b():
+    cfg = EstimatorConfig("mean")
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        exact_bernoulli_event_probability(BERN, cfg, 0, "disappointment")
+    with pytest.raises(ValueError, match="unknown event"):
+        exact_bernoulli_event_probability(BERN, cfg, 10, "disapointment")
+    for b in (0.0, -0.5):
+        with pytest.raises(ValueError, match="b must be positive"):
+            exact_bernoulli_event_probability(BERN, cfg, 10, "conservatism", b=b)
+
+
+def test_enumeration_non_finite_estimate_raises():
+    # every pattern is finite, but the sum behind the sample mean overflows
+    with pytest.raises(DualSolverError, match="non-finite mean estimate in count patterns"):
+        exact_bernoulli_event_probability(ScaledBernoulli(0.5, 1e308), EstimatorConfig("mean"), 10, "disappointment")
 
 
 def test_exact_enumeration_agrees_with_monte_carlo():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,8 @@ from safemean import (
     solve_kl_dro_dual,
     verify_certificate,
 )
-from safemean.oracle import CertificateReport, random_instances
+from safemean.dual import primal_witness
+from safemean.oracle import PROBE_MARGIN, CertificateReport, _kl_rows, _support_and_weights, random_instances
 
 
 def test_bruteforce_point_mass_closed_form():
@@ -119,3 +121,71 @@ def test_certificate_report_pass_logic():
     # a gap that is small in absolute terms but not relative to the value
     assert not CertificateReport(True, 1e-10, 1e-20, 0, -1.6e-11).passed
     assert not CertificateReport(True, 1e-10, 1e-12, 0, 2e-9).passed
+
+
+def _unfiltered_probe_batches(s, trials, seed, reference):
+    """The probe as it was before KL was filtered by the mean test: yields
+    the candidates, their means and their KL divergences, batch by batch."""
+    vals, w = _support_and_weights(s)
+    witness = primal_witness(s, reference)
+    wit = np.zeros_like(w)
+    for point, weight in zip(witness.support, witness.weights):
+        wit[int(np.searchsorted(vals, point))] = weight
+    vals_ext = np.concatenate([vals, [2.0 * vals[-1] + 1.0]])
+    w_ext = np.concatenate([w, [0.0]])
+    bases = np.vstack(
+        [np.concatenate([wit, [0.0]]), w_ext, 0.5 * (np.concatenate([wit, [0.0]]) + w_ext)]
+    )
+    m = vals_ext.size
+    rng = np.random.default_rng(seed)
+    concentrations = [np.ones(m), np.concatenate([[5.0], np.ones(m - 1)]), np.concatenate([np.ones(m - 1), [5.0]])]
+    done = 0
+    while done < trials:
+        count = min(4096, trials - done)
+        noise = rng.dirichlet(concentrations[done % len(concentrations)], size=count)
+        t = rng.uniform(0.0, 0.35, size=count)[:, None]
+        base = bases[rng.integers(0, bases.shape[0], size=count)]
+        Q = (1.0 - t) * base + t * noise
+        yield Q, Q @ vals_ext, _kl_rows(w_ext, Q)
+        done += count
+
+
+def _unfiltered_probe(s, r, trials, seed, reference):
+    return sum(
+        int(np.sum((kl <= r) & (means < reference.value - PROBE_MARGIN)))
+        for _, means, kl in _unfiltered_probe_batches(s, trials, seed, reference)
+    )
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_probe_matches_unfiltered_loop_on_certify_instances(seed):
+    # the certify benchmark's instances and probe seeds; the inflated
+    # reference is a negative control with many candidates below it
+    inflated_violations = 0
+    for i, (s, r) in enumerate(random_instances(200, seed=seed)):
+        if s.max() == 0.0:
+            continue
+        sol = solve_kl_dro_dual(s, r)
+        for reference in (sol, dataclasses.replace(sol, value=1.5 * sol.value + 0.1)):
+            got = random_feasible_probe(s, r, 10_000, seed=seed + i, reference=reference)
+            assert got == _unfiltered_probe(s, r, 10_000, seed + i, reference)
+        inflated_violations += got
+    assert inflated_violations > 200_000
+
+
+def test_probe_single_candidate_rounds_as_in_its_batch():
+    # A one-row sum(axis=1) rounds pairwise, while a batch sums the 12 KL
+    # columns one by one. The radius is set to the candidate's KL as its batch
+    # rounds it, one ulp below the one-row value, so only a candidate KL that
+    # rounds as in its batch is counted.
+    s = Sample(np.random.default_rng(15).lognormal(0.0, 1.0, 12))
+    sol = solve_kl_dro_dual(s, 0.1)
+    (Q, means, kl), = _unfiltered_probe_batches(s, 500, 0, sol)
+    j, second = np.argsort(means)[:2]
+    reference = dataclasses.replace(sol, value=0.5 * (means[j] + means[second]) + PROBE_MARGIN)
+    r = float(kl[j])
+    _, w = _support_and_weights(s)
+    assert _kl_rows(np.append(w, 0.0), Q[j : j + 1])[0] > r
+    assert _unfiltered_probe(s, r, 500, 0, reference) == 1
+    assert random_feasible_probe(s, r, 500, seed=0, reference=reference) == 1
+    assert random_feasible_probe(s, r, 500, seed=0, reference=reference, witness=primal_witness(s, sol)) == 1
