@@ -12,7 +12,7 @@ from safemean import (
     solve_kl_dro_dual,
     solve_kl_dro_dual_batch,
 )
-from safemean.dual import DualSolverError, witness_empirical_kl
+from safemean.dual import _TILE_VALUES, DualSolverError, witness_empirical_kl
 from safemean.oracle import random_instances
 
 # closed form for the two-point sample {0, 2} at radius log 2:
@@ -280,3 +280,22 @@ def test_batch_solver_handles_constant_and_zero_rows():
     for bad in (np.nan, np.inf):
         with pytest.raises(DualSolverError):
             solve_kl_dro_dual_batch(np.array([[2.0, 2.0, 2.0], [0.0, 1.0, bad]]), 0.4)
+
+
+@pytest.mark.parametrize("n", [1000, 3000, 2**15])
+def test_batch_solver_tiles_agree_with_rows_solved_alone(n):
+    k = _TILE_VALUES // n  # rows per tile
+    rng = np.random.default_rng(n)
+    r = 0.05
+    for B in (0, 1, k - 1, k, k + 1, 3 * k + 5):
+        X = (1.0 - rng.random((B, n))) ** (-1.0 / 2.5)
+        X[::3, 0] = 0.0  # mix in zero observations
+        values = solve_kl_dro_dual_batch(X, r)
+        assert values.shape == (B,)
+        for i in range(B):
+            assert values[i] == pytest.approx(solve_kl_dro_dual_batch(X[i : i + 1], r)[0], rel=1e-13, abs=0.0)
+    X = (1.0 - rng.random((3 * k + 5, n))) ** (-1.0 / 2.5)
+    for bad in (np.nan, np.inf):
+        X[-1, -1] = bad  # in the last tile
+        with pytest.raises(DualSolverError):
+            solve_kl_dro_dual_batch(X, r)

@@ -27,11 +27,13 @@ from safemean import (
     variance_ratio_curve,
     wilson_interval,
 )
+from safemean import montecarlo
 from safemean.dual import DualSolverError
 from safemean.estimators import estimate
 from safemean.montecarlo import (
     TrialReport,
     _draw_block,
+    _estimate_batch,
     _run_event_trials,
     reports_to_csv,
     reports_to_json,
@@ -121,8 +123,9 @@ def test_draw_rejects_negative_seeds_and_out_of_range_blocks():
     [
         (EstimatorConfig("kl", r=0.02), "disappointment", 0.0),
         (EstimatorConfig("varreg", lam=1.0), "conservatism", 0.3),
+        (EstimatorConfig("tv", lam=0.05), "disappointment", 0.0),
     ],
-    ids=["kl", "varreg"],
+    ids=["kl", "varreg", "tv"],
 )
 def test_hits_do_not_depend_on_batching_or_threads(cfg, event, b):
     spec, n, trials, seed = Pareto(2.5, 1.0), 20, 150, 13
@@ -133,6 +136,76 @@ def test_hits_do_not_depend_on_batching_or_threads(cfg, event, b):
     }
     assert len(set(hits.values())) == 1
     assert 0 < hits[None, 1] < trials
+
+
+SCREEN_SPECS = (
+    Pareto(2.5, 1.0),
+    LogNormal(0.0, 1.0),
+    ScaledBernoulli(0.5, 2.0),
+    UniformBounded(0.0, 1.0),
+    PointMass(1e-300),
+    PointMass(1.0),
+    PointMass(1e300),
+)
+
+
+@pytest.mark.parametrize("schedule", [RadiusSchedule.log_n(), RadiusSchedule.log_n(1e-6)], ids=["logn", "logn_1e-6"])
+def test_estimates_never_exceed_the_sample_mean(schedule):
+    # the disappointment screen drops rows whose mean is at most mu; that is
+    # exact only because no estimate exceeds its row's sample mean
+    configs = [EstimatorConfig("mean")] + [
+        EstimatorConfig(kind, schedule=schedule, A=5.0) for kind in ("wasserstein", "trunc", "varreg", "tv", "kl")
+    ]
+    checked = set()
+    for spec in SCREEN_SPECS:
+        for n in (1, 2, 20, 300):
+            X = np.empty((40, n))
+            _draw_block(spec, 3, 0, X)
+            for cfg in configs:
+                try:
+                    with np.errstate(over="ignore"):  # as in the harness; varreg's std overflows at 1e300
+                        values = _estimate_batch(cfg, X)
+                except ValueError:  # logn at n = 1, tv with sqrt(r/2) > 1
+                    continue
+                assert np.all(values <= X.mean(axis=1)), (spec, n, cfg.kind)
+                checked.add(cfg.kind)
+    assert len(checked) == 6
+
+
+SCREEN_CONFIGS = (
+    EstimatorConfig("mean", delta=0.05),
+    EstimatorConfig("wasserstein", r=0.05),
+    EstimatorConfig("trunc", lam=0.5, A=5.0),
+    EstimatorConfig("varreg", lam=0.2),
+    EstimatorConfig("tv", lam=0.05),
+    EstimatorConfig("kl", r=0.02),
+)
+
+
+@pytest.mark.parametrize("cfg", SCREEN_CONFIGS, ids=lambda cfg: cfg.kind)
+def test_screened_disappointment_hits_match_unscreened_count(cfg):
+    spec, n, trials, seed = Pareto(2.5, 1.0), 20, 150, 13
+    X = np.empty((trials, n))
+    _draw_block(spec, seed, 0, X)
+    expected = int(np.count_nonzero(_estimate_batch(cfg, X) > true_mean(spec)))  # every row estimated
+    assert 0 < expected < trials
+    for batch_size in (1, 7, None):
+        for threads in (1, 2):
+            hits = _run_event_trials(spec, cfg, n, trials, seed, "disappointment", 0.0, threads, batch_size)
+            assert hits == expected
+
+
+def test_block_screened_out_entirely_has_no_rows_and_no_hits(monkeypatch):
+    rows = []
+
+    def spy(cfg, X, where):
+        rows.append(X.shape[0])
+        return montecarlo._estimate_batch(cfg, X)
+
+    monkeypatch.setattr(montecarlo, "_finite_estimates", spy)
+    # every row's mean equals mu, so none can disappoint
+    assert _run_event_trials(PointMass(1.0), EstimatorConfig("kl", r=0.1), 20, 50, 3, "disappointment", 0.0, 1, 16) == 0
+    assert rows == [0, 0, 0, 0]
 
 
 def test_wilson_interval_basics():
@@ -330,6 +403,38 @@ def test_cramer_rate_binomial_cross_check():
 def test_cramer_rate_impossible_event_is_infinite():
     # Pareto support starts at 1; mean below mu - b is impossible for b > mu - 1
     assert cramer_rate(Pareto(2.5, 1.0), 0.8) == math.inf
+
+
+# rates from a cancellation-free quadrature: b s - E[exp(-s z) - 1 + s z] + (x - log1p(x)),
+# x = E[exp(-s z) - 1 + s z] - s mu, with exp(-x) - 1 + x summed as a series near 0
+@pytest.mark.parametrize("sigma,expected", [(3.0, 3.040086074481525e-09), (5.0, 4.1731387039269806e-23)])
+def test_cramer_rate_heavy_lognormal_is_above_its_quadratic_floor(sigma, expected):
+    # for z >= 0, exp(-x) <= 1 - x + x^2/2 gives rate >= b^2 / (2 E[z^2]), 2.4e-23
+    # at sigma 5, where the maximizer is near 2e-22
+    b = 0.5
+    rate = cramer_rate(LogNormal(0.0, sigma), b)
+    assert rate >= b * b / (2.0 * math.exp(2.0 * sigma**2))
+    assert rate == pytest.approx(expected, rel=1e-8)
+
+
+def test_cramer_rate_infinite_variance_pareto_small_b():
+    # for Pareto(1.5, 1), E[exp(-s z) - 1 + s z] ~ 1.5 Gamma(-1.5) s**1.5 = sqrt(4 pi) s**1.5
+    # as s -> 0, so the rate tends to b**3 / (27 pi); the relative gap is about 0.64 b
+    for b in (3e-6, 3e-4):
+        assert cramer_rate(Pareto(1.5, 1.0), b) == pytest.approx(b**3 / (27.0 * math.pi), rel=1e-3)
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e200])
+def test_cramer_rate_is_scale_free(c):
+    # z -> c z with b -> c b leaves the rate unchanged
+    for spec, scaled in (
+        (Pareto(2.5, 1.0), Pareto(2.5, c)),
+        (LogNormal(0.0, 1.0), LogNormal(math.log(c), 1.0)),
+        (UniformBounded(1.0, 3.0), UniformBounded(c, 3.0 * c)),
+        (BERN, ScaledBernoulli(0.5, 2.0 * c)),
+    ):
+        for b in (1e-6, 0.1, 0.5):
+            assert cramer_rate(scaled, c * b) == pytest.approx(cramer_rate(spec, b), rel=1e-9)
 
 
 def test_rate_fit_synthetic_powers():
