@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--delta", type=float, default=0.0)
     p_sim.add_argument("--a", type=float, default=2.0)
     p_sim.add_argument("--A", type=float, default=1.0)
-    p_sim.add_argument("--threads", type=int, default=1)
+    p_sim.add_argument("--threads", type=int, default=None, help="worker threads (default: usable cores)")
     p_sim.add_argument("--out", default=None)
     add_radius_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)

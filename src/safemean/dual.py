@@ -91,6 +91,12 @@ def kl_dro_dual_objective(s: Sample, r: float, alpha: float) -> float:
     return math.exp(-r + float(np.dot(w, np.log(alpha + v)))) - alpha
 
 
+def _exponents(x: np.ndarray) -> np.ndarray:
+    """Binary exponents e with x * 2**-e in [0.5, 1), so scaling a row by 2**-e is
+    exact; the clamp keeps 2**-e finite for subnormal x."""
+    return np.maximum(np.frexp(x)[1], -1021)
+
+
 def _solve_rows(X: np.ndarray, r: float, weights=None):
     """Maximize the dual for every row of a (batch, n) matrix of samples.
 
@@ -104,8 +110,7 @@ def _solve_rows(X: np.ndarray, r: float, weights=None):
     top = X.max(axis=1)
     if not np.isfinite(top).all():
         raise DualSolverError("non-finite sample value")
-    # z = x * 2**-e is exact; the clamp keeps 2**-e finite for subnormal maxima.
-    e = np.maximum(np.frexp(top)[1], -1021)
+    e = _exponents(top)
     Z = X * np.ldexp(1.0, -e)[:, None]
     zmin = Z.min(axis=1)
     w = np.full(n, 1.0 / n) if weights is None else weights

@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import EstimateResult, RadiusSchedule, Sample, sample_mean, sample_variance
-from .dual import solve_kl_dro_dual
+from .core import EstimateResult, RadiusSchedule, Sample, sample_mean
+from .dual import _TILE_VALUES, _exponents, solve_kl_dro_dual
 
 __all__ = [
     "EstimatorConfig",
@@ -120,12 +120,40 @@ def truncated_mean_estimator(s: Sample, a: float, A: float, lam: float) -> float
     return float(np.mean(truncated)) - c_a * r ** ((a - 1.0) / a)
 
 
+def row_std(X: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Standard deviation (1/n divisor) of each row of X about its given mean.
+
+    numpy's own two-pass X.std(axis=1) on the passed means: subtract, square,
+    sum over n, divide by n, sqrt, _TILE_VALUES values at a time in one reused
+    buffer. The deviations are scaled by 2**-e, e the binary exponent of the
+    row's mean, so squares of deviations from a mean near 1e300 or 1e-300
+    neither overflow nor underflow; the scaling is exact, so every other row
+    gets X.std(axis=1) bit for bit.
+    """
+    B, n = X.shape
+    rows = max(1, _TILE_VALUES // n)
+    e = _exponents(means)
+    scale = np.ldexp(1.0, -e)[:, None]
+    buf = np.empty((min(rows, B), n))
+    out = np.empty(B)
+    for i in range(0, B, rows):
+        T = buf[: min(rows, B - i)]
+        np.subtract(X[i : i + rows], means[i : i + rows, None], out=T)
+        T *= scale[i : i + rows]
+        np.multiply(T, T, out=T)
+        T.sum(axis=1, out=out[i : i + rows])
+    out /= n
+    return np.ldexp(np.sqrt(out, out=out), e)
+
+
 def variance_reg_estimator(s: Sample, lam: float) -> float:
     """Sample mean minus sqrt(2 r) times the sample standard deviation."""
     if lam < 0:
         raise ValueError("lambda must be non-negative")
     r = lam / s.n
-    return sample_mean(s) - math.sqrt(2.0 * r) * math.sqrt(sample_variance(s))
+    X = s.values[None, :]
+    mean = X.mean(axis=1)
+    return float(mean[0] - math.sqrt(2.0 * r) * row_std(X, mean)[0])
 
 
 def tv_estimator(s: Sample, lam: float, truncate_at: float = math.inf) -> float:

@@ -7,20 +7,24 @@ regardless of batching or worker-thread count. Trial i of seed s is exactly
 what default_rng(SeedSequence((s, i))) draws, but streams are built a block
 of trials at a time: the SeedSequence hash runs in uint32 arithmetic over
 the whole block, each row's PCG64 state is set into one generator per block,
-and the inverse-CDF transform runs in place on the block. draw_sample is a
-block of one. KL estimates can change in the last bits with the block shape
-(solving a 4000x1000 Pareto block 64 rows at a time moved 70 of 4000 values
-by at most 5.7e-15 relative), which changes a hit only at an estimate that
-close to mu. No estimator exceeds its row's sample mean, so a
-disappointment count estimates only the rows whose mean exceeds mu. A draw
-or estimate that is not finite raises DualSolverError, so it is never
-counted as a safe trial.
+and the block is drawn, transformed in place and averaged tile by tile, so
+each tile of dual._TILE_VALUES values passes through the L2 cache once.
+draw_sample is a block of one. The disappointment screen and the estimator
+kernels share that one mean per row. KL estimates can change in the last
+bits with the block shape (solving a 4000x1000 Pareto block 64 rows at a
+time moved 70 of 4000 values by at most 5.7e-15 relative), which changes a
+hit only at an estimate that close to mu. No estimator exceeds its row's
+sample mean, so a disappointment count estimates only the rows whose mean
+exceeds mu. Blocks run on as many worker threads as the process has usable
+cores unless threads says otherwise. A draw or estimate that is not finite
+raises DualSolverError, so it is never counted as a safe trial.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
@@ -41,11 +45,12 @@ from .core import (
     survival_probability,
     true_mean,
 )
-from .dual import DualSolverError, solve_kl_dro_dual_batch
+from .dual import _TILE_VALUES, DualSolverError, solve_kl_dro_dual_batch
 from .estimators import (
     EstimatorConfig,
     estimate,  # noqa: F401 -- not called here; perfbench/spans.py wraps this name
     kl_disappointment_bound,
+    row_std,
     truncation_constants,
 )
 
@@ -175,17 +180,20 @@ def _seed_state(entropy: list) -> list:
     return state
 
 
-def _draw_block(spec: DistributionSpec, seed: int, start: int, X: np.ndarray) -> None:
-    """Fill the (rows, n) block X with trials start, ..., start + rows - 1.
+def _draw_block(spec: DistributionSpec, seed: int, start: int, X: np.ndarray) -> np.ndarray:
+    """Fill the (rows, n) block X with trials start, ..., start + rows - 1 and
+    return each row's mean.
 
     Row j is what default_rng(SeedSequence((seed, start + j))) draws, then
     the inverse-CDF transform, bit for bit: the seed sequence is hashed for
-    all rows at once, each row's PCG64 {state, inc} is set by the
-    pcg64_set_seed steps into a generator owned by this call, and the
-    transform runs in place on the whole block with the same ufuncs in the
-    same order. A draw that overflows a float raises DualSolverError.
+    all rows at once, and each row's PCG64 {state, inc} is set by the
+    pcg64_set_seed steps into a generator owned by this call. The block is
+    drawn _TILE_VALUES values at a time: a tile's rows are filled, then
+    transformed in place with the same ufuncs in the same order and averaged
+    while the tile is still in L2. A draw that overflows a float raises
+    DualSolverError.
     """
-    rows = X.shape[0]
+    rows, n = X.shape
     if rows == 1:
         index = _words(start)
     elif start + rows <= 1 << 32:
@@ -193,44 +201,59 @@ def _draw_block(spec: DistributionSpec, seed: int, start: int, X: np.ndarray) ->
     else:
         raise ValueError("trial indices must stay below 2**32")
     entropy = _words(seed) + index
+    seeded = not isinstance(spec, PointMass)
+    if seeded:
+        w = np.empty((8, rows), dtype=np.uint64)
+        for k, word in enumerate(_seed_state(entropy)):
+            w[k] = word
+        # generate_state(4, np.uint64) is (w0 | w1 << 32, ..., w6 | w7 << 32); pcg64_set_seed
+        # takes the first two as the seed's high and low halves, the last two as inc's
+        seeds = zip(*(w[0::2] | w[1::2] << 32).tolist())
+        bitgen = np.random.PCG64(0)  # any seed: every row's state is set below
+        gen = np.random.Generator(bitgen)
+    means = np.empty(rows)
+    tile = max(1, _TILE_VALUES // n)
+    for i in range(0, rows, tile):
+        T = X[i : i + tile]
+        if seeded:
+            for row, (s_hi, s_lo, i_hi, i_lo) in zip(T, seeds):
+                inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+                state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
+                bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                "has_uint32": 0, "uinteger": 0}
+                gen.random(out=row)
+        # overflowing draws are checked below; an overflowing row mean is inf,
+        # which passes the disappointment screen and raises
+        with np.errstate(over="ignore"):
+            _transform(spec, T)
+            T.mean(axis=1, out=means[i : i + tile])
+        if not np.isfinite(T.max()):
+            raise DualSolverError(f"{spec!r} draws a value that overflows a float")
+    return means
+
+
+def _transform(spec: DistributionSpec, T: np.ndarray) -> None:
+    """The inverse-CDF transform of uniform draws, in place; a point mass fills T."""
     if isinstance(spec, PointMass):
-        X.fill(spec.value)
-        return
-    w = np.empty((8, rows), dtype=np.uint64)
-    for k, word in enumerate(_seed_state(entropy)):
-        w[k] = word
-    # generate_state(4, np.uint64) is (w0 | w1 << 32, ..., w6 | w7 << 32); pcg64_set_seed
-    # takes the first two as the seed's high and low halves, the last two as inc's
-    halves = (w[0::2] | w[1::2] << 32).tolist()
-    bitgen = np.random.PCG64(0)  # any seed: every row's state is set below
-    gen = np.random.Generator(bitgen)
-    for row, s_hi, s_lo, i_hi, i_lo in zip(X, *halves):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        gen.random(out=row)
-    with np.errstate(over="ignore"):
-        if isinstance(spec, Pareto):
-            np.subtract(1.0, X, out=X)
-            X **= -1.0 / spec.shape
-            X *= spec.scale
-        elif isinstance(spec, LogNormal):
-            np.clip(X, 1e-16, 1.0 - 1e-16, out=X)
-            ndtri(X, out=X)
-            X *= spec.sigma
-            X += spec.mu
-            np.exp(X, out=X)
-        elif isinstance(spec, ScaledBernoulli):
-            np.less(X, spec.p, out=X)
-            X *= spec.high
-        elif isinstance(spec, UniformBounded):
-            X *= spec.hi - spec.lo
-            X += spec.lo
-        else:
-            raise TypeError(f"unsupported distribution spec {spec!r}")
-    if not np.isfinite(X.max()):
-        raise DualSolverError(f"{spec!r} draws a value that overflows a float")
+        T.fill(spec.value)
+    elif isinstance(spec, Pareto):
+        np.subtract(1.0, T, out=T)
+        T **= -1.0 / spec.shape
+        T *= spec.scale
+    elif isinstance(spec, LogNormal):
+        np.clip(T, 1e-16, 1.0 - 1e-16, out=T)
+        ndtri(T, out=T)
+        T *= spec.sigma
+        T += spec.mu
+        np.exp(T, out=T)
+    elif isinstance(spec, ScaledBernoulli):
+        np.less(T, spec.p, out=T)
+        T *= spec.high
+    elif isinstance(spec, UniformBounded):
+        T *= spec.hi - spec.lo
+        T += spec.lo
+    else:
+        raise TypeError(f"unsupported distribution spec {spec!r}")
 
 
 def draw_sample(spec: DistributionSpec, n: int, seed: int, stream: int = 0) -> Sample:
@@ -242,14 +265,14 @@ def draw_sample(spec: DistributionSpec, n: int, seed: int, stream: int = 0) -> S
     return Sample(X[0])
 
 
-def _estimate_batch(cfg: EstimatorConfig, X: np.ndarray) -> np.ndarray:
-    """Row-wise estimator values for a (batch, n) matrix of samples."""
+def _estimate_batch(cfg: EstimatorConfig, X: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Row-wise estimator values for a (batch, n) matrix of samples whose row means are given."""
     n = X.shape[1]
     kind = cfg.kind
     if kind == "mean":
-        return X.mean(axis=1) - cfg.delta
+        return means - cfg.delta
     if kind == "wasserstein":
-        return np.maximum(X.mean(axis=1) - cfg.resolve_radius(n), 0.0)
+        return np.maximum(means - cfg.resolve_radius(n), 0.0)
     if kind == "trunc":
         lam = cfg.resolve_lambda(n)
         r = lam / n
@@ -257,7 +280,7 @@ def _estimate_batch(cfg: EstimatorConfig, X: np.ndarray) -> np.ndarray:
         return np.minimum(X, r ** (-1.0 / cfg.a)).mean(axis=1) - c_a * r ** ((cfg.a - 1.0) / cfg.a)
     if kind == "varreg":
         r = cfg.resolve_lambda(n) / n
-        return X.mean(axis=1) - math.sqrt(2.0 * r) * X.std(axis=1)
+        return means - math.sqrt(2.0 * r) * row_std(X, means)
     if kind == "tv":
         r = cfg.resolve_lambda(n) / n
         removal = math.sqrt(r / 2.0)
@@ -269,19 +292,19 @@ def _estimate_batch(cfg: EstimatorConfig, X: np.ndarray) -> np.ndarray:
         frac = removal - atoms / n
         if atoms < n and frac > 0.0:
             removed = removed + frac * S[:, atoms]
-        return X.mean(axis=1) - removed
+        return means - removed
     if kind == "kl":
         r = cfg.resolve_radius(n)
         if r == 0.0:
-            return X.mean(axis=1)
+            return means
         return solve_kl_dro_dual_batch(X, r)
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 
-def _finite_estimates(cfg: EstimatorConfig, X: np.ndarray, where: str) -> np.ndarray:
+def _finite_estimates(cfg: EstimatorConfig, X: np.ndarray, means: np.ndarray, where: str) -> np.ndarray:
     """_estimate_batch; an overflow shows up as a non-finite estimate, which raises."""
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _estimate_batch(cfg, X)
+        values = _estimate_batch(cfg, X, means)
     if not np.all(np.isfinite(values)):
         raise DualSolverError(f"non-finite {cfg.kind} estimate in {where}")
     return values
@@ -316,24 +339,26 @@ def _run_event_trials(
     seed: int,
     event: str,
     b: float,
-    threads: int,
+    threads: Optional[int],
     batch_size: Optional[int] = None,
 ) -> int:
     mu = true_mean(spec)
+    if threads is None:  # the cores this process may run on
+        threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if batch_size is None:
         batch_size = max(1, min(4096, 4_000_000 // max(n, 1)))
     starts = list(range(0, trials, batch_size))
 
     def run_chunk(start: int) -> int:
         X = np.empty((min(batch_size, trials - start), n))
-        _draw_block(spec, seed, start, X)
+        means = _draw_block(spec, seed, start, X)
         where = f"trials {start}..{start + len(X) - 1}"
         if event == "disappointment":
             # every estimate is at most its row's sample mean, so only rows whose
             # mean exceeds mu can disappoint; an overflowing mean stays in and raises
-            with np.errstate(over="ignore"):
-                X = X[X.mean(axis=1) > mu]
-        values = _finite_estimates(cfg, X, where)
+            keep = means > mu
+            X, means = X[keep], means[keep]
+        values = _finite_estimates(cfg, X, means, where)
         return int(np.count_nonzero(_event_hits(values, event, mu, b)))
 
     if threads <= 1 or len(starts) == 1:
@@ -348,9 +373,12 @@ def disappointment_probability(
     n: int,
     trials: int,
     seed: int,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> TrialReport:
-    """Monte Carlo estimate of P[estimate > true mean] (strict: ties are safe)."""
+    """Monte Carlo estimate of P[estimate > true mean] (strict: ties are safe).
+
+    threads defaults to the number of usable cores; hits do not depend on it.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     hits = _run_event_trials(spec, cfg, n, trials, seed, "disappointment", 0.0, threads)
@@ -368,9 +396,10 @@ def conservatism_probability(
     n: int,
     trials: int,
     seed: int,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> TrialReport:
-    """Monte Carlo estimate of P[estimate < true mean - b]."""
+    """Monte Carlo estimate of P[estimate < true mean - b]; threads as in
+    disappointment_probability."""
     if b <= 0:
         raise ValueError("b must be positive")
     if trials < 1:
@@ -406,7 +435,9 @@ def exact_bernoulli_event_probability(
     for k0 in range(0, n + 1, rows):
         k = np.arange(k0, min(k0 + rows, n + 1))
         X = spec.high * (np.arange(n) >= n - k[:, None])  # n - k zeros, then k high values
-        values = _finite_estimates(cfg, X, f"count patterns {k[0]}..{k[-1]}")
+        with np.errstate(over="ignore"):  # an overflowing mean is a non-finite estimate, which raises
+            means = X.mean(axis=1)
+        values = _finite_estimates(cfg, X, means, f"count patterns {k[0]}..{k[-1]}")
         for p in pmf[k[_event_hits(values, event, mu, b)]]:
             total += float(p)
     return total

@@ -248,6 +248,15 @@ def test_simulate_overflowing_draws_are_numeric_failure(tmp_path, capsys, estima
     assert "overflows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("event", [[], ["--event", "conservatism", "--b", "1"]], ids=["disappointment", "conservatism"])
+def test_simulate_varreg_at_1e300_is_finite(tmp_path, event):
+    # the deviations from a mean of twenty 1e300 values are not zero, and their squares overflowed
+    out = tmp_path / "out.csv"
+    args = ["simulate", "--dist", "point:1e300", "--estimator", "varreg", "--n", "20", "--trials", "10", "--lambda", "1"]
+    assert main(args + event + ["--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-1].startswith("varreg,20,10,")
+
+
 def test_simulate_non_finite_estimate_is_numeric_failure(tmp_path, capsys):
     # every draw is finite, but the sum behind the sample mean overflows
     out = tmp_path / "sim.csv"

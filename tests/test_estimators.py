@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from safemean import (
     variance_reg_estimator,
     wasserstein_estimator,
 )
+from safemean.core import Pareto
+from safemean.montecarlo import _draw_block, _estimate_batch
 
 VALUE_TWO_POINT = 0.5 / math.sqrt(3.0) - (2.0 * math.sqrt(3.0) - 3.0) / 3.0
 
@@ -227,6 +230,31 @@ def test_scale_equivariance_of_estimators():
         assert kl_dro_estimator(sc, 0.08).value == pytest.approx(
             c * kl_dro_estimator(s, 0.08).value, rel=1e-9
         )
+
+
+@pytest.mark.parametrize("k", [990, -990])
+def test_varreg_is_exactly_scale_equivariant_at_extreme_magnitudes(k):
+    # deviations from a mean near 1e298 square past float max, and from a mean
+    # near 1e-298 square to zero, unless they are scaled by a power of two first
+    X = np.empty((40, 20))
+    _draw_block(Pareto(2.5, 1.0), 3, 0, X)
+    cfg, c = EstimatorConfig("varreg", lam=1.0), 2.0**k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scaled = _estimate_batch(cfg, X * c, (X * c).mean(axis=1))
+        scalar = [variance_reg_estimator(Sample(row * c), 1.0) for row in X[:5]]
+    assert np.array_equal(scaled, c * _estimate_batch(cfg, X, X.mean(axis=1)))
+    assert scalar == [c * variance_reg_estimator(Sample(row), 1.0) for row in X[:5]]
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_varreg_scalar_is_a_batch_of_one(scale):
+    X = np.empty((40, 20))
+    _draw_block(Pareto(2.5, 1.0), 4, 0, X)
+    X = np.sort(X * scale, axis=1)  # a Sample's values are sorted, and sums depend on order
+    batch = _estimate_batch(EstimatorConfig("varreg", lam=2.0), X, X.mean(axis=1))
+    assert np.all(np.isfinite(batch)) and np.all(batch < X.mean(axis=1))
+    assert [variance_reg_estimator(Sample(row), 2.0) for row in X] == list(batch)
 
 
 def test_log1p_transform_shrinks_variance():

@@ -28,8 +28,8 @@ from safemean import (
     wilson_interval,
 )
 from safemean import montecarlo
-from safemean.dual import DualSolverError
-from safemean.estimators import estimate
+from safemean.dual import _TILE_VALUES, DualSolverError
+from safemean.estimators import estimate, row_std
 from safemean.montecarlo import (
     TrialReport,
     _draw_block,
@@ -107,6 +107,57 @@ def test_block_draw_matches_per_trial_generators(spec, seed):
         assert np.array_equal(got, np.sort(_reference_draw(spec, n, seed, stream)))
 
 
+def _whole_block_transform(spec, U):
+    """The inverse-CDF transform as it ran on a whole block before tiles."""
+    X = U.copy()
+    if isinstance(spec, Pareto):
+        np.subtract(1.0, X, out=X)
+        X **= -1.0 / spec.shape
+        X *= spec.scale
+    elif isinstance(spec, LogNormal):
+        np.clip(X, 1e-16, 1.0 - 1e-16, out=X)
+        ndtri(X, out=X)
+        X *= spec.sigma
+        X += spec.mu
+        np.exp(X, out=X)
+    elif isinstance(spec, ScaledBernoulli):
+        np.less(X, spec.p, out=X)
+        X *= spec.high
+    elif isinstance(spec, PointMass):
+        X.fill(spec.value)
+    else:
+        X *= spec.hi - spec.lo
+        X += spec.lo
+    return X
+
+
+TILE_GRID_N = (1, 2, 7, 8, 9, 100, 1000, 3000, 20000)
+
+
+@pytest.fixture(scope="module")
+def tile_grid_uniforms():
+    """Trials 0, ..., 3k + 4 of seed 5 as uniforms, k = _TILE_VALUES // n rows per tile."""
+    grid = {}
+    for n in TILE_GRID_N:
+        U = np.empty((3 * (_TILE_VALUES // n) + 5, n))
+        _draw_block(UniformBounded(0.0, 1.0), 5, 0, U)  # the identity transform
+        grid[n] = U
+    return grid
+
+
+@pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda spec: type(spec).__name__)
+def test_tiled_draw_matches_whole_block_transform_mean_and_std(spec, tile_grid_uniforms):
+    for n, U in tile_grid_uniforms.items():
+        k = _TILE_VALUES // n
+        for rows in (k - 1, k, k + 1, 3 * k + 5):
+            X = np.empty((rows, n))
+            means = _draw_block(spec, 5, 0, X)
+            expected = _whole_block_transform(spec, U[:rows])
+            assert np.array_equal(X, expected), (n, rows)
+            assert np.array_equal(means, expected.mean(axis=1)), (n, rows)
+            assert np.array_equal(row_std(X, means), expected.std(axis=1)), (n, rows)
+
+
 def test_draw_rejects_negative_seeds_and_out_of_range_blocks():
     with pytest.raises(ValueError):
         draw_sample(Pareto(2.5, 1.0), 5, seed=-1)
@@ -163,8 +214,7 @@ def test_estimates_never_exceed_the_sample_mean(schedule):
             _draw_block(spec, 3, 0, X)
             for cfg in configs:
                 try:
-                    with np.errstate(over="ignore"):  # as in the harness; varreg's std overflows at 1e300
-                        values = _estimate_batch(cfg, X)
+                    values = _estimate_batch(cfg, X, X.mean(axis=1))
                 except ValueError:  # logn at n = 1, tv with sqrt(r/2) > 1
                     continue
                 assert np.all(values <= X.mean(axis=1)), (spec, n, cfg.kind)
@@ -187,7 +237,7 @@ def test_screened_disappointment_hits_match_unscreened_count(cfg):
     spec, n, trials, seed = Pareto(2.5, 1.0), 20, 150, 13
     X = np.empty((trials, n))
     _draw_block(spec, seed, 0, X)
-    expected = int(np.count_nonzero(_estimate_batch(cfg, X) > true_mean(spec)))  # every row estimated
+    expected = int(np.count_nonzero(_estimate_batch(cfg, X, X.mean(axis=1)) > true_mean(spec)))  # every row estimated
     assert 0 < expected < trials
     for batch_size in (1, 7, None):
         for threads in (1, 2):
@@ -198,9 +248,9 @@ def test_screened_disappointment_hits_match_unscreened_count(cfg):
 def test_block_screened_out_entirely_has_no_rows_and_no_hits(monkeypatch):
     rows = []
 
-    def spy(cfg, X, where):
+    def spy(cfg, X, means, where):
         rows.append(X.shape[0])
-        return montecarlo._estimate_batch(cfg, X)
+        return montecarlo._estimate_batch(cfg, X, means)
 
     monkeypatch.setattr(montecarlo, "_finite_estimates", spy)
     # every row's mean equals mu, so none can disappoint
