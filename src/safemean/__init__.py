@@ -43,12 +43,7 @@ from .estimators import (
     kl_disappointment_bound,
     kl_disappointment_bound_general,
     kl_dro_estimator,
-    sample_mean_delta,
-    truncated_mean_estimator,
     truncation_constants,
-    tv_estimator,
-    variance_reg_estimator,
-    wasserstein_estimator,
 )
 from .montecarlo import (
     RateFit,

@@ -29,7 +29,7 @@ from .core import (
     read_sample_file,
 )
 from .dual import DualSolverError
-from .estimators import ESTIMATOR_KINDS, EstimatorConfig
+from .estimators import ESTIMATOR_KINDS, EstimatorConfig, estimate
 from .montecarlo import (
     conservatism_probability,
     cramer_rate,
@@ -131,10 +131,8 @@ def cmd_estimate(args) -> int:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     cfg = _build_config(args)
-    from .estimators import estimate as run_estimate
-
     try:
-        result = run_estimate(cfg, sample)
+        result = estimate(cfg, sample)
     except DualSolverError as exc:
         print(f"error: solver failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

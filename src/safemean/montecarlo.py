@@ -45,12 +45,11 @@ from .core import (
     survival_probability,
     true_mean,
 )
-from .dual import _TILE_VALUES, DualSolverError, solve_kl_dro_dual_batch
+from .dual import _TILE_VALUES, DualSolverError, _exponents, solve_kl_dro_dual_batch
 from .estimators import (
     EstimatorConfig,
     estimate,  # noqa: F401 -- not called here; perfbench/spans.py wraps this name
     kl_disappointment_bound,
-    row_std,
     truncation_constants,
 )
 
@@ -265,13 +264,43 @@ def draw_sample(spec: DistributionSpec, n: int, seed: int, stream: int = 0) -> S
     return Sample(X[0])
 
 
+def row_std(X: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Standard deviation (1/n divisor) of each row of X about its given mean.
+
+    numpy's own two-pass X.std(axis=1) on the passed means: subtract, square,
+    sum over n, divide by n, sqrt, _TILE_VALUES values at a time in one reused
+    buffer. The deviations are scaled by 2**-e, e the binary exponent of the
+    row's mean, so squares of deviations from a mean near 1e300 or 1e-300
+    neither overflow nor underflow; the scaling is exact, so every other row
+    gets X.std(axis=1) bit for bit.
+    """
+    B, n = X.shape
+    rows = max(1, _TILE_VALUES // n)
+    e = _exponents(means)
+    scale = np.ldexp(1.0, -e)[:, None]
+    buf = np.empty((min(rows, B), n))
+    out = np.empty(B)
+    for i in range(0, B, rows):
+        T = buf[: min(rows, B - i)]
+        np.subtract(X[i : i + rows], means[i : i + rows, None], out=T)
+        T *= scale[i : i + rows]
+        np.multiply(T, T, out=T)
+        T.sum(axis=1, out=out[i : i + rows])
+    out /= n
+    return np.ldexp(np.sqrt(out, out=out), e)
+
+
 def _estimate_batch(cfg: EstimatorConfig, X: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """Row-wise estimator values for a (batch, n) matrix of samples whose row means are given."""
+    """Row-wise estimator values for a (batch, n) matrix of samples whose row means are given.
+
+    These are the only closed-form estimator kernels: estimators.estimate runs
+    them on a batch of one.
+    """
     n = X.shape[1]
     kind = cfg.kind
     if kind == "mean":
         return means - cfg.delta
-    if kind == "wasserstein":
+    if kind == "wasserstein":  # moving mass down lowers the mean one-for-one until it piles up at zero
         return np.maximum(means - cfg.resolve_radius(n), 0.0)
     if kind == "trunc":
         lam = cfg.resolve_lambda(n)
@@ -281,7 +310,7 @@ def _estimate_batch(cfg: EstimatorConfig, X: np.ndarray, means: np.ndarray) -> n
     if kind == "varreg":
         r = cfg.resolve_lambda(n) / n
         return means - math.sqrt(2.0 * r) * row_std(X, means)
-    if kind == "tv":
+    if kind == "tv":  # mass sqrt(r/2) moves from the largest values to zero: whole atoms, then a fraction
         r = cfg.resolve_lambda(n) / n
         removal = math.sqrt(r / 2.0)
         if removal > 1.0:
@@ -327,6 +356,8 @@ def _fill_bound(cfg: EstimatorConfig, event: str, n: int, spec: DistributionSpec
         return None
     if cfg.kind == "varreg":
         r = cfg.resolve_lambda(n) / n
+        if r == 0.0:  # the plain sample mean: no bound
+            return None
         return n * survival_probability(spec, b * math.sqrt(n / (2.0 * r)))
     return None
 
@@ -342,11 +373,15 @@ def _run_event_trials(
     threads: Optional[int],
     batch_size: Optional[int] = None,
 ) -> int:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     mu = true_mean(spec)
     if threads is None:  # the cores this process may run on
         threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if batch_size is None:
-        batch_size = max(1, min(4096, 4_000_000 // max(n, 1)))
+        batch_size = max(1, min(4096, 4_000_000 // n))
     starts = list(range(0, trials, batch_size))
 
     def run_chunk(start: int) -> int:
@@ -379,8 +414,6 @@ def disappointment_probability(
 
     threads defaults to the number of usable cores; hits do not depend on it.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     hits = _run_event_trials(spec, cfg, n, trials, seed, "disappointment", 0.0, threads)
     lo, hi = wilson_interval(hits, trials)
     return TrialReport(
@@ -402,8 +435,6 @@ def conservatism_probability(
     disappointment_probability."""
     if b <= 0:
         raise ValueError("b must be positive")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     hits = _run_event_trials(spec, cfg, n, trials, seed, "conservatism", b, threads)
     lo, hi = wilson_interval(hits, trials)
     return TrialReport(
@@ -419,7 +450,7 @@ def exact_bernoulli_event_probability(
 
     A size-n sample from a scaled Bernoulli is determined by its count of
     high values, so P[event] = sum over k of Binom(n, p) pmf(k) * 1{event at k},
-    the patterns estimated by the batch kernels, 2**17 values at a time.
+    the patterns estimated by the batch kernels, _TILE_VALUES values at a time.
     Useful where the event is far too rare for Monte Carlo.
     """
     if n < 1:
@@ -430,7 +461,7 @@ def exact_bernoulli_event_probability(
         raise ValueError("b must be positive")
     mu = true_mean(spec)
     pmf = binom.pmf(np.arange(n + 1), n, spec.p)
-    rows = max(1, 2**17 // n)
+    rows = max(1, _TILE_VALUES // n)
     total = 0.0
     for k0 in range(0, n + 1, rows):
         k = np.arange(k0, min(k0 + rows, n + 1))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -290,3 +291,53 @@ def test_rates_cramer_lognormal(capsys, dist):
     assert main(["rates", "--cramer", "--dist", dist, "--b", "0.5"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert math.isfinite(doc["rate"]) and doc["rate"] >= 0.0
+
+
+@pytest.mark.parametrize(
+    "estimator",
+    [["wasserstein", "--r", "-1"], ["trunc", "--lambda", "-1"], ["trunc", "--lambda", "0"]],
+    ids=["wasserstein_r_negative", "trunc_lambda_negative", "trunc_lambda_zero"],
+)
+def test_simulate_rejects_negative_radius_and_zero_truncation_exponent(tmp_path, capsys, estimator):
+    # a negative radius lifts every estimate above its sample mean; trunc needs r > 0
+    # for its truncation level r**(-1/a)
+    out = tmp_path / "sim.csv"
+    code = main(
+        [
+            "simulate", "--dist", "pareto:2.5:1", "--estimator", *estimator,
+            "--n", "20", "--trials", "200", "--seed", "1", "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert not out.exists()
+    assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "estimator",
+    [["mean"], ["wasserstein", "--r", "0.1"], ["varreg", "--lambda", "1"], ["tv", "--lambda", "1"], ["kl", "--r", "0"]],
+    ids=lambda e: e[0],
+)
+def test_estimate_non_finite_value_is_numeric_failure(tmp_path, capsys, estimator):
+    # every value is finite, but the sum behind the sample mean overflows
+    path = tmp_path / "huge.txt"
+    path.write_text("1.7e308\n" * 20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["estimate", "--estimator", *estimator, "--input", str(path)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: solver failure: non-finite" in captured.err and "estimate" in captured.err
+
+
+def test_simulate_varreg_at_zero_lambda_has_no_conservatism_bound(tmp_path):
+    # at r = 0 varreg is the plain sample mean; the bound's b sqrt(n / 2r) is undefined
+    out = tmp_path / "sim.csv"
+    args = [
+        "simulate", "--dist", "pareto:2.5:1", "--estimator", "varreg", "--lambda", "0",
+        "--event", "conservatism", "--b", "0.5", "--n", "20", "--trials", "200", "--seed", "1", "--out", str(out),
+    ]
+    assert main(args) == 0
+    row = out.read_text().splitlines()[-1].split(",")
+    assert row[0] == "varreg" and row[7] == ""

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,18 +15,38 @@ from safemean import (
     kl_disappointment_bound_general,
     kl_dro_estimator,
     sample_mean,
-    sample_mean_delta,
     sample_variance,
-    truncated_mean_estimator,
     truncation_constants,
-    tv_estimator,
-    variance_reg_estimator,
-    wasserstein_estimator,
 )
 from safemean.core import Pareto
 from safemean.montecarlo import _draw_block, _estimate_batch
 
 VALUE_TWO_POINT = 0.5 / math.sqrt(3.0) - (2.0 * math.sqrt(3.0) - 3.0) / 3.0
+
+
+def value(kind, values, **params):
+    """The estimate of one sample through the single dispatch interface."""
+    return estimate(EstimatorConfig(kind, **params), Sample(values)).value
+
+
+def tv_loop_reference(values, lam):
+    """TV mass removal as a walk down the sorted values: atoms of weight 1/n
+    move to zero, the last one fractionally, until sqrt(r/2) has moved.
+
+    The walk runs in exact rational arithmetic on the float removal, so a
+    comparison measures the kernel's rounding alone: the same walk in floats
+    is itself 5.5 ulps of the mean off at n = 30, 29 atoms removed.
+    """
+    n = values.size
+    remaining = Fraction(math.sqrt(lam / n / 2.0))
+    removed_value = Fraction(0)
+    for i in range(n - 1, -1, -1):
+        if remaining <= 0:
+            break
+        take = min(Fraction(1, n), remaining)
+        removed_value += take * Fraction(float(values[i]))
+        remaining -= take
+    return sum(map(Fraction, values.tolist())) / n - removed_value
 
 
 def wasserstein_lp_oracle(values, r, grid_step=0.1):
@@ -58,28 +79,28 @@ def wasserstein_lp_oracle(values, r, grid_step=0.1):
 
 
 def test_sample_mean_delta_examples():
-    assert sample_mean_delta(Sample([0, 2]), 0.0) == 1.0
-    assert sample_mean_delta(Sample([0, 2]), 0.25) == 0.75
-    assert sample_mean_delta(Sample([3.0]), 3.0) == 0.0
+    assert value("mean", [0, 2], delta=0.0) == 1.0
+    assert value("mean", [0, 2], delta=0.25) == 0.75
+    assert value("mean", [3.0], delta=3.0) == 0.0
     # not clamped at zero
-    assert sample_mean_delta(Sample([1.0]), 2.0) == -1.0
+    assert value("mean", [1.0], delta=2.0) == -1.0
     with pytest.raises(ValueError):
-        sample_mean_delta(Sample([1.0]), -0.1)
+        EstimatorConfig("mean", delta=-0.1)
 
 
 def test_wasserstein_estimator_examples():
-    assert wasserstein_estimator(Sample([1, 3]), 0.5) == 1.5
-    assert wasserstein_estimator(Sample([0.1, 0.1]), 1.0) == 0.0
-    assert wasserstein_estimator(Sample([4, 6]), 0.0) == 5.0
+    assert value("wasserstein", [1, 3], r=0.5) == 1.5
+    assert value("wasserstein", [0.1, 0.1], r=1.0) == 0.0
+    assert value("wasserstein", [4, 6], r=0.0) == 5.0
     with pytest.raises(ValueError):
-        wasserstein_estimator(Sample([1.0]), -0.1)
+        EstimatorConfig("wasserstein", r=-0.1)
 
 
 def test_wasserstein_matches_lp_oracle():
     oracle = wasserstein_lp_oracle([1.0, 3.0], 0.5)
-    assert wasserstein_estimator(Sample([1, 3]), 0.5) == pytest.approx(oracle, abs=1e-8)
+    assert value("wasserstein", [1, 3], r=0.5) == pytest.approx(oracle, abs=1e-8)
     oracle_clamped = wasserstein_lp_oracle([0.5, 1.5], 1.2)
-    assert wasserstein_estimator(Sample([0.5, 1.5]), 1.2) == pytest.approx(oracle_clamped, abs=1e-8)
+    assert value("wasserstein", [0.5, 1.5], r=1.2) == pytest.approx(oracle_clamped, abs=1e-8)
 
 
 def test_truncation_constants():
@@ -98,16 +119,13 @@ def test_truncation_constants():
 
 def test_truncated_mean_examples():
     # r = lam/n = 0.01, threshold 10, compensator 2 sqrt(C r) = 0.1
-    s = Sample([0, 2])
-    assert truncated_mean_estimator(s, 2.0, 1.0, lam=0.02) == pytest.approx(0.9)
+    assert value("trunc", [0, 2], a=2.0, A=1.0, lam=0.02) == pytest.approx(0.9)
     # threshold truncates the outlier to 10
-    s2 = Sample([0, 20])
-    assert truncated_mean_estimator(s2, 2.0, 1.0, lam=0.02) == pytest.approx(4.9)
+    assert value("trunc", [0, 20], a=2.0, A=1.0, lam=0.02) == pytest.approx(4.9)
 
 
 def test_truncated_mean_vanishing_compensator():
-    s = Sample([1.0, 2.0, 3.0])
-    values = [truncated_mean_estimator(s, 1.5, 1.0, lam=lam) for lam in (1e-4, 1e-7, 1e-10)]
+    values = [value("trunc", [1.0, 2.0, 3.0], a=1.5, A=1.0, lam=lam) for lam in (1e-4, 1e-7, 1e-10)]
     for v in values:
         assert v <= 2.0
     assert values[-1] == pytest.approx(2.0, abs=1e-3)
@@ -115,35 +133,46 @@ def test_truncated_mean_vanishing_compensator():
 
 def test_truncated_mean_monotone_in_moment_bound():
     # larger A weakly raises C and the compensator, so the estimate cannot rise
-    s = Sample([0.5, 1.0, 4.0, 9.0])
-    estimates = [truncated_mean_estimator(s, 1.7, A, lam=2.0) for A in (0.01, 0.1, 1.0, 10.0)]
+    estimates = [value("trunc", [0.5, 1.0, 4.0, 9.0], a=1.7, A=A, lam=2.0) for A in (0.01, 0.1, 1.0, 10.0)]
     assert all(e1 >= e2 - 1e-12 for e1, e2 in zip(estimates, estimates[1:]))
     constants = [truncation_constants(1.7, A)[0] for A in (0.01, 0.1, 1.0, 10.0)]
     assert all(c1 <= c2 + 1e-15 for c1, c2 in zip(constants, constants[1:]))
 
 
 def test_variance_reg_examples():
-    assert variance_reg_estimator(Sample([4, 4, 4]), lam=5.0) == 4.0
+    assert value("varreg", [4, 4, 4], lam=5.0) == 4.0
     # r = 0.02, sigma = 1
-    assert variance_reg_estimator(Sample([0, 2]), lam=0.04) == pytest.approx(1.0 - math.sqrt(0.04))
-    assert variance_reg_estimator(Sample([0, 2]), lam=0.0) == 1.0
+    assert value("varreg", [0, 2], lam=0.04) == pytest.approx(1.0 - math.sqrt(0.04))
+    assert value("varreg", [0, 2], lam=0.0) == 1.0
 
 
 def test_tv_estimator_examples():
     # r = 0.5 -> removal 0.5: the whole atom at 2 moves to zero
-    assert tv_estimator(Sample([0, 2]), lam=1.0) == pytest.approx(0.0)
+    assert value("tv", [0, 2], lam=1.0) == pytest.approx(0.0)
     # r = 0.02 -> removal 0.1: fractional removal of the top atom
-    assert tv_estimator(Sample([0, 2]), lam=0.04) == pytest.approx(0.8)
-    assert tv_estimator(Sample([1, 2, 3]), lam=0.0) == 2.0
+    assert value("tv", [0, 2], lam=0.04) == pytest.approx(0.8)
+    assert value("tv", [1, 2, 3], lam=0.0) == 2.0
     with pytest.raises(ValueError):
-        tv_estimator(Sample([0, 2]), lam=5.0)  # sqrt(r/2) > 1
+        value("tv", [0, 2], lam=5.0)  # sqrt(r/2) > 1
 
 
-def test_tv_estimator_truncation_parameter():
-    s = Sample([1.0, 50.0])
-    with_trunc = tv_estimator(s, lam=0.04, truncate_at=10.0)
-    # mean of truncated values 5.5, removal 0.1 of the atom at 10
-    assert with_trunc == pytest.approx(5.5 - 0.1 * 10.0)
+def test_tv_kernel_matches_the_loop_reference():
+    # removal * n is drawn at random, at an integer k (lam = 2 k^2 / n) and one
+    # ulp either side of it, where the kernel's floor and the loop's running
+    # remainder part ways; errors are in ulps of the sample mean, the size of
+    # the two terms whose difference is the estimate
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        n = int(rng.integers(1, 60))
+        values = np.sort(rng.lognormal(0.0, 1.5, n))
+        k = int(rng.integers(0, n + 1))
+        lam_k = 2.0 * k * k / n
+        lams = [float(rng.uniform(0.0, 2.0 * n)), lam_k, np.nextafter(lam_k, 0.0), np.nextafter(lam_k, np.inf)]
+        for lam in lams:
+            if math.sqrt(lam / n / 2.0) > 1.0:
+                continue
+            got, want = value("tv", values, lam=lam), tv_loop_reference(values, lam)
+            assert abs(Fraction(got) - want) <= 4 * np.spacing(np.mean(values)), (n, k, lam, got, float(want))
 
 
 def test_tv_decrease_bounded_by_top_mass():
@@ -152,7 +181,7 @@ def test_tv_decrease_bounded_by_top_mass():
         s = Sample(rng.lognormal(0.0, 1.0, int(rng.integers(2, 30))))
         lam = float(rng.uniform(0.01, 1.0))
         r = lam / s.n
-        drop = sample_mean(s) - tv_estimator(s, lam)
+        drop = sample_mean(s) - estimate(EstimatorConfig("tv", lam=lam), s).value
         assert 0.0 <= drop <= s.max() * math.sqrt(r / 2.0) + 1e-12
 
 
@@ -213,20 +242,37 @@ def test_estimator_config_validation():
         EstimatorConfig("kl").resolve_radius(10)  # no radius source
 
 
+@pytest.mark.parametrize("kind", ["mean", "wasserstein", "trunc", "varreg", "tv", "kl"])
+@pytest.mark.parametrize("field", ["r", "lam"])
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+def test_estimator_config_rejects_negative_or_nan_radius_and_lambda(kind, field, bad):
+    with pytest.raises(ValueError, match="must be non-negative"):
+        EstimatorConfig(kind, **{field: bad})
+
+
+@pytest.mark.parametrize("field", ["r", "lam"])
+def test_estimator_config_rejects_zero_radius_and_lambda_for_trunc(field):
+    # the truncation level r**(-1/a) is infinite at r = 0
+    with pytest.raises(ValueError, match="must be positive for trunc"):
+        EstimatorConfig("trunc", **{field: 0.0})
+    for kind in ("mean", "wasserstein", "varreg", "tv", "kl"):
+        assert value(kind, [1.0, 3.0], **{field: 0.0}) == 2.0
+
+
 def test_scale_equivariance_of_estimators():
     rng = np.random.default_rng(14)
     vals = rng.pareto(2.5, 25) + 1.0
     s = Sample(vals)
     for c in (0.1, 7.0):
         sc = Sample(c * vals)
-        assert sample_mean_delta(sc, c * 0.3) == pytest.approx(c * sample_mean_delta(s, 0.3), rel=1e-12)
-        assert wasserstein_estimator(sc, c * 0.5) == pytest.approx(
-            c * wasserstein_estimator(s, 0.5), rel=1e-12
+        assert value("mean", c * vals, delta=c * 0.3) == pytest.approx(
+            c * value("mean", vals, delta=0.3), rel=1e-12
         )
-        assert variance_reg_estimator(sc, 2.0) == pytest.approx(
-            c * variance_reg_estimator(s, 2.0), rel=1e-12
+        assert value("wasserstein", c * vals, r=c * 0.5) == pytest.approx(
+            c * value("wasserstein", vals, r=0.5), rel=1e-12
         )
-        assert tv_estimator(sc, 2.0) == pytest.approx(c * tv_estimator(s, 2.0), rel=1e-12)
+        assert value("varreg", c * vals, lam=2.0) == pytest.approx(c * value("varreg", vals, lam=2.0), rel=1e-12)
+        assert value("tv", c * vals, lam=2.0) == pytest.approx(c * value("tv", vals, lam=2.0), rel=1e-12)
         assert kl_dro_estimator(sc, 0.08).value == pytest.approx(
             c * kl_dro_estimator(s, 0.08).value, rel=1e-9
         )
@@ -242,9 +288,9 @@ def test_varreg_is_exactly_scale_equivariant_at_extreme_magnitudes(k):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         scaled = _estimate_batch(cfg, X * c, (X * c).mean(axis=1))
-        scalar = [variance_reg_estimator(Sample(row * c), 1.0) for row in X[:5]]
+        scalar = [estimate(cfg, Sample(row * c)).value for row in X[:5]]
     assert np.array_equal(scaled, c * _estimate_batch(cfg, X, X.mean(axis=1)))
-    assert scalar == [c * variance_reg_estimator(Sample(row), 1.0) for row in X[:5]]
+    assert scalar == [c * estimate(cfg, Sample(row)).value for row in X[:5]]
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
@@ -252,9 +298,10 @@ def test_varreg_scalar_is_a_batch_of_one(scale):
     X = np.empty((40, 20))
     _draw_block(Pareto(2.5, 1.0), 4, 0, X)
     X = np.sort(X * scale, axis=1)  # a Sample's values are sorted, and sums depend on order
-    batch = _estimate_batch(EstimatorConfig("varreg", lam=2.0), X, X.mean(axis=1))
+    cfg = EstimatorConfig("varreg", lam=2.0)
+    batch = _estimate_batch(cfg, X, X.mean(axis=1))
     assert np.all(np.isfinite(batch)) and np.all(batch < X.mean(axis=1))
-    assert [variance_reg_estimator(Sample(row), 2.0) for row in X] == list(batch)
+    assert [estimate(cfg, Sample(row)).value for row in X] == list(batch)
 
 
 def test_log1p_transform_shrinks_variance():

@@ -29,7 +29,7 @@ from safemean import (
 )
 from safemean import montecarlo
 from safemean.dual import _TILE_VALUES, DualSolverError
-from safemean.estimators import estimate, row_std
+from safemean.estimators import estimate
 from safemean.montecarlo import (
     TrialReport,
     _draw_block,
@@ -37,6 +37,7 @@ from safemean.montecarlo import (
     _run_event_trials,
     reports_to_csv,
     reports_to_json,
+    row_std,
     solve_population_dual,
 )
 
@@ -156,6 +157,14 @@ def test_tiled_draw_matches_whole_block_transform_mean_and_std(spec, tile_grid_u
             assert np.array_equal(X, expected), (n, rows)
             assert np.array_equal(means, expected.mean(axis=1)), (n, rows)
             assert np.array_equal(row_std(X, means), expected.std(axis=1)), (n, rows)
+
+
+def test_event_probabilities_reject_empty_samples():
+    cfg = EstimatorConfig("mean")
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        disappointment_probability(Pareto(2.5, 1.0), cfg, 0, 10, seed=1)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        conservatism_probability(Pareto(2.5, 1.0), cfg, 0.5, 0, 10, seed=1)
 
 
 def test_draw_rejects_negative_seeds_and_out_of_range_blocks():
