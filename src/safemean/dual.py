@@ -15,6 +15,15 @@ of samples scaled by powers of two; a single sample is a batch of one. The
 primal optimizer puts weight (1/n) * nu / (alpha* + z_i) on each sample point
 plus an atom at zero, which certifies the solution; the value is that
 witness's mean, which unlike nu - alpha* neither cancels nor goes negative.
+
+Given a threshold, a batch solve decides each value's side of it. At any
+iterate a, g(a) bounds the value from below. The law Q_a with weights
+proportional to w_i / (a + z_i) has KL(P_n, Q_a) = f = d + r, so, KL being
+convex in its second argument, the sample mixed with Q_a at weight
+min(1, r / f) lies in the ball and its mean U bounds the value from above. A
+row stops once [g(a), U] clears the threshold by 1e-9 (|threshold| + a +
+mean z), which covers the rounding of both bounds; only undecided rows are
+solved to convergence.
 """
 
 from __future__ import annotations
@@ -97,12 +106,14 @@ def _exponents(x: np.ndarray) -> np.ndarray:
     return np.maximum(np.frexp(x)[1], -1021)
 
 
-def _solve_rows(X: np.ndarray, r: float, weights=None):
+def _solve_rows(X: np.ndarray, r: float, weights=None, threshold=None):
     """Maximize the dual for every row of a (batch, n) matrix of samples.
 
     Column j carries probability weights[j] (default 1/n). Returns alpha*, nu,
     the value, the atom, the iteration count and the final bracket (lo, hi)
     of every row; all-zero rows take no iterations and report zeros.
+    With a threshold, a row whose bracket clears it reports the bound on
+    that side as its value, and NaN as nu and atom.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
@@ -122,6 +133,8 @@ def _solve_rows(X: np.ndarray, r: float, weights=None):
     a_lo = (zmin[rows] == 0.0) * _ZERO_BRACKET_FLOOR
     a_hi = a_lo + np.inf
     T = np.empty_like(Z)
+    value = np.full(B, np.nan)
+    zbar = None if threshold is None else Z @ w
     # Non-finite steps, from a = 0 or a vanishing slope, fail the bracket test.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(1, _MAX_ITER + 1):
@@ -164,6 +177,15 @@ def _solve_rows(X: np.ndarray, r: float, weights=None):
                 # after a rejected step only a flat d or a closed bracket ends
                 # a row, as at a = 0 when d(0) <= 0
                 done = (done & ok) | (abs_d <= flat) | (a_hi - a_lo <= _FLAT_TOL * a_lo)
+            if zbar is not None:  # a NaN bound or margin decides nothing
+                ex, mean_z = e[rows], zbar[rows]
+                lower = np.exp(np.log(p) - mean_log_u - r) - a
+                upper = mean_z - np.clip(r / f, 0.0, 1.0) * (mean_z - p / v1 + a)
+                margin = 1e-9 * (abs(threshold) + np.ldexp(a + mean_z, ex))
+                above = np.ldexp(lower, ex) > threshold + margin
+                decided = above | (np.ldexp(upper, ex) < threshold - margin)
+                value[rows[decided]] = np.where(above, lower, upper)[decided]
+                done |= decided
             if np.count_nonzero(done):
                 finished = rows[done]
                 alpha[finished] = np.where(ok, nxt, a)[done]
@@ -174,18 +196,21 @@ def _solve_rows(X: np.ndarray, r: float, weights=None):
         bracket = tuple(np.ldexp([a_lo[0], a_hi[0]], e[rows[0]]))
         raise DualSolverError(f"no convergence in {_MAX_ITER} iterations", bracket)
 
-    # nu, value and atom at alpha*; all-zero rows are evaluated at alpha = 1.
-    solved = top > 0.0
-    a = alpha + ~solved
-    p = a + zmin
+    # nu, value and atom at alpha* on undecided rows; all-zero rows are evaluated at alpha = 1.
+    k = slice(None) if zbar is None else np.flatnonzero(np.isnan(value))
+    Z, solved = Z[k], top[k] > 0.0
+    a, T = alpha[k] + ~solved, T[: len(Z)]
+    p = a + zmin[k]
     np.add(Z, a[:, None], out=T)
     witness_mass = np.divide(Z, T, out=Z) @ w
     v1 = np.divide(p[:, None], T, out=T) @ w
-    nu = np.exp(np.log(p) - np.log(T, out=T) @ w - r) * solved
-    atom = np.maximum(0.0, 1.0 - nu * v1 / p) * solved
-    value, nu, alpha, lo, hi = (np.ldexp(x, e) for x in (nu * witness_mass, nu, alpha, lo, hi))
-    if not np.isfinite(nu).all():  # value <= nu and alpha <= nu
+    nu, atom = np.full(B, np.nan), np.full(B, np.nan)
+    nu[k] = np.exp(np.log(p) - np.log(T, out=T) @ w - r) * solved
+    atom[k] = np.maximum(0.0, 1.0 - nu[k] * v1 / p) * solved
+    value[k] = nu[k] * witness_mass
+    if not np.isfinite(nu[k]).all():  # value <= nu and alpha <= nu
         raise DualSolverError("non-finite dual solution")
+    value, nu, alpha, lo, hi = (np.ldexp(x, e) for x in (value, nu, alpha, lo, hi))
     return alpha, nu, value, atom, iterations, lo, hi
 
 
@@ -198,13 +223,18 @@ def solve_kl_dro_dual(s: Sample, r: float) -> DualSolution:
     return DualSolution(float(alpha), float(value), float(nu), float(atom), int(it), (float(lo), float(hi)), r)
 
 
-def solve_kl_dro_dual_batch(X: np.ndarray, r: float) -> np.ndarray:
-    """Dual values for a batch of samples (rows of X), solved _TILE_VALUES at a time."""
+def solve_kl_dro_dual_batch(X: np.ndarray, r: float, threshold=None) -> np.ndarray:
+    """Dual values for a batch of samples (rows of X), solved _TILE_VALUES at a time.
+
+    With a threshold only each value's side of it is exact: a row whose
+    certified bracket clears the threshold stops there and reports the bound
+    on that side, strictly above or below the threshold as its value is.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be a (batch, n) array")
     rows = max(1, _TILE_VALUES // max(1, X.shape[1]))
-    return np.concatenate([_solve_rows(X[i : i + rows], r)[2] for i in range(0, max(1, len(X)), rows)])
+    return np.concatenate([_solve_rows(X[i : i + rows], r, None, threshold)[2] for i in range(0, max(1, len(X)), rows)])
 
 
 def primal_witness(s: Sample, sol: DualSolution) -> DiscreteDistribution:

@@ -158,4 +158,6 @@ def estimate(cfg: EstimatorConfig, s: Sample) -> EstimateResult:
     X = s.values[None, :]
     with np.errstate(over="ignore"):  # an overflowing mean is a non-finite estimate, which raises
         means = X.mean(axis=1)
+    if np.isfinite(means[0]):  # rounding can carry the mean of equal values past them
+        means = np.clip(means, s.values[0], s.values[-1])
     return EstimateResult(float(_finite_estimates(cfg, X, means, "the sample")[0]), cfg.kind)

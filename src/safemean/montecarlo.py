@@ -15,8 +15,12 @@ bits with the block shape (solving a 4000x1000 Pareto block 64 rows at a
 time moved 70 of 4000 values by at most 5.7e-15 relative), which changes a
 hit only at an estimate that close to mu. No estimator exceeds its row's
 sample mean, so a disappointment count estimates only the rows whose mean
-exceeds mu. Blocks run on as many worker threads as the process has usable
-cores unless threads says otherwise. A draw or estimate that is not finite
+exceeds mu. A count reads only each estimate's side of mu (or mu - b), so
+KL rows are solved with that threshold: a row stops once a certified
+bracket [g(a), U] on its value clears it, and only undecided rows get a
+converged value. A point mass's row mean is its value. Blocks run on as
+many worker threads as the process has usable cores unless threads says
+otherwise. A draw or estimate that is not finite
 raises DualSolverError, so it is never counted as a safe trial.
 """
 
@@ -228,7 +232,7 @@ def _draw_block(spec: DistributionSpec, seed: int, start: int, X: np.ndarray) ->
             T.mean(axis=1, out=means[i : i + tile])
         if not np.isfinite(T.max()):
             raise DualSolverError(f"{spec!r} draws a value that overflows a float")
-    return means
+    return means if seeded else np.full(rows, spec.value)  # n copies of v need not average to v
 
 
 def _transform(spec: DistributionSpec, T: np.ndarray) -> None:
@@ -290,11 +294,12 @@ def row_std(X: np.ndarray, means: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt(out, out=out), e)
 
 
-def _estimate_batch(cfg: EstimatorConfig, X: np.ndarray, means: np.ndarray) -> np.ndarray:
+def _estimate_batch(cfg: EstimatorConfig, X: np.ndarray, means: np.ndarray, threshold=None) -> np.ndarray:
     """Row-wise estimator values for a (batch, n) matrix of samples whose row means are given.
 
     These are the only closed-form estimator kernels: estimators.estimate runs
-    them on a batch of one.
+    them on a batch of one. With a threshold, a KL value is exact only in its
+    side of it (see solve_kl_dro_dual_batch); the other kinds ignore it.
     """
     n = X.shape[1]
     kind = cfg.kind
@@ -326,14 +331,14 @@ def _estimate_batch(cfg: EstimatorConfig, X: np.ndarray, means: np.ndarray) -> n
         r = cfg.resolve_radius(n)
         if r == 0.0:
             return means
-        return solve_kl_dro_dual_batch(X, r)
+        return solve_kl_dro_dual_batch(X, r, threshold=threshold)
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 
-def _finite_estimates(cfg: EstimatorConfig, X: np.ndarray, means: np.ndarray, where: str) -> np.ndarray:
+def _finite_estimates(cfg: EstimatorConfig, X: np.ndarray, means: np.ndarray, where: str, threshold=None) -> np.ndarray:
     """_estimate_batch; an overflow shows up as a non-finite estimate, which raises."""
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _estimate_batch(cfg, X, means)
+        values = _estimate_batch(cfg, X, means, threshold)
     if not np.all(np.isfinite(values)):
         raise DualSolverError(f"non-finite {cfg.kind} estimate in {where}")
     return values
@@ -383,6 +388,7 @@ def _run_event_trials(
     if batch_size is None:
         batch_size = max(1, min(4096, 4_000_000 // n))
     starts = list(range(0, trials, batch_size))
+    threshold = mu if event == "disappointment" else mu - b  # the estimate's side of it is all _event_hits reads
 
     def run_chunk(start: int) -> int:
         X = np.empty((min(batch_size, trials - start), n))
@@ -393,7 +399,7 @@ def _run_event_trials(
             # mean exceeds mu can disappoint; an overflowing mean stays in and raises
             keep = means > mu
             X, means = X[keep], means[keep]
-        values = _finite_estimates(cfg, X, means, where)
+        values = _finite_estimates(cfg, X, means, where, threshold)
         return int(np.count_nonzero(_event_hits(values, event, mu, b)))
 
     if threads <= 1 or len(starts) == 1:
@@ -460,6 +466,7 @@ def exact_bernoulli_event_probability(
     if event == "conservatism" and b <= 0:
         raise ValueError("b must be positive")
     mu = true_mean(spec)
+    threshold = mu if event == "disappointment" else mu - b
     pmf = binom.pmf(np.arange(n + 1), n, spec.p)
     rows = max(1, _TILE_VALUES // n)
     total = 0.0
@@ -468,7 +475,7 @@ def exact_bernoulli_event_probability(
         X = spec.high * (np.arange(n) >= n - k[:, None])  # n - k zeros, then k high values
         with np.errstate(over="ignore"):  # an overflowing mean is a non-finite estimate, which raises
             means = X.mean(axis=1)
-        values = _finite_estimates(cfg, X, means, f"count patterns {k[0]}..{k[-1]}")
+        values = _finite_estimates(cfg, X, means, f"count patterns {k[0]}..{k[-1]}", threshold)
         for p in pmf[k[_event_hits(values, event, mu, b)]]:
             total += float(p)
     return total

@@ -258,6 +258,16 @@ def test_simulate_varreg_at_1e300_is_finite(tmp_path, event):
     assert out.read_text().splitlines()[-1].startswith("varreg,20,10,")
 
 
+@pytest.mark.parametrize("estimator", [["mean"], ["varreg", "--lambda", "1"]], ids=lambda e: e[0])
+def test_simulate_point_mass_never_disappoints(tmp_path, estimator):
+    # twenty 1e300 values sum to a mean one ulp above 1e300; the row mean of a
+    # point mass is its value, so the estimate never exceeds mu
+    out = tmp_path / "out.csv"
+    args = ["simulate", "--dist", "point:1e300", "--estimator", *estimator, "--n", "20", "--trials", "10"]
+    assert main(args + ["--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-1].startswith(f"{estimator[0]},20,10,0,")
+
+
 def test_simulate_non_finite_estimate_is_numeric_failure(tmp_path, capsys):
     # every draw is finite, but the sum behind the sample mean overflows
     out = tmp_path / "sim.csv"

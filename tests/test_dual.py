@@ -12,7 +12,7 @@ from safemean import (
     solve_kl_dro_dual,
     solve_kl_dro_dual_batch,
 )
-from safemean.dual import _TILE_VALUES, DualSolverError, witness_empirical_kl
+from safemean.dual import _TILE_VALUES, DualSolverError, _solve_rows, witness_empirical_kl
 from safemean.oracle import random_instances
 
 # closed form for the two-point sample {0, 2} at radius log 2:
@@ -299,3 +299,77 @@ def test_batch_solver_tiles_agree_with_rows_solved_alone(n):
         X[-1, -1] = bad  # in the last tile
         with pytest.raises(DualSolverError):
             solve_kl_dro_dual_batch(X, r)
+
+
+def _rows_for_threshold_tests(rng, n):
+    """Pareto, lognormal and two-point rows, with all-zero, constant and point-mass rows."""
+    two = (rng.random((4, n)) < 0.3) * 2.0
+    two[0], two[1] = 0.0, 1.0
+    pareto = (1.0 - rng.random((4, n))) ** (-1.0 / 1.5)
+    return np.vstack([pareto, rng.lognormal(0.0, 2.0, (4, n)), two, np.full((1, n), 0.1)])
+
+
+def _thresholds_around(v):
+    """v scaled by 1 +- 1e-6 and 1 +- 1e-12, v itself, three ulps either side, and thresholds <= 0."""
+    out = [v * (1 + 1e-6), v * (1 - 1e-6), v * (1 + 1e-12), v * (1 - 1e-12), v, 0.0, -1.0, -v]
+    up = down = v
+    for _ in range(3):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return out
+
+
+def _same_side(values, full, threshold):
+    return np.array_equal(values > threshold, full > threshold) and np.array_equal(values < threshold, full < threshold)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("n", [1, 2, 20, 300, 3000])
+def test_threshold_puts_every_row_on_the_side_of_the_full_solve(n, scale):
+    # A row whose bracket clears the threshold reports a bound, so only its side
+    # of the threshold is exact. Alone in a batch, an undecided row runs the
+    # same iterations as the full solve; inside a batch, which other rows are
+    # still active can move a row's value in its last bits (and by about 1e-9
+    # relative at r = 1e-12), so there the thresholds keep 1e-6 away.
+    rng = np.random.default_rng(n)
+    X = _rows_for_threshold_tests(rng, n) * scale
+    decided = 0
+    for r in (math.log(n + 1) / n, 1e-12, 3.0):
+        full = solve_kl_dro_dual_batch(X, r)
+        for i in range(len(X)):
+            one = solve_kl_dro_dual_batch(X[i : i + 1], r)
+            for threshold in _thresholds_around(one[0]):
+                values = solve_kl_dro_dual_batch(X[i : i + 1], r, threshold=threshold)
+                assert np.isfinite(values).all() and _same_side(values, one, threshold), (r, i, threshold)
+            for threshold in _thresholds_around(full[i])[:2] + [0.0, -full[i]]:
+                values = solve_kl_dro_dual_batch(X, r, threshold=threshold)
+                assert np.isfinite(values).all() and _same_side(values, full, threshold), (r, i, threshold)
+                decided += np.count_nonzero(values != full)
+    assert decided > 0
+
+
+def test_threshold_decided_rows_report_a_certified_bound():
+    rng = np.random.default_rng(4)
+    X = (1.0 - rng.random((200, 1000))) ** (-1.0 / 2.5)
+    X[::4, 0] = 0.0
+    r = math.log(1000) / 1000
+    full = _solve_rows(X, r)
+    threshold = full[2][7]  # row 7 cannot be decided
+    alpha, nu, value, atom, iterations, lo, hi = _solve_rows(X, r, threshold=threshold)
+    decided = np.isnan(nu)
+    assert 0 < np.count_nonzero(decided) < len(X) and np.isnan(atom[decided]).all()
+    assert iterations[decided].max() < full[4].max()
+    # undecided rows are solved in full (in fewer rows, so to the last bits);
+    # decided rows hold g(a) or U
+    assert value[~decided] == pytest.approx(full[2][~decided], rel=1e-13, abs=0.0)
+    above, below = decided & (value > threshold), decided & (value < threshold)
+    assert np.count_nonzero(above) + np.count_nonzero(below) == np.count_nonzero(decided)
+    assert np.all(value[above] <= full[2][above] * (1 + 1e-12))
+    assert np.all(value[below] >= full[2][below] * (1 - 1e-12))
+
+
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+def test_threshold_that_no_bound_clears_changes_nothing(threshold):
+    rng = np.random.default_rng(5)
+    X = (1.0 - rng.random((50, 300))) ** (-1.0 / 2.5)
+    assert np.array_equal(solve_kl_dro_dual_batch(X, 0.02, threshold=threshold), solve_kl_dro_dual_batch(X, 0.02))

@@ -231,6 +231,15 @@ def test_estimate_dispatch_and_mean_dominance():
             assert result.estimator_id == cfg.kind
 
 
+@pytest.mark.parametrize("value", [0.1, 1e-300, 1e300])
+def test_estimate_of_equal_values_is_that_value(value):
+    # the rounded mean of equal values can land an ulp past them; estimate
+    # clips it into [min, max] of the sample
+    s = Sample([value] * 20)
+    assert estimate(EstimatorConfig("mean"), s).value == value
+    assert estimate(EstimatorConfig("varreg", lam=1.0), s).value == value
+
+
 def test_estimator_config_validation():
     with pytest.raises(ValueError):
         EstimatorConfig("nope")

@@ -28,7 +28,7 @@ from safemean import (
     wilson_interval,
 )
 from safemean import montecarlo
-from safemean.dual import _TILE_VALUES, DualSolverError
+from safemean.dual import _TILE_VALUES, DualSolverError, solve_kl_dro_dual_batch
 from safemean.estimators import estimate
 from safemean.montecarlo import (
     TrialReport,
@@ -254,12 +254,41 @@ def test_screened_disappointment_hits_match_unscreened_count(cfg):
             assert hits == expected
 
 
+def test_kl_conservatism_hits_with_threshold_match_unthresholded_count():
+    # the harness stops each KL row once its bracket clears mu - b; the inline
+    # count solves every row to convergence (disappointment: the screened test above)
+    cfg, spec, n, trials, seed, b = EstimatorConfig("kl", r=0.02), Pareto(2.5, 1.0), 20, 150, 13, 0.2
+    X = np.empty((trials, n))
+    _draw_block(spec, seed, 0, X)
+    expected = int(np.count_nonzero(_estimate_batch(cfg, X, X.mean(axis=1)) < true_mean(spec) - b))
+    assert 0 < expected < trials
+    for batch_size in (1, 7, None):
+        for threads in (1, 2):
+            assert _run_event_trials(spec, cfg, n, trials, seed, "conservatism", b, threads, batch_size) == expected
+
+
+@pytest.mark.parametrize("event", ["disappointment", "conservatism"])
+def test_kl_enumeration_with_threshold_is_bit_identical_to_full_solves(event):
+    spec, cfg, b = ScaledBernoulli(0.5, 2.0), EstimatorConfig("kl", schedule=RadiusSchedule.log_n()), 0.5
+    mu = true_mean(spec)
+    for n in (50, 200, 800, 3000):
+        pmf = binom.pmf(np.arange(n + 1), n, spec.p)
+        rows = max(1, _TILE_VALUES // n)
+        total = 0.0
+        for k0 in range(0, n + 1, rows):  # the enumeration's tiles and summation order
+            k = np.arange(k0, min(k0 + rows, n + 1))
+            values = solve_kl_dro_dual_batch(spec.high * (np.arange(n) >= n - k[:, None]), cfg.resolve_radius(n))
+            for p in pmf[k[values > mu if event == "disappointment" else values < mu - b]]:
+                total += float(p)
+        assert exact_bernoulli_event_probability(spec, cfg, n, event, b) == total, n
+
+
 def test_block_screened_out_entirely_has_no_rows_and_no_hits(monkeypatch):
     rows = []
 
-    def spy(cfg, X, means, where):
+    def spy(cfg, X, means, where, threshold=None):
         rows.append(X.shape[0])
-        return montecarlo._estimate_batch(cfg, X, means)
+        return montecarlo._estimate_batch(cfg, X, means, threshold)
 
     monkeypatch.setattr(montecarlo, "_finite_estimates", spy)
     # every row's mean equals mu, so none can disappoint
