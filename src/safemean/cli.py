@@ -31,6 +31,7 @@ from .core import (
 from .dual import DualSolverError
 from .estimators import ESTIMATOR_KINDS, EstimatorConfig, estimate
 from .montecarlo import (
+    _fmt,
     conservatism_probability,
     cramer_rate,
     disappointment_probability,
@@ -48,10 +49,6 @@ EXIT_NUMERIC = 3
 
 class UsageError(ValueError):
     pass
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def parse_distribution(text: str):

@@ -305,6 +305,26 @@ def true_variance(spec: DistributionSpec) -> float:
     raise TypeError(f"unsupported distribution spec {spec!r}")
 
 
+def _golden_max(f, lo: float, hi: float, tol: float) -> float:
+    """Maximizer of a unimodal f on [lo, hi] by golden-section search: the
+    midpoint of the first bracket within tol * max(1, |lo| + |hi|)."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(300):
+        if hi - lo <= tol * max(1.0, abs(lo) + abs(hi)):
+            break
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = f(x1)
+    return 0.5 * (lo + hi)
+
+
 def survival_probability(spec: DistributionSpec, u: float) -> float:
     """P[z > u] for the generative model."""
     if u < 0:

@@ -129,8 +129,9 @@ def _solve_rows(X: np.ndarray, r: float, weights=None, threshold=None):
     rows = np.flatnonzero(top)
     # Rows without a zero start at a = 0 (d(0) <= 0 means alpha* = 0). a_lo is
     # the largest point seen left of the root (on rows with a zero, the floor).
-    a = (zmin[rows] == 0.0) * _ZERO_START
-    a_lo = (zmin[rows] == 0.0) * _ZERO_BRACKET_FLOOR
+    # A subnormal minimum counts as a zero: the slope's 1/p would overflow at a = 0.
+    zero = zmin[rows] < np.finfo(float).tiny
+    a, a_lo = zero * _ZERO_START, zero * _ZERO_BRACKET_FLOOR
     a_hi = a_lo + np.inf
     T = np.empty_like(Z)
     value = np.full(B, np.nan)

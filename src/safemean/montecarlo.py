@@ -22,6 +22,11 @@ converged value. A point mass's row mean is its value. Blocks run on as
 many worker threads as the process has usable cores unless threads says
 otherwise. A draw or estimate that is not finite
 raises DualSolverError, so it is never counted as a safe trial.
+
+The rates section has one quadrature, for E[g(c z)] under each law: the
+Laplace transform and the Cramer rate take c = -s, the population dual and
+the variance ratio c = atilde. The rate and the ratio do not change when z
+is scaled, so both are computed for the law scaled to mean 1.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .core import (
     Sample,
     ScaledBernoulli,
     UniformBounded,
+    _golden_max,
     survival_probability,
     true_mean,
 )
@@ -494,51 +500,43 @@ def laplace_transform(spec: DistributionSpec, s: float) -> float:
         return 1.0
     if isinstance(spec, UniformBounded):
         return (math.exp(-s * spec.lo) - math.exp(-s * spec.hi)) / (s * (spec.hi - spec.lo))
-    return _laplace(spec, s)
+    return _expect(spec, -s, math.exp, 1e-14)
 
 
-def _laplace(spec: DistributionSpec, s: float, g=math.exp, epsabs: float = 1e-14) -> float:
-    """E[g(-s z)] for s > 0: the Laplace transform for g = exp, minus 1 for g = expm1."""
+def _expect(spec: DistributionSpec, c: float, g, epsabs: float) -> float:
+    """E[g(c z)] for c != 0, by adaptive quadrature for the continuous laws.
+
+    Pareto is integrated in y = log(z / scale), which turns the power-law tail
+    into an exponential one, split where |c z| = 1; lognormal in
+    standard-normal space, with log|c| in the exponent, capped at 709. Where
+    the weight has underflowed the integrand is 0, even if g overflows.
+    """
     if isinstance(spec, PointMass):
-        return g(-s * spec.value)
+        return g(c * spec.value)
     if isinstance(spec, ScaledBernoulli):
-        return (1.0 - spec.p) * g(0.0) + spec.p * g(-s * spec.high)
+        return (1.0 - spec.p) * g(0.0) + spec.p * g(c * spec.high)
     if isinstance(spec, UniformBounded):
-        integrand, lo, hi = (lambda u: g(-s * u) / (spec.hi - spec.lo)), spec.lo, spec.hi
+        integrand, cuts = (lambda u: g(c * u) / (spec.hi - spec.lo)), (spec.lo, spec.hi)
     elif isinstance(spec, Pareto):
-        rho, xm = spec.shape, spec.scale
-        # z = xm * e**y turns the power-law tail into an exponential one
-        integrand, lo, hi = (lambda y: g(-s * xm * math.exp(min(y, 700.0))) * rho * math.exp(-rho * y)), 0.0, np.inf
+        rho, a = spec.shape, c * spec.scale
+
+        def integrand(y):
+            weight = rho * math.exp(-rho * y)
+            return 0.0 if weight == 0.0 else g(a * math.exp(min(y, 700.0))) * weight
+
+        cuts = (0.0, -math.log(abs(a)), np.inf) if 0.0 < abs(a) < 1.0 else (0.0, np.inf)
     elif isinstance(spec, LogNormal):
-        # integrate in standard-normal space for stable tails; the exponent is
-        # capped at 709, exactly, since exp(-exp(709)) is already 0
-        log_s = math.log(s)
-        integrand, lo, hi = (lambda y: g(-math.exp(min(spec.mu + spec.sigma * y + log_s, 709.0)))
-                             * math.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)), -np.inf, np.inf
+        sign, log_c = math.copysign(1.0, c), math.log(abs(c))
+
+        def integrand(y):
+            weight = math.exp(-0.5 * y * y)
+            z = math.exp(min(spec.mu + spec.sigma * y + log_c, 709.0))
+            return 0.0 if weight == 0.0 else g(sign * z) * weight / math.sqrt(2.0 * math.pi)
+
+        cuts = (-np.inf, np.inf)
     else:
         raise TypeError(f"unsupported distribution spec {spec!r}")
-    return quad(integrand, lo, hi, epsabs=epsabs, epsrel=1e-11, limit=400)[0]
-
-
-def _golden_max_scalar(f, lo: float, hi: float, tol: float = 1e-9, max_iter: int = 300):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if b - a <= tol * max(1.0, abs(a) + abs(b)):
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-    x = 0.5 * (a + b)
-    return x, f(x)
+    return sum(quad(integrand, lo, hi, epsabs=epsabs, epsrel=1e-11, limit=400)[0] for lo, hi in zip(cuts, cuts[1:]))
 
 
 def _scaled(spec: DistributionSpec, c: float) -> DistributionSpec:
@@ -575,7 +573,7 @@ def cramer_rate(spec: DistributionSpec, b: float) -> float:
     def f(t: float) -> float:  # the objective at s = exp(t)
         s = math.exp(t)
         # an absolute tolerance of 1e-12 * min(1, s * mu) is relative to the mean's size
-        shifted = _laplace(spec, s, math.expm1, 1e-12 * min(1.0, s * mu))
+        shifted = _expect(spec, -s, math.expm1, 1e-12 * min(1.0, s * mu))
         if shifted > -0.5:
             return (b - mu) * s - math.log1p(shifted)
         transform = laplace_transform(spec, s)
@@ -597,8 +595,7 @@ def cramer_rate(spec: DistributionSpec, b: float) -> float:
         expansions += 1
         if expansions > 120 or f_cur > 1e6:
             return math.inf  # event is impossible; rate grows without bound
-    _, best = _golden_max_scalar(f, t - 2.0 * h, t)
-    return max(best, 0.0)
+    return max(f(_golden_max(f, t - 2.0 * h, t, 1e-9)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -630,75 +627,37 @@ def rate_fit(points: Sequence, axis: str = "log-log") -> RateFit:
 # ---------------------------------------------------------------------------
 
 
-def _population_expect(spec: DistributionSpec, atilde: float, g) -> float:
-    """E[g(atilde * z)] under the population law, by adaptive quadrature."""
-    if isinstance(spec, PointMass):
-        return float(g(atilde * spec.value))
-    if isinstance(spec, ScaledBernoulli):
-        return (1.0 - spec.p) * float(g(0.0)) + spec.p * float(g(atilde * spec.high))
-    if isinstance(spec, UniformBounded):
-        width = spec.hi - spec.lo
-        val, _ = quad(
-            lambda u: float(g(atilde * u)) / width, spec.lo, spec.hi,
-            epsabs=1e-15, epsrel=1e-11, limit=200,
-        )
-        return val
-    if isinstance(spec, Pareto):
-        rho = spec.shape
-        a = atilde * spec.scale
-
-        # log substitution z = a e^y resolves the heavy-tail boundary layer;
-        # beyond y ~ 700 the e^{-rho y} weight has underflowed to zero, so the
-        # argument can be clamped without changing the integral
-        def integrand(y):
-            weight = rho * math.exp(-rho * min(y, 700.0)) if y < 1e6 else 0.0
-            if weight == 0.0:
-                return 0.0
-            return float(g(a * math.exp(min(y, 700.0)))) * weight
-        ystar = max(0.0, -math.log(a)) if a > 0 else 0.0
-        total = 0.0
-        lo = 0.0
-        if ystar > 0.0:
-            total += quad(integrand, 0.0, ystar, epsabs=1e-15, epsrel=1e-11, limit=300)[0]
-            lo = ystar
-        total += quad(integrand, lo, np.inf, epsabs=1e-15, epsrel=1e-11, limit=300)[0]
-        return total
-    if isinstance(spec, LogNormal):
-
-        def integrand(y):
-            weight = math.exp(-0.5 * min(y * y, 1400.0)) / math.sqrt(2.0 * math.pi)
-            if weight == 0.0:
-                return 0.0
-            return float(g(atilde * math.exp(min(spec.mu + spec.sigma * y, 700.0)))) * weight
-
-        val, _ = quad(integrand, -np.inf, np.inf, epsabs=1e-15, epsrel=1e-11, limit=300)
-        return val
-    raise TypeError(f"unsupported distribution spec {spec!r}")
-
-
 def _population_radius(spec: DistributionSpec, atilde: float) -> float:
     """r(atilde) = E log(1 + atilde z) + log E 1/(1 + atilde z); nondecreasing in atilde."""
-    e_log = _population_expect(spec, atilde, np.log1p)
-    e_inv = _population_expect(spec, atilde, lambda z: 1.0 / (1.0 + z))
+    e_log = _expect(spec, atilde, math.log1p, 1e-15)
+    e_inv = _expect(spec, atilde, lambda z: 1.0 / (1.0 + z), 1e-15)
     return e_log + math.log(e_inv)
 
 
 def solve_population_dual(spec: DistributionSpec, r: float, max_atilde: float = 1e12) -> float:
-    """Reciprocal dual variable atilde = 1/alpha at population level for radius r."""
+    """Reciprocal dual variable atilde = 1/alpha at population level for radius r.
+
+    r(atilde) depends on atilde z alone, so the root is found for the law
+    scaled to mean 1 (where max_atilde applies) and divided by the mean.
+    """
     if r <= 0:
         raise ValueError("radius must be positive")
+    mu = true_mean(spec)
+    if mu == 0.0:
+        raise ValueError("z = 0 almost surely: no population dual point")
+    unit = _scaled(spec, mu)
     lo, hi = 1e-14, 1.0
-    while _population_radius(spec, hi) < r:
+    while _population_radius(unit, hi) < r:
         hi *= 4.0
         if hi > max_atilde:
             raise ValueError(f"radius {r!r} too large: population dual bracket not found")
     for _ in range(90):
         mid = math.sqrt(lo * hi)
-        if _population_radius(spec, mid) < r:
+        if _population_radius(unit, mid) < r:
             lo = mid
         else:
             hi = mid
-    return math.sqrt(lo * hi)
+    return math.sqrt(lo * hi) / mu
 
 
 def variance_ratio_curve(spec: DistributionSpec, r_grid: Sequence[float]):
@@ -706,7 +665,8 @@ def variance_ratio_curve(spec: DistributionSpec, r_grid: Sequence[float]):
     worst case, divided by the radius.
 
     The log ratio is log((alpha + z)/nu), whose variance equals
-    V[log(1 + z/alpha)], computed by quadrature at the population dual point.
+    V[log(1 + z/alpha)], computed by quadrature at the population dual point
+    of the law scaled to mean 1; the ratio does not depend on the scale.
     """
     out = []
     for r in r_grid:
@@ -715,9 +675,11 @@ def variance_ratio_curve(spec: DistributionSpec, r_grid: Sequence[float]):
         if isinstance(spec, PointMass):
             out.append((float(r), 0.0))
             continue
-        atilde = solve_population_dual(spec, r)
-        e1 = _population_expect(spec, atilde, np.log1p)
-        e2 = _population_expect(spec, atilde, lambda z: np.log1p(z) ** 2)
+        mu = true_mean(spec)
+        atilde = solve_population_dual(spec, r) * mu
+        unit = _scaled(spec, mu)
+        e1 = _expect(unit, atilde, math.log1p, 1e-15)
+        e2 = _expect(unit, atilde, lambda z: math.log1p(z) ** 2, 1e-15)
         out.append((float(r), (e2 - e1 * e1) / r))
     return out
 
@@ -761,7 +723,7 @@ def reports_to_csv(reports: Sequence[TrialReport], header_lines: Sequence[str] =
                     _fmt(rep.p_hat),
                     _fmt(rep.ci_lo),
                     _fmt(rep.ci_hi),
-                    _fmt(rep.bound) if rep.bound is not None else "",
+                    _fmt(rep.bound),
                     str(rep.seed),
                 ]
             )

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DiscreteDistribution, Sample
+from .core import DiscreteDistribution, Sample, _golden_max
 from .dual import DualSolution, primal_witness, solve_kl_dro_dual, witness_empirical_kl
 
 __all__ = [
@@ -82,35 +82,17 @@ def _project_simplex_rows(Q: np.ndarray) -> np.ndarray:
     return np.maximum(Q - tau[:, None], 0.0)
 
 
-def _repair_rows(Q: np.ndarray, w: np.ndarray, r: float) -> np.ndarray:
-    """Mix infeasible rows toward the empirical weights until KL(w, q) <= r."""
-    kl = _kl_rows(w, Q)
-    bad = kl > r
-    if bad.any():
-        Qb = Q[bad]
-        lo = np.zeros(Qb.shape[0])
-        hi = np.ones(Qb.shape[0])
-        for _ in range(45):
-            t = 0.5 * (lo + hi)
-            ok = _kl_rows(w, (1 - t[:, None]) * Qb + t[:, None] * w) <= r
-            hi = np.where(ok, t, hi)
-            lo = np.where(ok, lo, t)
-        Q[bad] = (1 - hi[:, None]) * Qb + hi[:, None] * w
-    return Q
-
-
-def _push_to_zero(Q: np.ndarray, w: np.ndarray, r: float) -> np.ndarray:
-    """Feasible line search toward the zero-support vertex (always lowers the mean)."""
-    e0 = np.zeros(Q.shape[1])
-    e0[0] = 1.0
-    lo = np.zeros(Q.shape[0])
-    hi = np.ones(Q.shape[0])
+def _toward_feasible(good: np.ndarray, bad: np.ndarray, w: np.ndarray, r: float) -> np.ndarray:
+    """The feasible point nearest `bad` on each segment from a feasible `good`
+    to `bad` (rows broadcast), to 45 halvings of the mixing weight t: the
+    feasible t form an interval containing 1, since KL(w, .) is convex."""
+    lo = np.zeros((np.broadcast(good, bad).shape[0], 1))
+    hi = lo + 1.0
     for _ in range(45):
         t = 0.5 * (lo + hi)
-        ok = _kl_rows(w, (1 - t[:, None]) * Q + t[:, None] * e0) <= r
-        lo = np.where(ok, t, lo)
-        hi = np.where(ok, hi, t)
-    return (1 - lo[:, None]) * Q + lo[:, None] * e0
+        ok = (_kl_rows(w, (1 - t) * bad + t * good) <= r)[:, None]
+        lo, hi = np.where(ok, lo, t), np.where(ok, t, hi)
+    return (1 - hi) * bad + hi * good
 
 
 def kl_projection_bruteforce(
@@ -153,16 +135,20 @@ def kl_projection_bruteforce(
     R = Q.shape[0]
     beta = np.full(R, scale)
 
-    best = math.inf
+    e0 = np.zeros(m)
+    e0[0] = 1.0
 
-    def evaluate(chains: np.ndarray) -> None:
-        nonlocal best
-        feasible = _push_to_zero(_repair_rows(chains.copy(), w, r), w, r)
-        candidate = float(np.min(feasible @ vals))
-        if candidate < best:
-            best = candidate
+    def feasible_min(chains: np.ndarray) -> float:
+        """Smallest mean after mixing infeasible rows toward the empirical
+        weights and then moving every row as far toward the zero vertex as
+        the ball allows (which always lowers the mean)."""
+        chains = chains.copy()
+        bad = _kl_rows(w, chains) > r
+        if bad.any():
+            chains[bad] = _toward_feasible(w, chains[bad], w, r)
+        return float(np.min(_toward_feasible(chains, e0, w, r) @ vals))
 
-    evaluate(Q)
+    best = feasible_min(Q)
     eta0 = 1.0 / scale
     for k in range(grid_resolution):
         eta = eta0 / math.sqrt(k + 1.0)
@@ -175,39 +161,22 @@ def kl_projection_bruteforce(
         if (k + 1) % 25 == 0:
             beta = np.where(_kl_rows(w, Q) > r, beta * 1.6, beta)
         if (k + 1) % 5 == 0 or k == grid_resolution - 1:
-            evaluate(Q)
+            best = min(best, feasible_min(Q))
 
     # derivative-free refinement within the tilt family: the repaired and
     # zero-pushed value is smooth in the tilt parameter, so a golden-section
     # sweep around the best coarse grid point closes the remaining gap
     def tilt_value(log_gamma: float) -> float:
         q = np.maximum(w, 1e-9) / (math.exp(log_gamma) + vals)
-        q = q[None, :] / q.sum()
-        feasible = _push_to_zero(_repair_rows(q, w, r), w, r)
-        return float((feasible @ vals)[0])
+        return feasible_min(q[None, :] / q.sum())
 
     log_grid = np.log(gammas)
     coarse = [tilt_value(lg) for lg in log_grid]
     center = int(np.argmin(coarse))
     lo = log_grid[max(0, center - 1)]
     hi = log_grid[min(log_grid.size - 1, center + 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = tilt_value(x1), tilt_value(x2)
-    for _ in range(60):
-        if hi - lo < 1e-10:
-            break
-        if f1 > f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = tilt_value(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = tilt_value(x1)
-    best = min(best, min(coarse), f1, f2)
-    return best
+    refined = tilt_value(_golden_max(lambda lg: -tilt_value(lg), lo, hi, 1e-10))
+    return min(best, min(coarse), refined)
 
 
 def random_feasible_probe(

@@ -13,7 +13,7 @@ from safemean import (
     solve_kl_dro_dual_batch,
 )
 from safemean.dual import _TILE_VALUES, DualSolverError, _solve_rows, witness_empirical_kl
-from safemean.oracle import random_instances
+from safemean.oracle import random_instances, verify_certificate
 
 # closed form for the two-point sample {0, 2} at radius log 2:
 # stationarity 3 a^2 + 6 a = 1 gives a = (2 sqrt(3) - 3)/3 and value 1/(2 sqrt 3) - a
@@ -276,6 +276,13 @@ def test_batch_solver_handles_constant_and_zero_rows():
     assert vals[0] == pytest.approx(2.0 * math.exp(-0.4), rel=1e-10)
     assert vals[1] == 0.0
     assert vals[2] == pytest.approx(solve_kl_dro_dual(Sample([0, 1, 5]), 0.4).value, rel=1e-10)
+    # a minimum that stays subnormal when the row is scaled by its power of two
+    # solves as a zero, on both paths
+    for row, zeroed in (([1e-310, 1.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0]), ([1e-320] * 99 + [1.0], [0.0] * 99 + [1.0])):
+        for r in (1e-6, 0.4, 1.0):
+            assert solve_kl_dro_dual_batch(np.array([row]), r)[0] == solve_kl_dro_dual_batch(np.array([zeroed]), r)[0]
+            assert solve_kl_dro_dual(Sample(row), r).value == pytest.approx(solve_kl_dro_dual(Sample(zeroed), r).value, rel=1e-12)
+        assert verify_certificate(Sample(row), 0.4).passed
     # a non-finite row is a solver error, never a NaN value
     for bad in (np.nan, np.inf):
         with pytest.raises(DualSolverError):

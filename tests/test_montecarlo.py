@@ -570,6 +570,26 @@ def test_pareto_variance_ratio_limit_values():
         pareto_variance_ratio_limit(2.5)
 
 
+@pytest.mark.parametrize(
+    "spec,base",
+    [
+        (Pareto(1.5, 1e200), Pareto(1.5, 1.0)),
+        (Pareto(1.5, 1e-200), Pareto(1.5, 1.0)),
+        (LogNormal(460.0, 1.0), LogNormal(0.0, 1.0)),
+        (LogNormal(-460.0, 1.0), LogNormal(0.0, 1.0)),
+        (ScaledBernoulli(0.5, 2e200), BERN),
+        (UniformBounded(0.0, 1e-200), UniformBounded(0.0, 1.0)),
+    ],
+)
+def test_variance_ratio_and_population_dual_are_scale_free(spec, base):
+    # V[log(1 + atilde z)] / r is unchanged by z -> c z, and atilde scales by 1/c
+    radii = [1e-2, 1e-3]
+    ratios = [ratio for _, ratio in variance_ratio_curve(spec, radii)]
+    assert ratios == pytest.approx([ratio for _, ratio in variance_ratio_curve(base, radii)], rel=1e-12)
+    c = true_mean(spec) / true_mean(base)
+    assert solve_population_dual(spec, 1e-2) * c == pytest.approx(solve_population_dual(base, 1e-2), rel=1e-12)
+
+
 def test_population_dual_radius_too_large():
     with pytest.raises(ValueError):
         solve_population_dual(Pareto(1.5, 1.0), 50.0, max_atilde=1e6)
