@@ -118,6 +118,15 @@ def _build_config(args) -> EstimatorConfig:
     return EstimatorConfig(kind, **kwargs)
 
 
+def _emit(text: str, out) -> None:
+    """Write text to the file out, or to stdout when out is not given."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_estimate(args) -> int:
     try:
         sample = read_sample_file(args.input)
@@ -178,12 +187,7 @@ def cmd_simulate(args) -> int:
         "config: " + json.dumps(config_doc, sort_keys=True),
         f"seed: {args.seed}",
     ]
-    text = reports_to_csv(reports, header)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(reports_to_csv(reports, header), args.out)
     print(f"simulate: {len(reports)} cells in {time.perf_counter() - t0:.1f}s", file=sys.stderr)
     return EXIT_OK
 
@@ -251,12 +255,7 @@ def cmd_rates(args) -> int:
         curve = variance_ratio_curve(spec, grid)
         lines = [f"# safemean {__version__}", f"# dist: {args.dist}", "r,ratio"]
         lines += [f"{_fmt(r)},{_fmt(ratio)}" for r, ratio in curve]
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
     if args.cramer:
         if not args.dist or args.b is None:
@@ -281,12 +280,7 @@ def cmd_rates(args) -> int:
         "points": [[n, p] for n, p in fit.points],
         "version": __version__,
     }
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 
 

@@ -27,10 +27,14 @@ The rates section has one quadrature, for E[g(c z)] under each law: the
 Laplace transform and the Cramer rate take c = -s, the population dual and
 the variance ratio c = atilde. The rate and the ratio do not change when z
 is scaled, so both are computed for the law scaled to mean 1.
+
+scipy is imported inside the three routines that use it (ndtri for
+lognormal draws, quad, digamma), so importing the package loads numpy alone.
 """
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 import os
@@ -39,9 +43,6 @@ from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ndtri
-from scipy.stats import binom
 
 from .core import (
     DistributionSpec,
@@ -250,6 +251,8 @@ def _transform(spec: DistributionSpec, T: np.ndarray) -> None:
         T **= -1.0 / spec.shape
         T *= spec.scale
     elif isinstance(spec, LogNormal):
+        from scipy.special import ndtri
+
         np.clip(T, 1e-16, 1.0 - 1e-16, out=T)
         ndtri(T, out=T)
         T *= spec.sigma
@@ -455,6 +458,33 @@ def conservatism_probability(
     )
 
 
+# 40 digits and an exponent range no binomial term can leave
+_PMF_CONTEXT = decimal.Context(prec=40, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+
+
+def _binomial_pmf(n: int, p: float) -> np.ndarray:
+    """Binom(n, p) pmf(k) for k = 0, ..., n, each term rounded to a float once.
+
+    The terms follow pmf(k + 1) = pmf(k) * p/q * (n - k)/(k + 1) from q**n in
+    40-digit decimal, which neither underflows nor overflows, so a term's only
+    error that shows in a float is the final rounding: tails below the
+    smallest subnormal are 0. p = 0 and p = 1 are unit masses at 0 and n.
+    """
+    pmf = np.zeros(n + 1)
+    if p == 0.0 or p == 1.0:
+        pmf[n if p == 1.0 else 0] = 1.0
+        return pmf
+    with decimal.localcontext(_PMF_CONTEXT):
+        p_dec = decimal.Decimal(p)
+        q_dec = 1 - p_dec
+        ratio = p_dec / q_dec
+        term = q_dec**n
+        for k in range(n + 1):
+            pmf[k] = float(term)
+            term = term * ratio * (n - k) / (k + 1)
+    return pmf
+
+
 def exact_bernoulli_event_probability(
     spec: ScaledBernoulli, cfg: EstimatorConfig, n: int, event: str, b: float = 0.0
 ) -> float:
@@ -463,7 +493,8 @@ def exact_bernoulli_event_probability(
     A size-n sample from a scaled Bernoulli is determined by its count of
     high values, so P[event] = sum over k of Binom(n, p) pmf(k) * 1{event at k},
     the patterns estimated by the batch kernels, _TILE_VALUES values at a time.
-    Useful where the event is far too rare for Monte Carlo.
+    The pmf is computed in 40-digit decimal and rounded to a float once per
+    term (_binomial_pmf). Useful where the event is far too rare for Monte Carlo.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -473,7 +504,7 @@ def exact_bernoulli_event_probability(
         raise ValueError("b must be positive")
     mu = true_mean(spec)
     threshold = mu if event == "disappointment" else mu - b
-    pmf = binom.pmf(np.arange(n + 1), n, spec.p)
+    pmf = _binomial_pmf(n, spec.p)
     rows = max(1, _TILE_VALUES // n)
     total = 0.0
     for k0 in range(0, n + 1, rows):
@@ -536,6 +567,8 @@ def _expect(spec: DistributionSpec, c: float, g, epsabs: float) -> float:
         cuts = (-np.inf, np.inf)
     else:
         raise TypeError(f"unsupported distribution spec {spec!r}")
+    from scipy.integrate import quad
+
     return sum(quad(integrand, lo, hi, epsabs=epsabs, epsrel=1e-11, limit=400)[0] for lo, hi in zip(cuts, cuts[1:]))
 
 

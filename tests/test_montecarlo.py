@@ -272,7 +272,7 @@ def test_kl_enumeration_with_threshold_is_bit_identical_to_full_solves(event):
     spec, cfg, b = ScaledBernoulli(0.5, 2.0), EstimatorConfig("kl", schedule=RadiusSchedule.log_n()), 0.5
     mu = true_mean(spec)
     for n in (50, 200, 800, 3000):
-        pmf = binom.pmf(np.arange(n + 1), n, spec.p)
+        pmf = montecarlo._binomial_pmf(n, spec.p)
         rows = max(1, _TILE_VALUES // n)
         total = 0.0
         for k0 in range(0, n + 1, rows):  # the enumeration's tiles and summation order
@@ -386,10 +386,30 @@ def test_exact_bernoulli_enumeration_matches_binomial():
     assert pc == pytest.approx(expected_c, rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [0.0, 1.0, 0.5, 0.4, 0.3, 1e-3])
+def test_binomial_pmf_within_one_ulp_of_50_digit_reference(p):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        p_mp = mpmath.mpf(p)  # the float p exactly
+        for n in (1, 2, 50, 800, 3000):
+            pmf = montecarlo._binomial_pmf(n, p)
+            exact = [float(mpmath.binomial(n, k) * p_mp**k * (1 - p_mp) ** (n - k)) for k in range(n + 1)]
+            for k, (got, want) in enumerate(zip(pmf, exact)):
+                assert abs(got - want) <= math.ulp(want), (n, k)
+            if p in (0.0, 1.0):  # a unit mass at k = 0 or k = n
+                assert list(pmf) == [float(k == (n if p else 0)) for k in range(n + 1)]
+            scipy_pmf = binom.pmf(np.arange(n + 1), n, p)
+            kept = scipy_pmf >= 1e-300
+            assert np.allclose(pmf[kept], scipy_pmf[kept], rtol=1e-12, atol=0.0), n
+    # the zero and subnormal tails are reached
+    tails = montecarlo._binomial_pmf(3000, 0.5)
+    assert tails[0] == 0.0 and np.any((0.0 < tails) & (tails < np.finfo(float).tiny))
+
+
 def _scalar_enumeration(spec, cfg, n, event, b):
     """Exact enumeration as it was before batching: one scalar estimate per count."""
     mu = true_mean(spec)
-    pmf = binom.pmf(np.arange(n + 1), n, spec.p)
+    pmf = montecarlo._binomial_pmf(n, spec.p)
     total = 0.0
     for k in range(n + 1):
         values = np.concatenate([np.zeros(n - k), np.full(k, spec.high)])
