@@ -21,8 +21,6 @@ from .core import (
     ScaledBernoulli,
     UniformBounded,
     read_sample_file,
-    sample_mean,
-    sample_variance,
     survival_probability,
     true_mean,
     true_variance,
@@ -42,7 +40,6 @@ from .estimators import (
     estimate,
     kl_disappointment_bound,
     kl_disappointment_bound_general,
-    kl_dro_estimator,
     truncation_constants,
 )
 from .montecarlo import (

@@ -24,8 +24,6 @@ __all__ = [
     "UniformBounded",
     "DistributionSpec",
     "EstimateResult",
-    "sample_mean",
-    "sample_variance",
     "true_mean",
     "true_variance",
     "survival_probability",
@@ -84,16 +82,6 @@ class Sample:
         return f"Sample(n={self.n}, min={self.min():g}, max={self.max():g})"
 
 
-def sample_mean(s: Sample) -> float:
-    """Empirical mean (1/n) * sum of observations."""
-    return float(np.mean(s.values))
-
-
-def sample_variance(s: Sample) -> float:
-    """Empirical variance with the 1/n divisor (no Bessel correction)."""
-    return float(np.var(s.values))
-
-
 class DiscreteDistribution:
     """Finite support points with probability weights.
 
@@ -134,12 +122,6 @@ class DiscreteDistribution:
     def mean(self) -> float:
         return float(np.dot(self._support, self._weights))
 
-    def weight_at(self, point: float) -> float:
-        idx = np.searchsorted(self._support, point)
-        if idx < self._support.size and self._support[idx] == point:
-            return float(self._weights[idx])
-        return 0.0
-
     def __repr__(self):
         return f"DiscreteDistribution(m={self._support.size}, mean={self.mean():g})"
 
@@ -148,15 +130,15 @@ class DiscreteDistribution:
 class RadiusSchedule:
     """Disappointment-exponent schedule n -> lambda(n), with radius r(n) = lambda(n)/n.
 
-    Supported kinds: "const-lambda", "logn", "loglogn", "power" (lambda = c * n^beta
-    with beta in (0,1)), and "const-radius" (lambda = r * n).
+    Supported kinds: "const-lambda", "logn", "loglogn", and "power" (lambda =
+    c * n^beta with beta in (0,1)).
     """
 
     kind: str
     c: float
     beta: float = 0.0
 
-    _KINDS = ("const-lambda", "logn", "loglogn", "power", "const-radius")
+    _KINDS = ("const-lambda", "logn", "loglogn", "power")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -180,9 +162,7 @@ class RadiusSchedule:
             if n < 3:
                 raise ValueError("loglogn schedule requires n >= 3")
             return self.c * math.log(math.log(n))
-        if self.kind == "power":
-            return self.c * n**self.beta
-        return self.c * n  # const-radius
+        return self.c * n**self.beta  # power
 
     def radius(self, n: int) -> float:
         return self.lam(n) / n
@@ -202,10 +182,6 @@ class RadiusSchedule:
     @staticmethod
     def power(c: float, beta: float) -> "RadiusSchedule":
         return RadiusSchedule("power", c, beta)
-
-    @staticmethod
-    def constant_radius(r: float) -> "RadiusSchedule":
-        return RadiusSchedule("const-radius", r)
 
 
 @dataclass(frozen=True)

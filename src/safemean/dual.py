@@ -52,6 +52,7 @@ _ZERO_BRACKET_FLOOR = 1e-300  # no root is sought below this
 _STEP_TOL = 1e-10  # Newton step relative to alpha; the error after it is of order its square
 _FLAT_TOL = 8 * np.finfo(float).eps
 _MAX_ITER = 200
+_KL_INF_TOL = 1e-13  # kl_inf's bisection stops at this width in t
 # Values per batch solve: a 1 MB tile and its work buffer stay in a 2 MB per-core L2 cache.
 _TILE_VALUES = 2**17
 
@@ -164,7 +165,9 @@ def _solve_rows(X: np.ndarray, r: float, weights=None, threshold=None):
             far = abs_d > a_slope
             if np.count_nonzero(far):
                 nxt = np.where(far & (a > 0.0), a * np.exp(d / a_slope), nxt)
-            ok = (nxt >= a_lo) & (nxt < a_hi)
+            # strictly right of a_lo: a step that lands on it (a * exp(d / 0) = 0
+            # once a + z rounds to a) would report that point as the root
+            ok = (nxt > a_lo) & (nxt < a_hi)
             # Done once the Newton step is below the tolerance or |d| is within
             # rounding (log v1 and mean log u are <= 0, |log v1| <= |mean log u|).
             flat = _FLAT_TOL - 2.0 * _FLAT_TOL * mean_log_u
@@ -275,7 +278,7 @@ def witness_empirical_kl(s: Sample, sol: DualSolution) -> float:
     return float(np.dot(w, np.log((sol.alpha_star + v) / sol.nu)))
 
 
-def kl_inf(s: Sample, mu: float, tol: float = 1e-13) -> float:
+def kl_inf(s: Sample, mu: float) -> float:
     """Smallest empirical KL divergence to any distribution with mean <= mu.
 
     Computed through its concave dual max over t in [0, 1] of
@@ -302,7 +305,7 @@ def kl_inf(s: Sample, mu: float, tol: float = 1e-13) -> float:
                 lo = mid
             else:
                 hi = mid
-            if hi - lo <= tol:
+            if hi - lo <= _KL_INF_TOL:
                 break
     else:
         lo = hi

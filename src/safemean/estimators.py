@@ -3,9 +3,10 @@
 All estimators are downward corrections of the sample mean: deflation by a
 fixed tolerance, worst case over a 1-Wasserstein ball, truncation with a
 moment-based compensator, variance regularization, total-variation mass
-removal, and the KL-ball worst case. `estimate` runs every kind but kl as a
-batch of one of the Monte Carlo harness kernels (montecarlo._estimate_batch),
-so one sample gets the same value alone as inside the harness.
+removal, and the KL-ball worst case. `estimate` runs every kind but kl at a
+positive radius as a batch of one of the Monte Carlo harness kernels
+(montecarlo._estimate_batch), so one sample gets the same value alone as
+inside the harness.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "ESTIMATOR_KINDS",
     "estimate",
     "truncation_constants",
-    "kl_dro_estimator",
     "kl_disappointment_bound",
     "kl_disappointment_bound_general",
 ]
@@ -94,25 +94,6 @@ def truncation_constants(a: float, A: float):
     return C, c_a
 
 
-def kl_dro_estimator(s: Sample, r: float) -> EstimateResult:
-    """Smallest mean over the KL ball of radius r; r = 0 gives the sample mean,
-    which raises DualSolverError if it overflows."""
-    if r < 0:
-        raise ValueError("radius must be non-negative")
-    if r == 0.0:
-        mean = estimate(EstimatorConfig("mean"), s).value
-        return EstimateResult(mean, "kl", {"alpha_star": math.inf, "nu": mean, "atom": 0.0})
-    sol = solve_kl_dro_dual(s, r)
-    diag = {
-        "alpha_star": sol.alpha_star,
-        "nu": sol.nu,
-        "atom": sol.atom,
-        "iterations": sol.iterations,
-        "radius": r,
-    }
-    return EstimateResult(sol.value, "kl", diag)
-
-
 def kl_disappointment_bound(n: int, lam: float) -> float:
     """Non-asymptotic disappointment bound min(1, (e lam log n + e^2) e^{-lam}).
 
@@ -148,11 +129,16 @@ def kl_disappointment_bound_general(n: int, lam: float, m: Optional[float] = Non
 def estimate(cfg: EstimatorConfig, s: Sample) -> EstimateResult:
     """Run a configured estimator on one sample.
 
-    kl keeps its solver diagnostics. Every other kind is a batch of one of the
-    harness kernels, and a non-finite value raises DualSolverError.
+    kl at a positive radius is the smallest mean over the KL ball, with the
+    solver's diagnostics. Every other kind, and kl at r = 0 (the sample mean),
+    is a batch of one of the harness kernels, and a non-finite value raises
+    DualSolverError.
     """
-    if cfg.kind == "kl":
-        return kl_dro_estimator(s, cfg.resolve_radius(s.n))
+    r = cfg.resolve_radius(s.n) if cfg.kind == "kl" else 0.0
+    if r > 0.0:
+        sol = solve_kl_dro_dual(s, r)
+        diag = {"alpha_star": sol.alpha_star, "nu": sol.nu, "atom": sol.atom, "iterations": sol.iterations, "radius": r}
+        return EstimateResult(sol.value, "kl", diag)
     from .montecarlo import _finite_estimates  # deferred: montecarlo imports this module
 
     X = s.values[None, :]
@@ -160,4 +146,6 @@ def estimate(cfg: EstimatorConfig, s: Sample) -> EstimateResult:
         means = X.mean(axis=1)
     if np.isfinite(means[0]):  # rounding can carry the mean of equal values past them
         means = np.clip(means, s.values[0], s.values[-1])
-    return EstimateResult(float(_finite_estimates(cfg, X, means, "the sample")[0]), cfg.kind)
+    value = float(_finite_estimates(cfg, X, means, "the sample")[0])
+    diag = {"alpha_star": math.inf, "nu": value, "atom": 0.0} if cfg.kind == "kl" else {}
+    return EstimateResult(value, cfg.kind, diag)

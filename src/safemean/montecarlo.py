@@ -35,11 +35,10 @@ lognormal draws, quad, digamma), so importing the package loads numpy alone.
 from __future__ import annotations
 
 import decimal
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -79,11 +78,11 @@ __all__ = [
     "wilson_interval",
     "exact_bernoulli_event_probability",
     "reports_to_csv",
-    "reports_to_json",
 ]
 
 WILSON_Z = 1.959963984540054  # 97.5% normal quantile
 CSV_HEADER = "estimator,n,trials,hits,p_hat,ci_lo,ci_hi,bound,seed"
+MAX_ATILDE = 1e12  # largest population dual point sought, for the law scaled to mean 1
 
 
 @dataclass(frozen=True)
@@ -667,11 +666,12 @@ def _population_radius(spec: DistributionSpec, atilde: float) -> float:
     return e_log + math.log(e_inv)
 
 
-def solve_population_dual(spec: DistributionSpec, r: float, max_atilde: float = 1e12) -> float:
+def solve_population_dual(spec: DistributionSpec, r: float) -> float:
     """Reciprocal dual variable atilde = 1/alpha at population level for radius r.
 
     r(atilde) depends on atilde z alone, so the root is found for the law
-    scaled to mean 1 (where max_atilde applies) and divided by the mean.
+    scaled to mean 1 (where the bracket may grow to MAX_ATILDE) and divided
+    by the mean.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
@@ -682,7 +682,7 @@ def solve_population_dual(spec: DistributionSpec, r: float, max_atilde: float = 
     lo, hi = 1e-14, 1.0
     while _population_radius(unit, hi) < r:
         hi *= 4.0
-        if hi > max_atilde:
+        if hi > MAX_ATILDE:
             raise ValueError(f"radius {r!r} too large: population dual bracket not found")
     for _ in range(90):
         mid = math.sqrt(lo * hi)
@@ -762,10 +762,3 @@ def reports_to_csv(reports: Sequence[TrialReport], header_lines: Sequence[str] =
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def reports_to_json(reports: Sequence[TrialReport], meta: Optional[dict] = None) -> str:
-    doc = {"reports": [asdict(r) for r in reports]}
-    if meta:
-        doc["meta"] = meta
-    return json.dumps(doc, indent=2, sort_keys=True)

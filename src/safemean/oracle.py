@@ -31,6 +31,10 @@ KL_GAP_TOL = 1e-8
 DUALITY_GAP_TOL = 1e-9
 PROBE_MARGIN = 1e-7
 MAX_ORACLE_SUPPORT = 64
+BRUTEFORCE_RESTARTS = 32  # random simplex starting points of the brute-force search
+# random_instances: sizes 1..INSTANCE_MAX_N, radii log-uniform on [INSTANCE_R_LO, INSTANCE_R_HI]
+INSTANCE_MAX_N = 50
+INSTANCE_R_LO, INSTANCE_R_HI = 1e-4, 2.0
 
 
 @dataclass(frozen=True)
@@ -72,16 +76,6 @@ def _kl_rows(w: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.sum(w[mask] * np.log(w[mask] / np.maximum(Q[:, mask], 1e-300)), axis=1)
 
 
-def _project_simplex_rows(Q: np.ndarray) -> np.ndarray:
-    B, m = Q.shape
-    S = np.sort(Q, axis=1)[:, ::-1]
-    css = np.cumsum(S, axis=1) - 1.0
-    idx = np.arange(1, m + 1)
-    k = (S - css / idx > 0).sum(axis=1)
-    tau = css[np.arange(B), k - 1] / k
-    return np.maximum(Q - tau[:, None], 0.0)
-
-
 def _toward_feasible(good: np.ndarray, bad: np.ndarray, w: np.ndarray, r: float) -> np.ndarray:
     """The feasible point nearest `bad` on each segment from a feasible `good`
     to `bad` (rows broadcast), to 45 halvings of the mixing weight t: the
@@ -99,7 +93,6 @@ def kl_projection_bruteforce(
     s: Sample,
     r: float,
     grid_resolution: int = 600,
-    restarts: int = 32,
     seed: int = 0,
 ) -> float:
     """Best feasible objective found by randomized primal descent.
@@ -107,10 +100,10 @@ def kl_projection_bruteforce(
     Minimizes sum(q_i z_i) over simplex weights q on {0} union distinct(s)
     subject to the empirical KL constraint. Chains start from the empirical
     weights, from blind down-weighting tilts q ~ w/(gamma + z) over a log grid
-    of gamma, and from `restarts` random simplex points; each runs a penalized
-    multiplicative subgradient iteration with diminishing steps. Candidates
-    are repaired to feasibility and pushed toward the zero vertex before
-    evaluation, so the returned value is always attained by a verified
+    of gamma, and from BRUTEFORCE_RESTARTS random simplex points; each runs a
+    penalized multiplicative subgradient iteration with diminishing steps.
+    Candidates are repaired to feasibility and pushed toward the zero vertex
+    before evaluation, so the returned value is always attained by a verified
     feasible distribution (an upper bound on the true minimum).
     """
     if r <= 0:
@@ -129,7 +122,7 @@ def kl_projection_bruteforce(
     gammas = np.geomspace(1e-4 * scale, 1e3 * scale, 24)
     tilts = np.maximum(w, 1e-9)[None, :] / (gammas[:, None] + vals[None, :])
     tilts /= tilts.sum(axis=1, keepdims=True)
-    Q = np.vstack([w, tilts, rng.dirichlet(np.ones(m), size=restarts)])
+    Q = np.vstack([w, tilts, rng.dirichlet(np.ones(m), size=BRUTEFORCE_RESTARTS)])
     Q = np.maximum(Q, 1e-12)
     Q /= Q.sum(axis=1, keepdims=True)
     R = Q.shape[0]
@@ -269,7 +262,7 @@ def verify_certificate(
     return CertificateReport(feasible, kl_gap, duality_gap, violations, sol.value)
 
 
-def random_instances(count: int, seed: int, max_n: int = 50, r_lo: float = 1e-4, r_hi: float = 2.0):
+def random_instances(count: int, seed: int):
     """Yield (sample, r) regression instances drawn from heavy- and light-tailed families.
 
     Families rotate through Pareto(2.5), standard lognormal, and a scaled
@@ -278,7 +271,7 @@ def random_instances(count: int, seed: int, max_n: int = 50, r_lo: float = 1e-4,
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 250)))
     for i in range(count):
-        n = int(rng.integers(1, max_n + 1))
+        n = int(rng.integers(1, INSTANCE_MAX_N + 1))
         family = i % 3
         if family == 0:
             values = (1.0 - rng.random(n)) ** (-1.0 / 2.5)
@@ -288,5 +281,5 @@ def random_instances(count: int, seed: int, max_n: int = 50, r_lo: float = 1e-4,
             values = 2.0 * (rng.random(n) < 0.5)
             if values.max() == 0.0:
                 values[0] = 2.0
-        r = float(10.0 ** rng.uniform(math.log10(r_lo), math.log10(r_hi)))
+        r = float(10.0 ** rng.uniform(math.log10(INSTANCE_R_LO), math.log10(INSTANCE_R_HI)))
         yield Sample(values), r

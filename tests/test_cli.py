@@ -169,6 +169,12 @@ def test_validate_zero_instances(capsys):
     assert main(["validate", "--instances", "0"]) == 2
 
 
+@pytest.mark.parametrize("probes", ["0", "-3"])
+def test_validate_rejects_non_positive_probes(capsys, probes):
+    assert main(["validate", "--instances", "1", "--probes", probes]) == 2
+    assert capsys.readouterr().err.strip() == "error: --probes must be >= 1"
+
+
 def test_validate_inject_mismatch_fails(capsys):
     code = main(
         ["validate", "--instances", "1", "--seed", "1", "--probes", "100", "--inject-radius-mismatch"]

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from safemean import (
+    EstimatorConfig,
     LogNormal,
     Pareto,
     PointMass,
@@ -12,14 +13,24 @@ from safemean import (
     Sample,
     ScaledBernoulli,
     UniformBounded,
+    estimate,
     read_sample_file,
-    sample_mean,
-    sample_variance,
     survival_probability,
     true_mean,
     true_variance,
 )
 from safemean.core import SampleFileError
+from safemean.montecarlo import row_std
+
+
+def sample_mean(s):
+    return estimate(EstimatorConfig("mean"), s).value
+
+
+def sample_variance(s):
+    """The sample's variance with the 1/n divisor, from the harness's row_std."""
+    X = s.values[None, :]
+    return float(row_std(X, X.mean(axis=1))[0]) ** 2
 
 
 def test_sample_mean_examples():
@@ -113,8 +124,9 @@ def test_radius_schedule_kinds():
     assert RadiusSchedule.log_n(2.0).radius(100) == pytest.approx(2.0 * math.log(100) / 100)
     assert RadiusSchedule.log_log_n(1.5).lam(50) == pytest.approx(1.5 * math.log(math.log(50)))
     assert RadiusSchedule.power(2.0, 0.5).lam(16) == pytest.approx(8.0)
-    assert RadiusSchedule.constant_radius(0.1).lam(30) == pytest.approx(3.0)
-    assert RadiusSchedule.constant_radius(0.1).radius(30) == pytest.approx(0.1)
+    # a fixed radius is set on the estimator, not by a schedule
+    assert EstimatorConfig("kl", r=0.1).resolve_lambda(30) == pytest.approx(3.0)
+    assert EstimatorConfig("kl", r=0.1).resolve_radius(30) == pytest.approx(0.1)
 
 
 def test_radius_schedule_validation():
@@ -153,8 +165,7 @@ def test_discrete_distribution_invariants():
 
     d = DiscreteDistribution([0.0, 2.0], [0.25, 0.75])
     assert d.mean() == pytest.approx(1.5)
-    assert d.weight_at(2.0) == 0.75
-    assert d.weight_at(1.0) == 0.0
+    assert dict(zip(d.support, d.weights)) == {0.0: 0.25, 2.0: 0.75}
     with pytest.raises(ValueError):
         DiscreteDistribution([2.0, 1.0], [0.5, 0.5])  # not increasing
     with pytest.raises(ValueError):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from safemean import (
+    EstimatorConfig,
     Sample,
+    estimate,
     kl_dro_dual_objective,
     kl_inf,
     log_likelihood_ratio,
@@ -89,6 +91,23 @@ def test_solve_tiny_radius_recovers_sample_mean():
     assert sol.value == pytest.approx(1.0, abs=1e-5)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("r", [1e-17, 1e-18, 1e-20, 1e-100, 1e-300])
+def test_solve_below_rounding_radius_recovers_sample_mean(r):
+    # a Newton step so long that a + z rounds to a leaves a zero slope, and
+    # the log step from there lands on a = 0, left of the root: the solve must
+    # not report it as alpha* (the value would be the geometric mean)
+    rng = np.random.default_rng(3)
+    rows = [[1.0, 2.0, 3.0], [0.0, 2.0], [0.0, 1.0, 2.0, 3.0]] + list((1.0 - rng.random((200, 100))) ** -0.4)
+    assert solve_kl_dro_dual_batch(np.array(rows[3:]), r) == pytest.approx(np.mean(rows[3:], axis=1), rel=1e-7)
+    for row in rows:
+        s, mean = Sample(row), np.mean(row)
+        assert solve_kl_dro_dual(s, r).value == pytest.approx(mean, rel=1e-7)
+        assert solve_kl_dro_dual_batch([row], r)[0] == pytest.approx(mean, rel=1e-7)
+        assert estimate(EstimatorConfig("kl", r=r), s).value == pytest.approx(mean, rel=1e-7)
+        assert verify_certificate(s, r).passed
+
+
 def test_solve_requires_positive_radius():
     with pytest.raises(ValueError):
         solve_kl_dro_dual(Sample([1, 2]), 0.0)
@@ -120,15 +139,16 @@ def test_witness_two_point_certificate():
     assert w.mean() == pytest.approx(sol.value, rel=1e-12)
     assert witness_empirical_kl(s, sol) == pytest.approx(r, abs=1e-12)
     expected_at_2 = 0.5 * sol.nu / (sol.alpha_star + 2.0)
-    assert w.weight_at(2.0) == pytest.approx(expected_at_2, rel=1e-12)
+    assert dict(zip(w.support, w.weights))[2.0] == pytest.approx(expected_at_2, rel=1e-12)
 
 
 def test_witness_tiny_radius_close_to_empirical():
     s = Sample([1.0, 2.0, 4.0])
     sol = solve_kl_dro_dual(s, 1e-12)
     w = primal_witness(s, sol)
+    weights = dict(zip(w.support, w.weights))
     for point in (1.0, 2.0, 4.0):
-        assert w.weight_at(point) == pytest.approx(1.0 / 3.0, abs=1e-6)
+        assert weights[point] == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
 def test_witness_all_zero_sample():

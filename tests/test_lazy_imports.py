@@ -1,14 +1,16 @@
 """scipy is imported only by the routines that use it: lognormal draws (ndtri),
 the rates and variance-ratio quadrature (quad) and pareto_variance_ratio_limit
 (digamma). Each check runs in a fresh interpreter, where nothing has loaded
-scipy yet."""
+scipy yet. Every name a module exports resolves on it."""
 
+import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy.special import ndtri
 
 import safemean
@@ -66,3 +68,9 @@ def test_cramer_rate_is_the_same_as_the_first_call_of_a_fresh_interpreter():
         "print(cramer_rate(Pareto(2.5, 1.0), 0.5).hex())\n"
     )
     assert float.fromhex(_child(code)[0]) == cramer_rate(Pareto(2.5, 1.0), 0.5)
+
+
+@pytest.mark.parametrize("module", ["core", "dual", "estimators", "montecarlo", "oracle"])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(f"safemean.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
