@@ -203,6 +203,8 @@ def _solve_rows(X: np.ndarray, r: float, weights=None, threshold=None):
     # nu, value and atom at alpha* on undecided rows; all-zero rows are evaluated at alpha = 1.
     k = slice(None) if zbar is None else np.flatnonzero(np.isnan(value))
     Z, solved = Z[k], top[k] > 0.0
+    # the value's cap: at alpha* >> z (r near 1e-100) its factors' rounding can put it ulps above the mean
+    mean = Z.mean(axis=1) if weights is None else Z @ w
     a, T = alpha[k] + ~solved, T[: len(Z)]
     p = a + zmin[k]
     np.add(Z, a[:, None], out=T)
@@ -211,7 +213,7 @@ def _solve_rows(X: np.ndarray, r: float, weights=None, threshold=None):
     nu, atom = np.full(B, np.nan), np.full(B, np.nan)
     nu[k] = np.exp(np.log(p) - np.log(T, out=T) @ w - r) * solved
     atom[k] = np.maximum(0.0, 1.0 - nu[k] * v1 / p) * solved
-    value[k] = nu[k] * witness_mass
+    value[k] = np.minimum(nu[k] * witness_mass, mean)
     if not np.isfinite(nu[k]).all():  # value <= nu and alpha <= nu
         raise DualSolverError("non-finite dual solution")
     value, nu, alpha, lo, hi = (np.ldexp(x, e) for x in (value, nu, alpha, lo, hi))

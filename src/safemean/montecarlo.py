@@ -6,22 +6,22 @@ by (master seed, trial index), so draws and hit counts are the same
 regardless of batching or worker-thread count. Trial i of seed s is exactly
 what default_rng(SeedSequence((s, i))) draws, but streams are built a block
 of trials at a time: the SeedSequence hash runs in uint32 arithmetic over
-the whole block, each row's PCG64 state is set into one generator per block,
-and the block is drawn, transformed in place and averaged tile by tile, so
-each tile of dual._TILE_VALUES values passes through the L2 cache once.
-draw_sample is a block of one. The disappointment screen and the estimator
-kernels share that one mean per row. KL estimates can change in the last
-bits with the block shape (solving a 4000x1000 Pareto block 64 rows at a
-time moved 70 of 4000 values by at most 5.7e-15 relative), which changes a
-hit only at an estimate that close to mu. No estimator exceeds its row's
-sample mean, so a disappointment count estimates only the rows whose mean
-exceeds mu. A count reads only each estimate's side of mu (or mu - b), so
-KL rows are solved with that threshold: a row stops once a certified
-bracket [g(a), U] on its value clears it, and only undecided rows get a
-converged value. A point mass's row mean is its value. Blocks run on as
-many worker threads as the process has usable cores unless threads says
-otherwise. A draw or estimate that is not finite
-raises DualSolverError, so it is never counted as a safe trial.
+the whole block and each row's PCG64 state is set into one generator per
+block. It is drawn, transformed, averaged, screened and estimated one tile
+of dual._TILE_VALUES values at a time, in L2, so a worker holds about three
+tiles, never a block. draw_sample is a block of one. The screen and the
+estimator kernels share that one mean per row. KL estimates can change in
+the last bits with the rows solved together (solving a 4000x1000 Pareto
+block 64 rows at a time moved 70 of 4000 values by at most 5.7e-15
+relative), so kept rows reach the solver in the tiles the whole block's
+would. No estimator exceeds its row's sample mean, so a disappointment count
+estimates only the rows whose mean exceeds mu. A count reads only each
+estimate's side of mu (or mu - b), so KL rows are solved with that
+threshold: a row stops once a certified bracket [g(a), U] on its value
+clears it, and only undecided rows get a converged value. A point mass's row
+mean is its value. Blocks run on as many worker threads as the process has
+usable cores unless threads says otherwise. A draw or estimate that is not
+finite raises DualSolverError, so it is never counted as a safe trial.
 
 The rates section has one quadrature, for E[g(c z)] under each law: the
 Laplace transform and the Cramer rate take c = -s, the population dual and
@@ -189,20 +189,18 @@ def _seed_state(entropy: list) -> list:
     return state
 
 
-def _draw_block(spec: DistributionSpec, seed: int, start: int, X: np.ndarray) -> np.ndarray:
-    """Fill the (rows, n) block X with trials start, ..., start + rows - 1 and
-    return each row's mean.
+def _draw_tiles(spec: DistributionSpec, seed: int, start: int, rows: int, n: int):
+    """Yield trials start, ..., start + rows - 1 of size n as (T, means), one
+    tile of _TILE_VALUES values at a time, each in one reused (tile, n) buffer.
 
     Row j is what default_rng(SeedSequence((seed, start + j))) draws, then
     the inverse-CDF transform, bit for bit: the seed sequence is hashed for
     all rows at once, and each row's PCG64 {state, inc} is set by the
-    pcg64_set_seed steps into a generator owned by this call. The block is
-    drawn _TILE_VALUES values at a time: a tile's rows are filled, then
-    transformed in place with the same ufuncs in the same order and averaged
-    while the tile is still in L2. A draw that overflows a float raises
-    DualSolverError.
+    pcg64_set_seed steps into a generator owned by this call. T is transformed
+    in place with the same ufuncs in the same order and averaged while in L2;
+    it holds its rows until the next tile. A draw that overflows a float
+    raises DualSolverError.
     """
-    rows, n = X.shape
     if rows == 1:
         index = _words(start)
     elif start + rows <= 1 << 32:
@@ -220,10 +218,10 @@ def _draw_block(spec: DistributionSpec, seed: int, start: int, X: np.ndarray) ->
         seeds = zip(*(w[0::2] | w[1::2] << 32).tolist())
         bitgen = np.random.PCG64(0)  # any seed: every row's state is set below
         gen = np.random.Generator(bitgen)
-    means = np.empty(rows)
     tile = max(1, _TILE_VALUES // n)
+    buf = np.empty((min(tile, rows), n))
     for i in range(0, rows, tile):
-        T = X[i : i + tile]
+        T = buf[: min(tile, rows - i)]
         if seeded:
             for row, (s_hi, s_lo, i_hi, i_lo) in zip(T, seeds):
                 inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
@@ -235,10 +233,20 @@ def _draw_block(spec: DistributionSpec, seed: int, start: int, X: np.ndarray) ->
         # which passes the disappointment screen and raises
         with np.errstate(over="ignore"):
             _transform(spec, T)
-            T.mean(axis=1, out=means[i : i + tile])
+            means = T.mean(axis=1) if seeded else np.full(len(T), spec.value)  # n copies of v need not average to v
         if not np.isfinite(T.max()):
             raise DualSolverError(f"{spec!r} draws a value that overflows a float")
-    return means if seeded else np.full(rows, spec.value)  # n copies of v need not average to v
+        yield T, means
+
+
+def _draw_block(spec: DistributionSpec, seed: int, start: int, X: np.ndarray) -> np.ndarray:
+    """Fill the (rows, n) block X with trials start, ... as _draw_tiles draws them; return the row means."""
+    means = np.empty(len(X))
+    i = 0
+    for T, tile_means in _draw_tiles(spec, seed, start, *X.shape):
+        X[i : i + len(T)], means[i : i + len(T)] = T, tile_means
+        i += len(T)
+    return means
 
 
 def _transform(spec: DistributionSpec, T: np.ndarray) -> None:
@@ -280,25 +288,17 @@ def row_std(X: np.ndarray, means: np.ndarray) -> np.ndarray:
     """Standard deviation (1/n divisor) of each row of X about its given mean.
 
     numpy's own two-pass X.std(axis=1) on the passed means: subtract, square,
-    sum over n, divide by n, sqrt, _TILE_VALUES values at a time in one reused
-    buffer. The deviations are scaled by 2**-e, e the binary exponent of the
-    row's mean, so squares of deviations from a mean near 1e300 or 1e-300
-    neither overflow nor underflow; the scaling is exact, so every other row
-    gets X.std(axis=1) bit for bit.
+    sum over n, divide by n, sqrt, in one work buffer of X's size (the harness
+    passes one tile). The deviations are scaled by 2**-e, e the binary
+    exponent of the row's mean, so squares of deviations from a mean near
+    1e300 or 1e-300 neither overflow nor underflow; the scaling is exact, so
+    every other row gets X.std(axis=1) bit for bit.
     """
-    B, n = X.shape
-    rows = max(1, _TILE_VALUES // n)
     e = _exponents(means)
-    scale = np.ldexp(1.0, -e)[:, None]
-    buf = np.empty((min(rows, B), n))
-    out = np.empty(B)
-    for i in range(0, B, rows):
-        T = buf[: min(rows, B - i)]
-        np.subtract(X[i : i + rows], means[i : i + rows, None], out=T)
-        T *= scale[i : i + rows]
-        np.multiply(T, T, out=T)
-        T.sum(axis=1, out=out[i : i + rows])
-    out /= n
+    T = np.subtract(X, means[:, None])
+    T *= np.ldexp(1.0, -e)[:, None]
+    np.multiply(T, T, out=T)
+    out = T.sum(axis=1) / X.shape[1]
     return np.ldexp(np.sqrt(out, out=out), e)
 
 
@@ -397,18 +397,33 @@ def _run_event_trials(
         batch_size = max(1, min(4096, 4_000_000 // n))
     starts = list(range(0, trials, batch_size))
     threshold = mu if event == "disappointment" else mu - b  # the estimate's side of it is all _event_hits reads
+    tile = max(1, _TILE_VALUES // n)
 
     def run_chunk(start: int) -> int:
-        X = np.empty((min(batch_size, trials - start), n))
-        means = _draw_block(spec, seed, start, X)
-        where = f"trials {start}..{start + len(X) - 1}"
-        if event == "disappointment":
-            # every estimate is at most its row's sample mean, so only rows whose
-            # mean exceeds mu can disappoint; an overflowing mean stays in and raises
-            keep = means > mu
-            X, means = X[keep], means[keep]
-        values = _finite_estimates(cfg, X, means, where, threshold)
-        return int(np.count_nonzero(_event_hits(values, event, mu, b)))
+        rows = min(batch_size, trials - start)
+
+        def count(X: np.ndarray, means: np.ndarray) -> int:
+            values = _finite_estimates(cfg, X, means, f"trials {start}..{start + rows - 1}", threshold)
+            return int(np.count_nonzero(_event_hits(values, event, mu, b)))
+
+        # every KL solve gets the rows solve_kl_dro_dual_batch would cut from the whole batch (its last bits
+        # can depend on them): each drawn tile, or the rows whose mean exceeds mu (only they can disappoint;
+        # an overflowing mean stays in and raises) a full tile at a time, then the rest once
+        tiles = _draw_tiles(spec, seed, start, rows, n)
+        if event == "conservatism":
+            return sum(count(T, means) for T, means in tiles)
+        X, means = np.empty((min(2 * tile, rows), n)), np.empty(min(2 * tile, rows))
+        hits = pending = 0
+        for T, tile_means in tiles:
+            keep = np.flatnonzero(tile_means > mu)
+            end = pending + keep.size  # < 2 * tile
+            np.take(T, keep, axis=0, out=X[pending:end], mode="clip")  # "raise" buffers out
+            means[pending:end] = tile_means[keep]
+            if end >= tile:
+                hits += count(X[:tile], means[:tile])
+                X[: end - tile], means[: end - tile] = X[tile:end], means[tile:end]
+            pending = end % tile
+        return hits + count(X[:pending], means[:pending])
 
     if threads <= 1 or len(starts) == 1:
         return sum(run_chunk(s0) for s0 in starts)

@@ -127,6 +127,24 @@ def test_simulate_rerun_byte_identical(tmp_path):
     assert body[1].split(",")[7] != ""
 
 
+@pytest.mark.parametrize(
+    "estimator,hits",
+    [(["kl"], ["20", "2"]), (["varreg", "--event", "conservatism", "--b", "0.5"], ["1050", "54"])],
+    ids=["kl", "varreg"],
+)
+def test_simulate_multi_batch_seeded_hits(tmp_path, estimator, hits):
+    # five harness batches at each n (4096 and 4000 rows), streamed tile by
+    # tile; the counts are those of the whole-batch harness
+    out = tmp_path / "sim.csv"
+    args = [
+        "simulate", "--dist", "pareto:2.5:1", "--estimator", *estimator, "--lambda-schedule", "logn",
+        "--n", "100,1000", "--trials", "20000", "--seed", "7", "--out", str(out),
+    ]
+    assert main(args) == 0
+    body = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert [row.split(",")[3] for row in body[1:]] == hits
+
+
 def test_simulate_threads_do_not_change_output(tmp_path):
     base = [
         "simulate", "--dist", "pareto:2.5:1", "--estimator", "varreg",

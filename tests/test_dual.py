@@ -108,6 +108,15 @@ def test_solve_below_rounding_radius_recovers_sample_mean(r):
         assert verify_certificate(s, r).passed
 
 
+@pytest.mark.parametrize("row,r", [([1.0, 2.0, 3.0], 1e-100), ([0.0, 2.0], 1e-300)])
+def test_value_never_exceeds_the_sample_mean_at_tiny_radii(row, r):
+    # at alpha* near 1e49 the value's two factors round relative to alpha*,
+    # which left it up to 30 ulps above the mean the screen relies on
+    s = Sample(row)
+    assert solve_kl_dro_dual(s, r).value <= np.mean(row)
+    assert verify_certificate(s, r).passed
+
+
 def test_solve_requires_positive_radius():
     with pytest.raises(ValueError):
         solve_kl_dro_dual(Sample([1, 2]), 0.0)

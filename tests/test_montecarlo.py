@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,7 +208,11 @@ SCREEN_SPECS = (
 )
 
 
-@pytest.mark.parametrize("schedule", [RadiusSchedule.log_n(), RadiusSchedule.log_n(1e-6)], ids=["logn", "logn_1e-6"])
+@pytest.mark.parametrize(
+    "schedule",
+    [RadiusSchedule.log_n(), RadiusSchedule.log_n(1e-6), RadiusSchedule.log_n(1e-100)],
+    ids=["logn", "logn_1e-6", "logn_1e-100"],
+)
 def test_estimates_never_exceed_the_sample_mean(schedule):
     # the disappointment screen drops rows whose mean is at most mu; that is
     # exact only because no estimate exceeds its row's sample mean
@@ -292,6 +297,55 @@ def test_block_screened_out_entirely_has_no_rows_and_no_hits(monkeypatch):
     # every row's mean equals mu, so none can disappoint
     assert _run_event_trials(PointMass(1.0), EstimatorConfig("kl", r=0.1), 20, 50, 3, "disappointment", 0.0, 1, 16) == 0
     assert rows == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "kind,n,trials,event,b",
+    [
+        ("kl", 1000, 8000, "disappointment", 0.0),
+        ("kl", 3000, 2666, "disappointment", 0.0),
+        ("varreg", 1000, 8000, "conservatism", 0.5),
+    ],
+    ids=["kl_n1000", "kl_n3000", "varreg_n1000"],
+)
+def test_event_count_memory_is_bounded_by_the_tile(kind, n, trials, event, b):
+    # a worker holds a drawn tile, two tiles of kept rows and the solver's
+    # work buffers, never a (batch, n) block (32 MB here) or its kept rows
+    cfg = EstimatorConfig(kind, schedule=RadiusSchedule.log_n())
+    tracemalloc.start()
+    try:
+        _run_event_trials(Pareto(2.5, 1.0), cfg, n, trials, 7, event, b, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * _TILE_VALUES * 8, peak
+
+
+def test_kl_solves_get_the_rows_of_the_whole_batch(monkeypatch):
+    # kept rows are gathered tile by tile, yet each KL solve must get the rows
+    # solve_kl_dro_dual_batch(X[keep]) cuts from the whole batch: a value can
+    # change in its last bits with the rows solved beside it
+    spec, cfg, n, seed = Pareto(2.5, 1.0), EstimatorConfig("kl", schedule=RadiusSchedule.log_n()), 300, 5
+    tile, batch_size, trials = _TILE_VALUES // n, 2500, 7000
+    assert batch_size % tile != 0
+    mu, r = true_mean(spec), cfg.resolve_radius(n)
+    got = []
+
+    def spy(X, r, threshold=None):
+        got.append(solve_kl_dro_dual_batch(X, r, threshold))
+        return got[-1]
+
+    monkeypatch.setattr(montecarlo, "solve_kl_dro_dual_batch", spy)
+    hits = _run_event_trials(spec, cfg, n, trials, seed, "disappointment", 0.0, 1, batch_size)
+    expected, sizes = [], []
+    for start in range(0, trials, batch_size):  # three batches, the last one short
+        X = np.empty((min(batch_size, trials - start), n))
+        keep = _draw_block(spec, seed, start, X) > mu
+        expected.append(solve_kl_dro_dual_batch(X[keep], r, threshold=mu))
+        sizes += [tile] * (len(expected[-1]) // tile) + [len(expected[-1]) % tile]
+    assert [len(values) for values in got] == sizes and sizes.count(tile) >= 3
+    assert np.concatenate(got).tobytes() == np.concatenate(expected).tobytes()
+    assert hits == np.count_nonzero(np.concatenate(expected) > mu) > 0
 
 
 def test_wilson_interval_basics():
