@@ -11,14 +11,18 @@ The sign of g'(alpha) equals the sign of
 
 which is nonincreasing and convex. One solver takes safeguarded Newton steps
 on d, slope m1 - m2/m1 with m_k = mean (alpha + z)^-k, for a (batch, n) matrix
-of samples scaled by powers of two; a single sample is a batch of one. The
-primal optimizer puts weight (1/n) * nu / (alpha* + z_i) on each sample point
-plus an atom at zero, which certifies the solution; the value is that
+of samples scaled by powers of two; a single sample is a batch of one. Every
+mean over a row is its own reduction (one BLAS dot per row, or numpy's mean),
+so a row's value is bit-identical alone and inside any batch within one
+process; rows of more than 10000 values can still round differently under
+another OPENBLAS_NUM_THREADS, since OpenBLAS splits a long dot across threads.
+The primal optimizer puts weight (1/n) * nu / (alpha* + z_i) on each sample
+point plus an atom at zero, which certifies the solution; the value is that
 witness's mean, which unlike nu - alpha* neither cancels nor goes negative.
 
 Given a threshold, a batch solve decides each value's side of it. At any
 iterate a, g(a) bounds the value from below. The law Q_a with weights
-proportional to w_i / (a + z_i) has KL(P_n, Q_a) = f = d + r, so, KL being
+proportional to 1 / (a + z_i) has KL(P_n, Q_a) = f = d + r, so, KL being
 convex in its second argument, the sample mixed with Q_a at weight
 min(1, r / f) lies in the ball and its mean U bounds the value from above. A
 row stops once [g(a), U] clears the threshold by 1e-9 (|threshold| + a +
@@ -107,10 +111,11 @@ def _exponents(x: np.ndarray) -> np.ndarray:
     return np.maximum(np.frexp(x)[1], -1021)
 
 
-def _solve_rows(X: np.ndarray, r: float, weights=None, threshold=None):
+def _solve_rows(X: np.ndarray, r: float, threshold=None):
     """Maximize the dual for every row of a (batch, n) matrix of samples.
 
-    Column j carries probability weights[j] (default 1/n). Returns alpha*, nu,
+    Each column carries probability 1/n, and each row is reduced on its own,
+    so a row's results do not depend on the other rows. Returns alpha*, nu,
     the value, the atom, the iteration count and the final bracket (lo, hi)
     of every row; all-zero rows take no iterations and report zeros.
     With a threshold, a row whose bracket clears it reports the bound on
@@ -125,7 +130,7 @@ def _solve_rows(X: np.ndarray, r: float, weights=None, threshold=None):
     e = _exponents(top)
     Z = X * np.ldexp(1.0, -e)[:, None]
     zmin = Z.min(axis=1)
-    w = np.full(n, 1.0 / n) if weights is None else weights
+    w = np.full(n, 1.0 / n)
     alpha, lo, hi, iterations = np.zeros(B), np.zeros(B), np.zeros(B), np.zeros(B, dtype=int)
     rows = np.flatnonzero(top)
     # Rows without a zero start at a = 0 (d(0) <= 0 means alpha* = 0). a_lo is
@@ -136,7 +141,7 @@ def _solve_rows(X: np.ndarray, r: float, weights=None, threshold=None):
     a_hi = a_lo + np.inf
     T = np.empty_like(Z)
     value = np.full(B, np.nan)
-    zbar = None if threshold is None else Z @ w
+    zbar = None if threshold is None else np.vecdot(Z, w)
     # Non-finite steps, from a = 0 or a vanishing slope, fail the bracket test.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(1, _MAX_ITER + 1):
@@ -149,9 +154,9 @@ def _solve_rows(X: np.ndarray, r: float, weights=None, threshold=None):
             # d = log v1 - mean log u - r has no log(a + z) terms to cancel.
             p = a + zmin[rows]
             np.divide(p[:, None], u, out=u)
-            v1 = u @ w
-            v2 = np.einsum("ij,ij,j->i", u, u, w)
-            mean_log_u = np.log(u, out=u) @ w
+            v1 = np.vecdot(u, w)
+            v2 = np.vecdot(u, u) / n
+            mean_log_u = np.vecdot(np.log(u, out=u), w)
             f = np.log(v1) - mean_log_u  # d + r >= 0
             d = f - r
             slope = (v2 / v1 - v1) / p  # -d'(a) = m2/m1 - m1 >= 0
@@ -203,15 +208,15 @@ def _solve_rows(X: np.ndarray, r: float, weights=None, threshold=None):
     # nu, value and atom at alpha* on undecided rows; all-zero rows are evaluated at alpha = 1.
     k = slice(None) if zbar is None else np.flatnonzero(np.isnan(value))
     Z, solved = Z[k], top[k] > 0.0
-    # the value's cap: at alpha* >> z (r near 1e-100) its factors' rounding can put it ulps above the mean
-    mean = Z.mean(axis=1) if weights is None else Z @ w
+    # the value's cap, the mean clipped to the max as in estimate(mean), which at r ~ 1e-100 its rounding can pass
+    mean = np.minimum(Z.mean(axis=1), np.ldexp(top[k], -e[k]))
     a, T = alpha[k] + ~solved, T[: len(Z)]
     p = a + zmin[k]
     np.add(Z, a[:, None], out=T)
-    witness_mass = np.divide(Z, T, out=Z) @ w
-    v1 = np.divide(p[:, None], T, out=T) @ w
+    witness_mass = np.vecdot(np.divide(Z, T, out=Z), w)
+    v1 = np.vecdot(np.divide(p[:, None], T, out=T), w)
     nu, atom = np.full(B, np.nan), np.full(B, np.nan)
-    nu[k] = np.exp(np.log(p) - np.log(T, out=T) @ w - r) * solved
+    nu[k] = np.exp(np.log(p) - np.vecdot(np.log(T, out=T), w) - r) * solved
     atom[k] = np.maximum(0.0, 1.0 - nu[k] * v1 / p) * solved
     value[k] = np.minimum(nu[k] * witness_mass, mean)
     if not np.isfinite(nu[k]).all():  # value <= nu and alpha <= nu
@@ -222,10 +227,9 @@ def _solve_rows(X: np.ndarray, r: float, weights=None, threshold=None):
 
 def solve_kl_dro_dual(s: Sample, r: float) -> DualSolution:
     """Maximize the dual over alpha >= 0 for one sample, with its certificate
-    ingredients (nu, atom): a batch of one, the sample's distinct values
-    weighted by their frequencies."""
-    v, w = s.weighted_support()
-    alpha, nu, value, atom, it, lo, hi = (x[0] for x in _solve_rows(v[None, :], r, w))
+    ingredients (nu, atom): a batch of one of the sorted sample, so the value
+    is the one the batch solver gives that row anywhere in a batch."""
+    alpha, nu, value, atom, it, lo, hi = (x[0] for x in _solve_rows(s.values[None, :], r))
     return DualSolution(float(alpha), float(value), float(nu), float(atom), int(it), (float(lo), float(hi)), r)
 
 
@@ -240,7 +244,7 @@ def solve_kl_dro_dual_batch(X: np.ndarray, r: float, threshold=None) -> np.ndarr
     if X.ndim != 2:
         raise ValueError("X must be a (batch, n) array")
     rows = max(1, _TILE_VALUES // max(1, X.shape[1]))
-    return np.concatenate([_solve_rows(X[i : i + rows], r, None, threshold)[2] for i in range(0, max(1, len(X)), rows)])
+    return np.concatenate([_solve_rows(X[i : i + rows], r, threshold)[2] for i in range(0, max(1, len(X)), rows)])
 
 
 def primal_witness(s: Sample, sol: DualSolution) -> DiscreteDistribution:

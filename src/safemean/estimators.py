@@ -6,7 +6,8 @@ moment-based compensator, variance regularization, total-variation mass
 removal, and the KL-ball worst case. `estimate` runs every kind but kl at a
 positive radius as a batch of one of the Monte Carlo harness kernels
 (montecarlo._estimate_batch), so one sample gets the same value alone as
-inside the harness.
+inside the harness. kl calls solve_kl_dro_dual for its diagnostics, a batch
+of one of the sorted sample, so it gives the harness's value for that row.
 """
 
 from __future__ import annotations
@@ -65,13 +66,7 @@ class EstimatorConfig:
 
     def resolve_radius(self, n: int) -> float:
         """r(n) for this configuration; lam and schedules divide by n."""
-        if self.r is not None:
-            return self.r
-        if self.lam is not None:
-            return self.lam / n
-        if self.schedule is not None:
-            return self.schedule.radius(n)
-        raise ValueError(f"estimator {self.kind!r} needs one of r, lam, or a schedule")
+        return self.r if self.r is not None else self.resolve_lambda(n) / n
 
     def resolve_lambda(self, n: int) -> float:
         if self.lam is not None:

@@ -10,11 +10,11 @@ the whole block and each row's PCG64 state is set into one generator per
 block. It is drawn, transformed, averaged, screened and estimated one tile
 of dual._TILE_VALUES values at a time, in L2, so a worker holds about three
 tiles, never a block. draw_sample is a block of one. The screen and the
-estimator kernels share that one mean per row. KL estimates can change in
-the last bits with the rows solved together (solving a 4000x1000 Pareto
-block 64 rows at a time moved 70 of 4000 values by at most 5.7e-15
-relative), so kept rows reach the solver in the tiles the whole block's
-would. No estimator exceeds its row's sample mean, so a disappointment count
+estimator kernels share that one mean per row. A KL estimate is
+bit-identical whichever rows share its solve (each row is reduced on its
+own), so estimates, like draws, do not depend on batching or worker threads;
+kept rows reach the solver a full tile at a time only because larger solves
+run faster. No estimator exceeds its row's sample mean, so a disappointment count
 estimates only the rows whose mean exceeds mu. A count reads only each
 estimate's side of mu (or mu - b), so KL rows are solved with that
 threshold: a row stops once a certified bracket [g(a), U] on its value
@@ -406,9 +406,9 @@ def _run_event_trials(
             values = _finite_estimates(cfg, X, means, f"trials {start}..{start + rows - 1}", threshold)
             return int(np.count_nonzero(_event_hits(values, event, mu, b)))
 
-        # every KL solve gets the rows solve_kl_dro_dual_batch would cut from the whole batch (its last bits
-        # can depend on them): each drawn tile, or the rows whose mean exceeds mu (only they can disappoint;
-        # an overflowing mean stays in and raises) a full tile at a time, then the rest once
+        # each drawn tile, or the rows whose mean exceeds mu (only they can disappoint; an overflowing mean
+        # stays in and raises) a full tile at a time, then the rest once: a value does not depend on the rows
+        # solved beside it, but solving each tile's kept rows alone runs about 10% slower on mc_kl
         tiles = _draw_tiles(spec, seed, start, rows, n)
         if event == "conservatism":
             return sum(count(T, means) for T, means in tiles)

@@ -322,9 +322,9 @@ def test_event_count_memory_is_bounded_by_the_tile(kind, n, trials, event, b):
 
 
 def test_kl_solves_get_the_rows_of_the_whole_batch(monkeypatch):
-    # kept rows are gathered tile by tile, yet each KL solve must get the rows
-    # solve_kl_dro_dual_batch(X[keep]) cuts from the whole batch: a value can
-    # change in its last bits with the rows solved beside it
+    # kept rows are gathered tile by tile, yet each KL solve gets a full tile
+    # of them, as solve_kl_dro_dual_batch(X[keep]) cuts the whole batch, and
+    # the values are those of the whole batch's kept rows
     spec, cfg, n, seed = Pareto(2.5, 1.0), EstimatorConfig("kl", schedule=RadiusSchedule.log_n()), 300, 5
     tile, batch_size, trials = _TILE_VALUES // n, 2500, 7000
     assert batch_size % tile != 0
