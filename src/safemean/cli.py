@@ -71,12 +71,10 @@ def parse_distribution(text: str):
 
 
 def parse_schedule(text: str) -> RadiusSchedule:
-    """Grammar: const:<v> | logn[:<c>] | loglogn[:<c>] | power:<c>:<beta>."""
+    """Grammar: logn[:<c>] | loglogn[:<c>] | power:<c>:<beta>; a constant exponent is --lambda."""
     parts = text.split(":")
     name = parts[0].lower()
     try:
-        if name == "const" and len(parts) == 2:
-            return RadiusSchedule.constant_lambda(float(parts[1]))
         if name == "logn" and len(parts) <= 2:
             return RadiusSchedule.log_n(float(parts[1]) if len(parts) == 2 else 1.0)
         if name == "loglogn" and len(parts) <= 2:
@@ -88,30 +86,10 @@ def parse_schedule(text: str) -> RadiusSchedule:
     raise UsageError(f"cannot parse schedule {text!r}")
 
 
-def _radius_options(args) -> dict:
-    given = [name for name in ("r", "lam", "lambda_schedule") if getattr(args, name, None) is not None]
-    if len(given) > 1:
-        raise UsageError("give exactly one of --r, --lambda, --lambda-schedule")
-    out = {}
-    if args.r is not None:
-        out["r"] = args.r
-    if args.lam is not None:
-        out["lam"] = args.lam
-    if getattr(args, "lambda_schedule", None) is not None:
-        out["schedule"] = parse_schedule(args.lambda_schedule)
-    return out
-
-
 def _build_config(args) -> EstimatorConfig:
-    kind = args.estimator
-    kwargs = _radius_options(args)
-    if kind == "mean":
-        return EstimatorConfig("mean", delta=args.delta, **kwargs)
-    if kind == "trunc":
-        return EstimatorConfig("trunc", a=args.a, A=args.A, **kwargs)
-    if kind in ("wasserstein", "varreg", "tv", "kl") and not kwargs:
-        raise UsageError(f"estimator {kind!r} needs one of --r, --lambda, --lambda-schedule")
-    return EstimatorConfig(kind, **kwargs)
+    """The estimator the flags name; EstimatorConfig's ValueError is the usage error."""
+    schedule = None if args.lambda_schedule is None else parse_schedule(args.lambda_schedule)
+    return EstimatorConfig(args.estimator, args.delta, args.r, args.lam, schedule, args.a, args.A)
 
 
 def _emit(text: str, out) -> None:
@@ -288,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--lambda-schedule",
             default=None,
-            help="schedule const:<v> | logn[:<c>] | loglogn[:<c>] | power:<c>:<beta>",
+            help="schedule logn[:<c>] | loglogn[:<c>] | power:<c>:<beta>",
         )
 
     p_est = sub.add_parser("estimate", help="run one estimator on a sample file")

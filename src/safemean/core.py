@@ -130,15 +130,15 @@ class DiscreteDistribution:
 class RadiusSchedule:
     """Disappointment-exponent schedule n -> lambda(n), with radius r(n) = lambda(n)/n.
 
-    Supported kinds: "const-lambda", "logn", "loglogn", and "power" (lambda =
-    c * n^beta with beta in (0,1)).
+    Supported kinds: "logn", "loglogn", and "power" (lambda = c * n^beta with
+    beta in (0,1)). A constant lambda is EstimatorConfig(lam=...).
     """
 
     kind: str
     c: float
     beta: float = 0.0
 
-    _KINDS = ("const-lambda", "logn", "loglogn", "power")
+    _KINDS = ("logn", "loglogn", "power")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -152,8 +152,6 @@ class RadiusSchedule:
         """lambda(n); must be positive for every valid n."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        if self.kind == "const-lambda":
-            return self.c
         if self.kind == "logn":
             if n < 2:
                 raise ValueError("logn schedule requires n >= 2")
@@ -163,13 +161,6 @@ class RadiusSchedule:
                 raise ValueError("loglogn schedule requires n >= 3")
             return self.c * math.log(math.log(n))
         return self.c * n**self.beta  # power
-
-    def radius(self, n: int) -> float:
-        return self.lam(n) / n
-
-    @staticmethod
-    def constant_lambda(value: float) -> "RadiusSchedule":
-        return RadiusSchedule("const-lambda", value)
 
     @staticmethod
     def log_n(c: float = 1.0) -> "RadiusSchedule":

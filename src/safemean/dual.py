@@ -61,6 +61,11 @@ _KL_INF_TOL = 1e-13  # kl_inf's bisection stops at this width in t
 _TILE_VALUES = 2**17
 
 
+def _tile_rows(n: int) -> int:
+    """Rows of n values per tile: at least one, however long the row."""
+    return max(1, _TILE_VALUES // max(1, n))
+
+
 class DualSolverError(RuntimeError):
     """Numeric failure; a solve that did not converge carries its last bracket."""
 
@@ -243,7 +248,7 @@ def solve_kl_dro_dual_batch(X: np.ndarray, r: float, threshold=None) -> np.ndarr
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be a (batch, n) array")
-    rows = max(1, _TILE_VALUES // max(1, X.shape[1]))
+    rows = _tile_rows(X.shape[1])
     return np.concatenate([_solve_rows(X[i : i + rows], r, threshold)[2] for i in range(0, max(1, len(X)), rows)])
 
 

@@ -5,9 +5,11 @@ fixed tolerance, worst case over a 1-Wasserstein ball, truncation with a
 moment-based compensator, variance regularization, total-variation mass
 removal, and the KL-ball worst case. `estimate` runs every kind but kl at a
 positive radius as a batch of one of the Monte Carlo harness kernels
-(montecarlo._estimate_batch), so one sample gets the same value alone as
-inside the harness. kl calls solve_kl_dro_dual for its diagnostics, a batch
-of one of the sorted sample, so it gives the harness's value for that row.
+(montecarlo._estimate_batch): the same kernel, on the sorted sample. The
+harness averages its rows in draw order, so the two can differ in the last
+bits. kl calls solve_kl_dro_dual for its diagnostics, a batch of one of the
+sorted sample. EstimatorConfig.resolve_radius is the one place a radius is
+read from a configuration.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ ESTIMATOR_KINDS = ("mean", "wasserstein", "trunc", "varreg", "tv", "kl")
 class EstimatorConfig:
     """Which estimator to run and with what parameters.
 
-    The radius/exponent may come from a fixed `r`, a fixed `lam`, or a
-    RadiusSchedule resolved at the sample size; r and lam must be
-    non-negative, and positive for "trunc". `delta` only applies to "mean";
-    (a, A) only to "trunc".
+    The radius comes from exactly one source: a fixed `r`, a fixed exponent
+    `lam` (r = lam/n), or a RadiusSchedule resolved at the sample size. Every
+    kind but "mean" needs one; r and lam must be non-negative, and positive
+    for "trunc". `delta` only applies to "mean"; (a, A) only to "trunc".
     """
 
     kind: str
@@ -56,6 +58,11 @@ class EstimatorConfig:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         if self.delta < 0:
             raise ValueError("delta must be non-negative")
+        sources = sum(value is not None for value in (self.r, self.lam, self.schedule))
+        if sources > 1:
+            raise ValueError("give at most one of r, lam, schedule")
+        if sources == 0 and self.kind != "mean":
+            raise ValueError(f"estimator {self.kind!r} needs one of r, lam, schedule")
         for name, value in (("radius r", self.r), ("lambda", self.lam)):
             if value is not None and not value >= 0:  # NaN fails too
                 raise ValueError(f"{name} must be non-negative, got {value!r}")
@@ -65,17 +72,18 @@ class EstimatorConfig:
             truncation_constants(self.a, self.A)
 
     def resolve_radius(self, n: int) -> float:
-        """r(n) for this configuration; lam and schedules divide by n."""
+        """r(n) for this configuration, the radius every kernel uses; lam and schedules divide by n."""
         return self.r if self.r is not None else self.resolve_lambda(n) / n
 
     def resolve_lambda(self, n: int) -> float:
+        """lambda(n) = r(n) * n, the exponent the disappointment bounds take."""
         if self.lam is not None:
             return self.lam
         if self.schedule is not None:
             return self.schedule.lam(n)
         if self.r is not None:
             return self.r * n
-        raise ValueError(f"estimator {self.kind!r} needs one of r, lam, or a schedule")
+        raise ValueError(f"estimator {self.kind!r} has no radius")
 
 
 def truncation_constants(a: float, A: float):

@@ -55,7 +55,7 @@ from .core import (
     survival_probability,
     true_mean,
 )
-from .dual import _TILE_VALUES, DualSolverError, _exponents, solve_kl_dro_dual_batch
+from .dual import DualSolverError, _exponents, _tile_rows, solve_kl_dro_dual_batch
 from .estimators import (
     EstimatorConfig,
     estimate,  # noqa: F401 -- not called here; perfbench/spans.py wraps this name
@@ -191,7 +191,7 @@ def _seed_state(entropy: list) -> list:
 
 def _draw_tiles(spec: DistributionSpec, seed: int, start: int, rows: int, n: int):
     """Yield trials start, ..., start + rows - 1 of size n as (T, means), one
-    tile of _TILE_VALUES values at a time, each in one reused (tile, n) buffer.
+    tile of dual._TILE_VALUES values at a time, each in one reused (tile, n) buffer.
 
     Row j is what default_rng(SeedSequence((seed, start + j))) draws, then
     the inverse-CDF transform, bit for bit: the seed sequence is hashed for
@@ -218,7 +218,7 @@ def _draw_tiles(spec: DistributionSpec, seed: int, start: int, rows: int, n: int
         seeds = zip(*(w[0::2] | w[1::2] << 32).tolist())
         bitgen = np.random.PCG64(0)  # any seed: every row's state is set below
         gen = np.random.Generator(bitgen)
-    tile = max(1, _TILE_VALUES // n)
+    tile = _tile_rows(n)
     buf = np.empty((min(tile, rows), n))
     for i in range(0, rows, tile):
         T = buf[: min(tile, rows - i)]
@@ -313,18 +313,15 @@ def _estimate_batch(cfg: EstimatorConfig, X: np.ndarray, means: np.ndarray, thre
     kind = cfg.kind
     if kind == "mean":
         return means - cfg.delta
+    r = cfg.resolve_radius(n)
     if kind == "wasserstein":  # moving mass down lowers the mean one-for-one until it piles up at zero
-        return np.maximum(means - cfg.resolve_radius(n), 0.0)
+        return np.maximum(means - r, 0.0)
     if kind == "trunc":
-        lam = cfg.resolve_lambda(n)
-        r = lam / n
         _, c_a = truncation_constants(cfg.a, cfg.A)
         return np.minimum(X, r ** (-1.0 / cfg.a)).mean(axis=1) - c_a * r ** ((cfg.a - 1.0) / cfg.a)
     if kind == "varreg":
-        r = cfg.resolve_lambda(n) / n
         return means - math.sqrt(2.0 * r) * row_std(X, means)
     if kind == "tv":  # mass sqrt(r/2) moves from the largest values to zero: whole atoms, then a fraction
-        r = cfg.resolve_lambda(n) / n
         removal = math.sqrt(r / 2.0)
         if removal > 1.0:
             raise ValueError(f"sqrt(r/2) = {removal:g} exceeds 1; radius too large for mass removal")
@@ -336,10 +333,7 @@ def _estimate_batch(cfg: EstimatorConfig, X: np.ndarray, means: np.ndarray, thre
             removed = removed + frac * S[:, atoms]
         return means - removed
     if kind == "kl":
-        r = cfg.resolve_radius(n)
-        if r == 0.0:
-            return means
-        return solve_kl_dro_dual_batch(X, r, threshold=threshold)
+        return means if r == 0.0 else solve_kl_dro_dual_batch(X, r, threshold=threshold)
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 
@@ -368,7 +362,7 @@ def _fill_bound(cfg: EstimatorConfig, event: str, n: int, spec: DistributionSpec
             return math.exp(-cfg.resolve_lambda(n))
         return None
     if cfg.kind == "varreg":
-        r = cfg.resolve_lambda(n) / n
+        r = cfg.resolve_radius(n)
         if r == 0.0:  # the plain sample mean: no bound
             return None
         return n * survival_probability(spec, b * math.sqrt(n / (2.0 * r)))
@@ -397,7 +391,7 @@ def _run_event_trials(
         batch_size = max(1, min(4096, 4_000_000 // n))
     starts = list(range(0, trials, batch_size))
     threshold = mu if event == "disappointment" else mu - b  # the estimate's side of it is all _event_hits reads
-    tile = max(1, _TILE_VALUES // n)
+    tile = _tile_rows(n)
 
     def run_chunk(start: int) -> int:
         rows = min(batch_size, trials - start)
@@ -506,7 +500,7 @@ def exact_bernoulli_event_probability(
 
     A size-n sample from a scaled Bernoulli is determined by its count of
     high values, so P[event] = sum over k of Binom(n, p) pmf(k) * 1{event at k},
-    the patterns estimated by the batch kernels, _TILE_VALUES values at a time.
+    the patterns estimated by the batch kernels, dual._TILE_VALUES values at a time.
     The pmf is computed in 40-digit decimal and rounded to a float once per
     term (_binomial_pmf). Useful where the event is far too rare for Monte Carlo.
     """
@@ -519,7 +513,7 @@ def exact_bernoulli_event_probability(
     mu = true_mean(spec)
     threshold = mu if event == "disappointment" else mu - b
     pmf = _binomial_pmf(n, spec.p)
-    rows = max(1, _TILE_VALUES // n)
+    rows = _tile_rows(n)
     total = 0.0
     for k0 in range(0, n + 1, rows):
         k = np.arange(k0, min(k0 + rows, n + 1))

@@ -72,8 +72,10 @@ def _support_and_weights(s: Sample):
 
 
 def _kl_rows(w: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    mask = w > 0
-    return np.sum(w[mask] * np.log(w[mask] / np.maximum(Q[:, mask], 1e-300)), axis=1)
+    """KL(w, q) for each row q of Q as one dot over its own contiguous row, so
+    it does not depend on the batch (a boolean column mask returns strided rows)."""
+    cols = np.flatnonzero(w)
+    return np.vecdot(np.log(w[cols] / np.maximum(Q.take(cols, axis=1), 1e-300)), w[cols])
 
 
 def _toward_feasible(good: np.ndarray, bad: np.ndarray, w: np.ndarray, r: float) -> np.ndarray:
@@ -223,9 +225,7 @@ def random_feasible_probe(
         q += noise
         below = np.flatnonzero(q @ vals_ext < bound)
         if below.size:
-            # a lone candidate is paired with itself: one row sums pairwise, a batch by column
-            kl = _kl_rows(w_ext, q[np.resize(below, max(below.size, min(count, 2)))])
-            violations += int(np.count_nonzero(kl[: below.size] <= r))
+            violations += int(np.count_nonzero(_kl_rows(w_ext, q[below]) <= r))
         done += count
     return violations
 

@@ -30,10 +30,11 @@ def test_parse_distribution():
 def test_parse_schedule():
     assert parse_schedule("logn").lam(100) == pytest.approx(math.log(100))
     assert parse_schedule("logn:2").lam(100) == pytest.approx(2 * math.log(100))
-    assert parse_schedule("const:3").lam(5) == 3.0
     assert parse_schedule("power:1:0.5").lam(9) == 3.0
     with pytest.raises(UsageError):
         parse_schedule("weekly")
+    with pytest.raises(UsageError):
+        parse_schedule("const:3")  # a constant exponent is --lambda
 
 
 def test_estimate_kl_two_point(two_point, capsys):
@@ -95,6 +96,11 @@ def test_estimate_conflicting_radius_flags(two_point, capsys):
         ["estimate", "--estimator", "kl", "--r", "0.1", "--lambda", "2", "--input", two_point]
     )
     assert code == 2
+    assert "give at most one of r, lam, schedule" in capsys.readouterr().err
+    # the configuration checks every field for every kind: no radius, or a negative delta, is a usage error
+    assert main(["estimate", "--estimator", "tv", "--input", two_point]) == 2
+    assert "needs one of r, lam, schedule" in capsys.readouterr().err
+    assert main(["estimate", "--estimator", "kl", "--r", "0.1", "--delta", "-1", "--input", two_point]) == 2
 
 
 def test_simulate_point_mass_zero_rows(tmp_path, capsys):

@@ -119,19 +119,23 @@ def test_survival_probability_pareto():
 
 
 def test_radius_schedule_kinds():
-    assert RadiusSchedule.constant_lambda(3.0).lam(10) == 3.0
     assert RadiusSchedule.log_n().lam(100) == pytest.approx(math.log(100))
-    assert RadiusSchedule.log_n(2.0).radius(100) == pytest.approx(2.0 * math.log(100) / 100)
+    assert EstimatorConfig("kl", schedule=RadiusSchedule.log_n(2.0)).resolve_radius(100) == pytest.approx(
+        2.0 * math.log(100) / 100
+    )
     assert RadiusSchedule.log_log_n(1.5).lam(50) == pytest.approx(1.5 * math.log(math.log(50)))
     assert RadiusSchedule.power(2.0, 0.5).lam(16) == pytest.approx(8.0)
-    # a fixed radius is set on the estimator, not by a schedule
+    # a fixed radius or exponent is set on the estimator, not by a schedule
+    assert EstimatorConfig("kl", lam=3.0).resolve_lambda(10) == 3.0
     assert EstimatorConfig("kl", r=0.1).resolve_lambda(30) == pytest.approx(3.0)
     assert EstimatorConfig("kl", r=0.1).resolve_radius(30) == pytest.approx(0.1)
 
 
 def test_radius_schedule_validation():
     with pytest.raises(ValueError):
-        RadiusSchedule.constant_lambda(0.0)
+        RadiusSchedule.log_n(0.0)
+    with pytest.raises(ValueError):
+        RadiusSchedule("const-lambda", 3.0)  # a constant exponent is EstimatorConfig(lam=...)
     with pytest.raises(ValueError):
         RadiusSchedule.power(1.0, 1.0)
     with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from safemean import (
     truncation_constants,
 )
 from safemean.core import Pareto
+from safemean.estimators import ESTIMATOR_KINDS
 from safemean.montecarlo import _draw_block, _estimate_batch, row_std
 
 VALUE_TWO_POINT = 0.5 / math.sqrt(3.0) - (2.0 * math.sqrt(3.0) - 3.0) / 3.0
@@ -249,8 +250,16 @@ def test_estimator_config_validation():
         EstimatorConfig("mean", delta=-1.0)
     with pytest.raises(ValueError):
         EstimatorConfig("trunc", a=3.0)
-    with pytest.raises(ValueError):
-        EstimatorConfig("kl").resolve_radius(10)  # no radius source
+    schedule = RadiusSchedule.log_n()
+    for pair in ({"r": 0.1, "lam": 2.0}, {"r": 0.1, "schedule": schedule}, {"lam": 2.0, "schedule": schedule}):
+        for kind in ESTIMATOR_KINDS:
+            with pytest.raises(ValueError, match="at most one of r, lam, schedule"):
+                EstimatorConfig(kind, **pair)
+    for kind in ("wasserstein", "trunc", "varreg", "tv", "kl"):
+        with pytest.raises(ValueError, match="needs one of r, lam, schedule"):
+            EstimatorConfig(kind)  # no radius source
+    # the kernel uses r itself, not (r * n) / n
+    assert value("tv", [1.0, 2.0, 7.0], r=0.1) == 10.0 / 3.0 - 7.0 * math.sqrt(0.05)
 
 
 @pytest.mark.parametrize("kind", ["mean", "wasserstein", "trunc", "varreg", "tv", "kl"])

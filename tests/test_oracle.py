@@ -174,23 +174,22 @@ def test_probe_matches_unfiltered_loop_on_certify_instances(seed):
 
 
 def test_probe_single_candidate_rounds_as_in_its_batch():
-    # A one-row sum(axis=1) rounds pairwise, while a batch sums the 12 KL
-    # columns one by one. The radius is set to the candidate's KL as its batch
-    # rounds it, one ulp below the one-row value, so only a candidate KL that
-    # rounds as in its batch is counted. The candidates mix in the witness, so
-    # which sample has such a lowest-mean candidate moves with its last bits:
-    # the sample is the first of seeds 15..114 that has one.
-    for sample_seed in range(15, 115):
+    # Each candidate's KL is one dot over its own contiguous row, so a lone
+    # candidate below the reference gets its batch KL bit for bit. The radius
+    # is set to the lowest-mean candidate's KL, so that candidate is counted
+    # only if the probe's one-row KL is not an ulp above its batch KL.
+    for sample_seed in range(15, 35):
         s = Sample(np.random.default_rng(sample_seed).lognormal(0.0, 1.0, 12))
         sol = solve_kl_dro_dual(s, 0.1)
         (Q, means, kl), = _unfiltered_probe_batches(s, 500, 0, sol)
-        j, second = np.argsort(means)[:2]
-        r = float(kl[j])
-        _, w = _support_and_weights(s)
-        if _kl_rows(np.append(w, 0.0), Q[j : j + 1])[0] > r:
-            break
-    else:
-        pytest.fail("no sample seed in 15..114 has a candidate whose one-row KL rounds above its batch KL")
+        w = np.append(_support_and_weights(s)[1], 0.0)
+        alone = np.array([_kl_rows(w, Q[j : j + 1])[0] for j in range(len(Q))])
+        assert np.array_equal(alone, kl), sample_seed
+    s = Sample(np.random.default_rng(15).lognormal(0.0, 1.0, 12))
+    sol = solve_kl_dro_dual(s, 0.1)
+    (Q, means, kl), = _unfiltered_probe_batches(s, 500, 0, sol)
+    j, second = np.argsort(means)[:2]
+    r = float(kl[j])
     reference = dataclasses.replace(sol, value=0.5 * (means[j] + means[second]) + PROBE_MARGIN)
     assert _unfiltered_probe(s, r, 500, 0, reference) == 1
     assert random_feasible_probe(s, r, 500, seed=0, reference=reference) == 1
