@@ -272,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="run one estimator on a sample file")
     p_est.add_argument("--estimator", required=True, choices=ESTIMATOR_KINDS)
     p_est.add_argument("--input", required=True, help="sample file, one value per line")
-    p_est.add_argument("--delta", type=float, default=0.0)
-    p_est.add_argument("--a", type=float, default=2.0)
-    p_est.add_argument("--A", type=float, default=1.0)
+    p_est.add_argument("--delta", type=float, default=None, help="mean only: tolerance subtracted (default 0)")
+    p_est.add_argument("--a", type=float, default=None, help="trunc only: moment exponent in (1, 2] (default 2)")
+    p_est.add_argument("--A", type=float, default=None, help="trunc only: moment bound E[z^a] <= A (default 1)")
     add_radius_flags(p_est)
     p_est.set_defaults(func=cmd_estimate)
 
@@ -286,9 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--event", choices=("disappointment", "conservatism"), default="disappointment")
     p_sim.add_argument("--b", type=float, default=None)
-    p_sim.add_argument("--delta", type=float, default=0.0)
-    p_sim.add_argument("--a", type=float, default=2.0)
-    p_sim.add_argument("--A", type=float, default=1.0)
+    p_sim.add_argument("--delta", type=float, default=None, help="mean only: tolerance subtracted (default 0)")
+    p_sim.add_argument("--a", type=float, default=None, help="trunc only: moment exponent in (1, 2] (default 2)")
+    p_sim.add_argument("--A", type=float, default=None, help="trunc only: moment bound E[z^a] <= A (default 1)")
     p_sim.add_argument("--threads", type=int, default=None, help="worker threads (default: usable cores)")
     p_sim.add_argument("--out", default=None)
     add_radius_flags(p_sim)

@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 ESTIMATOR_KINDS = ("mean", "wasserstein", "trunc", "varreg", "tv", "kl")
+# the configuration fields a kind reads; the kinds not named read a radius alone
+_FIELDS_READ = {"mean": ("delta",), "trunc": ("r", "lam", "schedule", "a", "A")}
 
 
 @dataclass(frozen=True)
@@ -41,23 +43,23 @@ class EstimatorConfig:
 
     The radius comes from exactly one source: a fixed `r`, a fixed exponent
     `lam` (r = lam/n), or a RadiusSchedule resolved at the sample size. Every
-    kind but "mean" needs one; r and lam must be non-negative, and positive
-    for "trunc". `delta` only applies to "mean"; (a, A) only to "trunc".
+    kind but "mean" needs one and "mean" takes none; r and lam must be
+    non-negative, and positive for "trunc". `delta` (default 0) only applies
+    to "mean" and (a, A) (default (2, 1)) only to "trunc": a field the kind
+    never reads is an error, not ignored.
     """
 
     kind: str
-    delta: float = 0.0
+    delta: Optional[float] = None
     r: Optional[float] = None
     lam: Optional[float] = None
     schedule: Optional[RadiusSchedule] = None
-    a: float = 2.0
-    A: float = 1.0
+    a: Optional[float] = None
+    A: Optional[float] = None
 
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
         sources = sum(value is not None for value in (self.r, self.lam, self.schedule))
         if sources > 1:
             raise ValueError("give at most one of r, lam, schedule")
@@ -68,7 +70,18 @@ class EstimatorConfig:
                 raise ValueError(f"{name} must be non-negative, got {value!r}")
             if value == 0 and self.kind == "trunc":
                 raise ValueError(f"{name} must be positive for trunc")
+        reads = _FIELDS_READ.get(self.kind, ("r", "lam", "schedule"))
+        fields = _FIELDS_READ["trunc"] + ("delta",)
+        unread = [name for name in fields if getattr(self, name) is not None and name not in reads]
+        if unread:
+            raise ValueError(f"estimator {self.kind!r} does not take {', '.join(unread)}")
+        if self.kind == "mean":
+            object.__setattr__(self, "delta", 0.0 if self.delta is None else self.delta)
+            if not self.delta >= 0:
+                raise ValueError(f"delta must be non-negative, got {self.delta!r}")
         if self.kind == "trunc":
+            object.__setattr__(self, "a", 2.0 if self.a is None else self.a)
+            object.__setattr__(self, "A", 1.0 if self.A is None else self.A)
             truncation_constants(self.a, self.A)
 
     def resolve_radius(self, n: int) -> float:

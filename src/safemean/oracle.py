@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DiscreteDistribution, Sample, _golden_max
-from .dual import DualSolution, primal_witness, solve_kl_dro_dual, witness_empirical_kl
+from .dual import DualSolution, _exponents, primal_witness, solve_kl_dro_dual, witness_empirical_kl
 
 __all__ = [
     "CertificateReport",
@@ -42,7 +42,10 @@ class CertificateReport:
     """Outcome of one certificate check.
 
     Passing means: witness on the simplex, |empirical KL - r| <= 1e-8, value
-    >= 0 and |witness mean - value| <= 1e-9 * value, and no probe violations.
+    >= 0 and |witness mean - value| <= 1e-9 * value, and no probe violations:
+    no random candidate with KL at most r and mean below value * (1 -
+    PROBE_MARGIN). The probe builds only the candidates whose mean, assembled
+    from their parts' means, can fall below that bound.
     """
 
     primal_feasible: bool
@@ -184,11 +187,16 @@ def random_feasible_probe(
 ) -> int:
     """Count random feasible distributions with mean below the reference value.
 
-    Candidates are Dirichlet-style perturbations of the witness and of the
-    empirical weights (plus a synthetic support point above the sample
-    maximum, which can only raise the mean). The KL constraint at radius r is
-    checked only for candidates with a mean below the reference. Expected
-    count for a correct solver: 0. `witness` defaults to the reference's.
+    Candidates mix the witness, the empirical weights or their midpoint with
+    Dirichlet noise on the support plus a synthetic point at twice the sample
+    maximum, which can only raise the mean. A violation is a candidate with
+    mean below value * (1 - PROBE_MARGIN) and KL at most r. Only candidates
+    whose mean, assembled from their base's and their noise's means, falls
+    within a rounding bound of that are built, and only their KL is
+    evaluated; each built candidate's exact mean is one dot over its own row.
+    The probe runs on the support scaled by a power of two, so it finds the
+    same violations at every scale. Expected count for a correct solver: 0.
+    `witness` defaults to the reference's.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -200,32 +208,41 @@ def random_feasible_probe(
     if witness is None:
         witness = primal_witness(s, reference)
 
-    # synthetic point above the maximum: mass there only increases the mean;
-    # the witness lives on vals, the support with zero included
-    vals_ext = np.concatenate([vals, [2.0 * vals[-1] + 1.0]])
-    w_ext = np.concatenate([w, [0.0]])
-    wit_ext = np.concatenate([witness.weights, [0.0]])
+    # the support scaled by 2**-e to a maximum of at most 1, so the synthetic
+    # point 2 * max neither overflows nor rounds, and every mean and the bound
+    # are the unscaled ones times 2**-e; the witness lives on vals, the
+    # support with zero included
+    e = int(_exponents(vals[-1]))
+    z = np.ldexp(vals, -e)
+    z_ext = np.append(z, 2.0 * z[-1])
+    w_ext = np.append(w, 0.0)
+    wit_ext = np.append(witness.weights, 0.0)
     bases = np.vstack([wit_ext, w_ext, 0.5 * (wit_ext + w_ext)])
-    m = vals_ext.size
+    base_means = bases @ z_ext
+    m = z_ext.size
     rng = np.random.default_rng(seed)
 
     concentrations = [np.ones(m), np.concatenate([[5.0], np.ones(m - 1)]), np.concatenate([np.ones(m - 1), [5.0]])]
-    bound = reference.value - PROBE_MARGIN
+    bound = math.ldexp(reference.value, -e) * (1.0 - PROBE_MARGIN)
+    # the screen's assembled mean and the exact mean each round a sum of
+    # about m nonnegative terms totalling at most z_ext[-1], so they differ
+    # by less than this
+    slack = 4 * (m + 2) * np.finfo(float).eps * z_ext[-1]
     violations = 0
     done = 0
     batch = 4096
-    Q = np.empty((min(batch, trials), m))
     while done < trials:
         count = min(batch, trials - done)
         noise = rng.dirichlet(concentrations[done % len(concentrations)], size=count)
-        t = rng.uniform(0.0, 0.35, size=count)[:, None]
-        q = np.take(bases, rng.integers(0, bases.shape[0], size=count), axis=0, out=Q[:count], mode="clip")
-        q *= 1.0 - t
-        noise *= t
-        q += noise
-        below = np.flatnonzero(q @ vals_ext < bound)
-        if below.size:
-            violations += int(np.count_nonzero(_kl_rows(w_ext, q[below]) <= r))
+        t = rng.uniform(0.0, 0.35, size=count)
+        pick = rng.integers(0, bases.shape[0], size=count)
+        near = np.flatnonzero((1.0 - t) * base_means[pick] + t * (noise @ z_ext) < bound + slack)
+        t_near = t.take(near)[:, None]
+        q = noise.take(near, axis=0)
+        q *= t_near
+        q += (1.0 - t_near) * bases.take(pick.take(near), axis=0)
+        below = np.vecdot(q, z_ext) < bound
+        violations += int(np.count_nonzero(below & (_kl_rows(w_ext, q) <= r)))
         done += count
     return violations
 

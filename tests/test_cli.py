@@ -100,7 +100,25 @@ def test_estimate_conflicting_radius_flags(two_point, capsys):
     # the configuration checks every field for every kind: no radius, or a negative delta, is a usage error
     assert main(["estimate", "--estimator", "tv", "--input", two_point]) == 2
     assert "needs one of r, lam, schedule" in capsys.readouterr().err
-    assert main(["estimate", "--estimator", "kl", "--r", "0.1", "--delta", "-1", "--input", two_point]) == 2
+    assert main(["estimate", "--estimator", "mean", "--delta", "-1", "--input", two_point]) == 2
+    assert "delta must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [(["mean", "--r", "0.5"], "r"), (["mean", "--lambda-schedule", "logn"], "schedule"),
+     (["kl", "--r", "0.1", "--delta", "0"], "delta"), (["varreg", "--lambda", "1", "--a", "2"], "a"),
+     (["varreg", "--lambda", "1", "--A", "5"], "A")],
+    ids=lambda x: x if isinstance(x, str) else x[0],
+)
+def test_flag_the_estimator_never_reads_is_usage_error(two_point, tmp_path, capsys, flags, field):
+    # --delta, --a and --A default to not given, so naming one is a choice
+    # the estimator would silently ignore
+    assert main(["estimate", "--estimator", *flags, "--input", two_point]) == 2
+    assert f"does not take {field}" in capsys.readouterr().err
+    simulate = ["simulate", "--dist", "point:1", "--n", "5", "--trials", "3", "--out", str(tmp_path / "s.csv")]
+    assert main([*simulate, "--estimator", *flags]) == 2
+    assert f"does not take {field}" in capsys.readouterr().err
 
 
 def test_simulate_point_mass_zero_rows(tmp_path, capsys):

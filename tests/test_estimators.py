@@ -275,8 +275,30 @@ def test_estimator_config_rejects_zero_radius_and_lambda_for_trunc(field):
     # the truncation level r**(-1/a) is infinite at r = 0
     with pytest.raises(ValueError, match="must be positive for trunc"):
         EstimatorConfig("trunc", **{field: 0.0})
-    for kind in ("mean", "wasserstein", "varreg", "tv", "kl"):
+    for kind in ("wasserstein", "varreg", "tv", "kl"):
         assert value(kind, [1.0, 3.0], **{field: 0.0}) == 2.0
+
+
+@pytest.mark.parametrize(
+    "kind, field, given",
+    [("mean", "r", 0.5), ("mean", "r", 0.0), ("mean", "lam", 2.0), ("mean", "schedule", RadiusSchedule.log_n()),
+     ("mean", "a", 2.0), ("mean", "A", 1.0), ("kl", "delta", 0.0), ("trunc", "delta", 0.1),
+     ("varreg", "a", 2.0), ("varreg", "A", 5.0), ("wasserstein", "a", 1.5), ("tv", "A", 1.0)],
+)
+def test_estimator_config_rejects_a_field_the_kind_never_reads(kind, field, given):
+    # a field the estimator ignores would change nothing silently: the plain
+    # mean under EstimatorConfig("mean", r=0.5) looks like a safe estimate
+    radius = {} if kind == "mean" or field in ("r", "lam", "schedule") else {"r": 0.1}
+    with pytest.raises(ValueError, match=f"estimator {kind!r} does not take {field}"):
+        EstimatorConfig(kind, **radius, **{field: given})
+
+
+def test_estimator_config_defaults_for_the_fields_a_kind_reads():
+    assert EstimatorConfig("mean").delta == 0.0
+    cfg = EstimatorConfig("trunc", lam=2.0)
+    assert (cfg.a, cfg.A) == (2.0, 1.0)
+    assert cfg == EstimatorConfig("trunc", lam=2.0, a=2.0, A=1.0)
+    assert EstimatorConfig("kl", r=0.1).delta is None
 
 
 def test_scale_equivariance_of_estimators():

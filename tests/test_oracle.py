@@ -102,12 +102,16 @@ def test_probe_zero_violations_on_solved_instance():
 
 def test_probe_detects_radius_inversion():
     # feasibility at a LARGER radius against the value solved at a smaller one
-    # must produce violations: the bigger ball contains better distributions
-    rng = np.random.default_rng(6)
-    s = Sample(rng.pareto(2.5, 25) + 1.0)
-    reference = solve_kl_dro_dual(s, 0.05)
-    violations = random_feasible_probe(s, 1.0, trials=10_000, seed=7, reference=reference)
-    assert violations > 0
+    # must produce violations: the bigger ball contains better distributions.
+    # The margin is relative and the probe runs on the support scaled by a
+    # power of two, so the sample scaled by 2**k gives the same count, down to
+    # subnormal-adjacent values and up to a maximum near the overflow.
+    x = np.random.default_rng(6).pareto(2.5, 25) + 1.0
+    counts = set()
+    for k in (-1000, -20, 0, 20, 1021):
+        s = Sample(np.ldexp(x, k))
+        counts.add(random_feasible_probe(s, 1.0, trials=10_000, seed=7, reference=solve_kl_dro_dual(s, 0.05)))
+    assert len(counts) == 1 and counts.pop() > 0
 
 
 def test_certificate_report_pass_logic():
@@ -124,14 +128,15 @@ def test_certificate_report_pass_logic():
 
 
 def _unfiltered_probe_batches(s, trials, seed, reference):
-    """The probe as it was before KL was filtered by the mean test: yields
-    the candidates, their means and their KL divergences, batch by batch."""
+    """The probe without its mean screen or its KL filter, on the unscaled
+    support: yields every candidate, its mean (one dot over its own row), its
+    KL divergence and its mean as the screen assembles it, batch by batch."""
     vals, w = _support_and_weights(s)
     witness = primal_witness(s, reference)
     wit = np.zeros_like(w)
     for point, weight in zip(witness.support, witness.weights):
         wit[int(np.searchsorted(vals, point))] = weight
-    vals_ext = np.concatenate([vals, [2.0 * vals[-1] + 1.0]])
+    vals_ext = np.concatenate([vals, [2.0 * vals[-1]]])
     w_ext = np.concatenate([w, [0.0]])
     bases = np.vstack(
         [np.concatenate([wit, [0.0]]), w_ext, 0.5 * (np.concatenate([wit, [0.0]]) + w_ext)]
@@ -144,17 +149,28 @@ def _unfiltered_probe_batches(s, trials, seed, reference):
         count = min(4096, trials - done)
         noise = rng.dirichlet(concentrations[done % len(concentrations)], size=count)
         t = rng.uniform(0.0, 0.35, size=count)[:, None]
-        base = bases[rng.integers(0, bases.shape[0], size=count)]
-        Q = (1.0 - t) * base + t * noise
-        yield Q, Q @ vals_ext, _kl_rows(w_ext, Q)
+        pick = rng.integers(0, bases.shape[0], size=count)
+        Q = (1.0 - t) * bases[pick] + t * noise
+        assembled = (1.0 - t[:, 0]) * (bases @ vals_ext)[pick] + t[:, 0] * (noise @ vals_ext)
+        yield Q, np.vecdot(Q, vals_ext), _kl_rows(w_ext, Q), assembled
         done += count
 
 
 def _unfiltered_probe(s, r, trials, seed, reference):
     return sum(
-        int(np.sum((kl <= r) & (means < reference.value - PROBE_MARGIN)))
-        for _, means, kl in _unfiltered_probe_batches(s, trials, seed, reference)
+        int(np.sum((kl <= r) & (means < reference.value * (1.0 - PROBE_MARGIN))))
+        for _, means, kl, _ in _unfiltered_probe_batches(s, trials, seed, reference)
     )
+
+
+def _value_with_bound(bound):
+    """A reference value whose probe bound value * (1 - PROBE_MARGIN) is exactly `bound`."""
+    value = bound / (1.0 - PROBE_MARGIN)
+    for _ in range(8):
+        if value * (1.0 - PROBE_MARGIN) == bound:
+            return value
+        value = np.nextafter(value, np.inf if value * (1.0 - PROBE_MARGIN) < bound else -np.inf)
+    raise AssertionError(f"no value has bound {bound!r}")
 
 
 @pytest.mark.parametrize("seed", [7, 11])
@@ -181,16 +197,38 @@ def test_probe_single_candidate_rounds_as_in_its_batch():
     for sample_seed in range(15, 35):
         s = Sample(np.random.default_rng(sample_seed).lognormal(0.0, 1.0, 12))
         sol = solve_kl_dro_dual(s, 0.1)
-        (Q, means, kl), = _unfiltered_probe_batches(s, 500, 0, sol)
+        (Q, means, kl, _), = _unfiltered_probe_batches(s, 500, 0, sol)
         w = np.append(_support_and_weights(s)[1], 0.0)
         alone = np.array([_kl_rows(w, Q[j : j + 1])[0] for j in range(len(Q))])
         assert np.array_equal(alone, kl), sample_seed
     s = Sample(np.random.default_rng(15).lognormal(0.0, 1.0, 12))
     sol = solve_kl_dro_dual(s, 0.1)
-    (Q, means, kl), = _unfiltered_probe_batches(s, 500, 0, sol)
+    (Q, means, kl, _), = _unfiltered_probe_batches(s, 500, 0, sol)
     j, second = np.argsort(means)[:2]
     r = float(kl[j])
-    reference = dataclasses.replace(sol, value=0.5 * (means[j] + means[second]) + PROBE_MARGIN)
+    reference = dataclasses.replace(sol, value=0.5 * (means[j] + means[second]) / (1.0 - PROBE_MARGIN))
     assert _unfiltered_probe(s, r, 500, 0, reference) == 1
     assert random_feasible_probe(s, r, 500, seed=0, reference=reference) == 1
     assert random_feasible_probe(s, r, 500, seed=0, reference=reference, witness=primal_witness(s, sol)) == 1
+
+
+@pytest.mark.parametrize("scale_exponent", [-1000, 0, 1000])
+def test_probe_boundary_candidate_matches_unfiltered_loop(scale_exponent):
+    # The bound sits exactly at one candidate's mean, then one ulp either
+    # side: the mean screen must never drop a candidate the exact test keeps.
+    # The radius is that candidate's KL, so it counts only when strictly below.
+    # The candidates: the lowest mean, the median, and the one whose screen
+    # mean rounds furthest above its exact mean.
+    s = Sample(np.ldexp(np.random.default_rng(15).lognormal(0.0, 1.0, 12), scale_exponent))
+    sol = solve_kl_dro_dual(s, 0.1)
+    (_, means, kl, assembled), = _unfiltered_probe_batches(s, 2000, 0, sol)
+    rounded_up = np.argmax(assembled - means)
+    assert assembled[rounded_up] > means[rounded_up]
+    for j in (np.argmin(means), np.argsort(means)[len(means) // 2], rounded_up):
+        r = float(kl[j])
+        counts = []
+        for bound in (np.nextafter(means[j], -np.inf), means[j], np.nextafter(means[j], np.inf)):
+            reference = dataclasses.replace(sol, value=_value_with_bound(bound))
+            counts.append(random_feasible_probe(s, r, 2000, seed=0, reference=reference))
+            assert counts[-1] == _unfiltered_probe(s, r, 2000, 0, reference), (j, bound)
+        assert counts[0] == counts[1] < counts[2]
