@@ -40,7 +40,7 @@ class Sample:
     retained so empirical weights stay uniform 1/n.
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ("_values", "_support")
 
     def __init__(self, values):
         arr = np.asarray(values, dtype=float)
@@ -55,6 +55,7 @@ class Sample:
         arr = np.sort(arr)
         arr.flags.writeable = False
         self._values = arr
+        self._support = None
 
     @property
     def values(self) -> np.ndarray:
@@ -71,9 +72,26 @@ class Sample:
         return float(self._values[-1])
 
     def weighted_support(self):
-        """Distinct values with empirical weights (multiplicities / n)."""
-        vals, counts = np.unique(self._values, return_counts=True)
-        return vals, counts / self._values.size
+        """Distinct values with empirical weights (multiplicities / n), both read-only.
+
+        The sorted values are scanned for repeats once per sample. A sample
+        with repeats keeps its support for every later call. A sample without
+        is its own support, and its weights, all 1/n, are made on each call,
+        so it holds no second copy of its values.
+        """
+        v = self._values
+        if self._support is None:
+            starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+            self._support = ()
+            if starts.size < v.size:
+                vals, weights = v[starts], np.diff(np.append(starts, v.size)) / v.size
+                vals.flags.writeable = weights.flags.writeable = False
+                self._support = vals, weights
+        if self._support:
+            return self._support
+        weights = np.full(v.size, 1.0 / v.size)
+        weights.flags.writeable = False
+        return v, weights
 
     def __len__(self):
         return self._values.size

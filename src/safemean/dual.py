@@ -28,6 +28,13 @@ min(1, r / f) lies in the ball and its mean U bounds the value from above. A
 row stops once [g(a), U] clears the threshold by 1e-9 (|threshold| + a +
 mean z), which covers the rounding of both bounds; only undecided rows are
 solved to convergence.
+
+Before any solve, kl_value_upper_bound bounds each value from above without
+a logarithm, from the row's mean, sum of squares and maximum: it is the mean
+of a chi-square tilt of the sample that lies in the ball, evaluated with a
+lower bound on the variance and raised by its stated rounding. The Monte
+Carlo harness drops the rows it puts below the threshold, most of those
+whose mean exceeds it, before they reach the solver.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ __all__ = [
     "kl_dro_dual_objective",
     "solve_kl_dro_dual",
     "solve_kl_dro_dual_batch",
+    "kl_value_upper_bound",
     "primal_witness",
     "kl_inf",
     "log_likelihood_ratio",
@@ -228,6 +236,43 @@ def _solve_rows(X: np.ndarray, r: float, threshold=None):
         raise DualSolverError("non-finite dual solution")
     value, nu, alpha, lo, hi = (np.ldexp(x, e) for x in (value, nu, alpha, lo, hi))
     return alpha, nu, value, atom, iterations, lo, hi
+
+
+def kl_value_upper_bound(means, sumsq, top, n: int, r: float) -> np.ndarray:
+    """Certified upper bounds on the KL values of rows of n values, from each
+    row's mean, sum of squares and maximum; NaN where none is certified.
+
+    The chi-square tilt q_i = (1 - t (z_i - zbar) / sigma) / n has mean
+    zbar - t sigma, and -log(1 + x) <= -x + x**2 / (2 (1 + min(x, 0))) gives
+    KL(P_n, Q) <= t**2 / (2 (1 - t D / sigma)), D = max z - zbar. At the t
+    where that equals r the weights are positive and the tilt lies in the
+    ball, so its mean
+
+        U = zbar - 2 r sigma**2 / (r D + sqrt(r**2 D**2 + 2 r sigma**2))
+
+    is at least the value and at most zbar. It takes no logarithm. U falls as
+    sigma**2 grows and rises as D grows, so a lower bound on sigma**2 and an
+    upper bound on D keep it an upper bound.
+
+    Rounding, with u = eps / 2: a computed mean m of n values >= 0 and a sum
+    of squares s are each within n u of the exact ones, relative to their
+    size, whatever the order of summation. So var = (s / n)(1 - delta) -
+    m**2 (1 + delta), delta = (n + 8) eps, is at most sigma**2, and
+    D = max - m (1 - delta) at least (1 - u) D; the remaining operations and
+    m's own error move U by less than (n + 11) u m, and (n + 16) eps m is
+    added to it. The argument needs var and 2 r var to be normal floats, so
+    that no product underflows; any other row, a constant or subnormal one
+    or one whose sum of squares overflows (NaN or inf), gets NaN.
+    """
+    eps = np.finfo(float).eps
+    delta = (n + 8) * eps
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        var = sumsq / n * (1.0 - delta) - means * means * (1.0 + delta)
+        q = (2.0 * r) * var
+        rd = r * (top - means * (1.0 - delta))
+        upper = means - q / (rd + np.sqrt(rd * rd + q)) + (n + 16) * eps * means
+    tiny = np.finfo(float).tiny
+    return np.where((np.minimum(var, q) >= tiny) & (q < np.inf), upper, np.nan)
 
 
 def solve_kl_dro_dual(s: Sample, r: float) -> DualSolution:

@@ -15,13 +15,17 @@ bit-identical whichever rows share its solve (each row is reduced on its
 own), so estimates, like draws, do not depend on batching or worker threads;
 kept rows reach the solver a full tile at a time only because larger solves
 run faster. No estimator exceeds its row's sample mean, so a disappointment count
-estimates only the rows whose mean exceeds mu. A count reads only each
-estimate's side of mu (or mu - b), so KL rows are solved with that
-threshold: a row stops once a certified bracket [g(a), U] on its value
-clears it, and only undecided rows get a converged value. A point mass's row
-mean is its value. Blocks run on as many worker threads as the process has
-usable cores unless threads says otherwise. A draw or estimate that is not
-finite raises DualSolverError, so it is never counted as a safe trial.
+estimates only the rows whose mean exceeds mu. For KL the screen also drops
+a row whose certified upper bound (dual.kl_value_upper_bound: one np.vecdot
+per row beside the mean and maximum the draw takes) clears mu by the
+solver's margin; on the mc_kl benchmark cells at seed 7 that decides 80-92%
+of the rows whose mean exceeds mu. A count reads only each estimate's side
+of mu (or mu - b), so the KL rows left are solved with that threshold: a row
+stops once a certified bracket [g(a), U] on its value clears it, and only
+undecided rows get a converged value. A point mass's row mean is its value.
+Blocks run on as many worker threads as the process has usable cores unless
+threads says otherwise. A draw or estimate that is not finite raises
+DualSolverError, so it is never counted as a safe trial.
 
 The rates section has one quadrature, for E[g(c z)] under each law: the
 Laplace transform and the Cramer rate take c = -s, the population dual and
@@ -55,7 +59,7 @@ from .core import (
     survival_probability,
     true_mean,
 )
-from .dual import DualSolverError, _exponents, _tile_rows, solve_kl_dro_dual_batch
+from .dual import DualSolverError, _exponents, _tile_rows, kl_value_upper_bound, solve_kl_dro_dual_batch
 from .estimators import (
     EstimatorConfig,
     estimate,  # noqa: F401 -- not called here; perfbench/spans.py wraps this name
@@ -190,14 +194,15 @@ def _seed_state(entropy: list) -> list:
 
 
 def _draw_tiles(spec: DistributionSpec, seed: int, start: int, rows: int, n: int):
-    """Yield trials start, ..., start + rows - 1 of size n as (T, means), one
-    tile of dual._TILE_VALUES values at a time, each in one reused (tile, n) buffer.
+    """Yield trials start, ..., start + rows - 1 of size n as (T, means, tops),
+    the row means and maxima, one tile of dual._TILE_VALUES values at a time,
+    each in one reused (tile, n) buffer.
 
     Row j is what default_rng(SeedSequence((seed, start + j))) draws, then
     the inverse-CDF transform, bit for bit: the seed sequence is hashed for
     all rows at once, and each row's PCG64 {state, inc} is set by the
     pcg64_set_seed steps into a generator owned by this call. T is transformed
-    in place with the same ufuncs in the same order and averaged while in L2;
+    in place with the same ufuncs in the same order and reduced while in L2;
     it holds its rows until the next tile. A draw that overflows a float
     raises DualSolverError.
     """
@@ -234,16 +239,17 @@ def _draw_tiles(spec: DistributionSpec, seed: int, start: int, rows: int, n: int
         with np.errstate(over="ignore"):
             _transform(spec, T)
             means = T.mean(axis=1) if seeded else np.full(len(T), spec.value)  # n copies of v need not average to v
-        if not np.isfinite(T.max()):
+        tops = T.max(axis=1)
+        if not np.isfinite(tops).all():
             raise DualSolverError(f"{spec!r} draws a value that overflows a float")
-        yield T, means
+        yield T, means, tops
 
 
 def _draw_block(spec: DistributionSpec, seed: int, start: int, X: np.ndarray) -> np.ndarray:
     """Fill the (rows, n) block X with trials start, ... as _draw_tiles draws them; return the row means."""
     means = np.empty(len(X))
     i = 0
-    for T, tile_means in _draw_tiles(spec, seed, start, *X.shape):
+    for T, tile_means, _ in _draw_tiles(spec, seed, start, *X.shape):
         X[i : i + len(T)], means[i : i + len(T)] = T, tile_means
         i += len(T)
     return means
@@ -369,6 +375,25 @@ def _fill_bound(cfg: EstimatorConfig, event: str, n: int, spec: DistributionSpec
     return None
 
 
+def _disappointment_rows(T: np.ndarray, means: np.ndarray, tops: np.ndarray, mu: float, r=None) -> np.ndarray:
+    """The rows of a drawn tile whose estimate can exceed mu.
+
+    No estimator exceeds its row's mean, so only rows whose mean exceeds mu
+    can disappoint; an overflowing mean is inf and stays in, and raises. For
+    KL at radius r, a row also stays in unless its certified upper bound
+    (dual.kl_value_upper_bound, one np.vecdot per row) clears mu by the
+    margin the solver's own brackets clear, 1e-9 (|mu| + mean); a NaN bound
+    keeps the row.
+    """
+    keep = means > mu
+    if r is not None:
+        with np.errstate(over="ignore"):  # an overflowing sum of squares gets a NaN bound
+            sumsq = np.vecdot(T, T)
+        upper = kl_value_upper_bound(means, sumsq, tops, T.shape[1], r)
+        keep &= ~(upper < mu - 1e-9 * (abs(mu) + means))
+    return np.flatnonzero(keep)
+
+
 def _run_event_trials(
     spec: DistributionSpec,
     cfg: EstimatorConfig,
@@ -392,6 +417,7 @@ def _run_event_trials(
     starts = list(range(0, trials, batch_size))
     threshold = mu if event == "disappointment" else mu - b  # the estimate's side of it is all _event_hits reads
     tile = _tile_rows(n)
+    r = cfg.resolve_radius(n) if cfg.kind == "kl" else None
 
     def run_chunk(start: int) -> int:
         rows = min(batch_size, trials - start)
@@ -400,16 +426,16 @@ def _run_event_trials(
             values = _finite_estimates(cfg, X, means, f"trials {start}..{start + rows - 1}", threshold)
             return int(np.count_nonzero(_event_hits(values, event, mu, b)))
 
-        # each drawn tile, or the rows whose mean exceeds mu (only they can disappoint; an overflowing mean
-        # stays in and raises) a full tile at a time, then the rest once: a value does not depend on the rows
-        # solved beside it, but solving each tile's kept rows alone runs about 10% slower on mc_kl
+        # each drawn tile, or the rows the screen keeps a full tile at a time, then the rest once: a value
+        # does not depend on the rows solved beside it, but solving each tile's kept rows alone runs about
+        # 10% slower on mc_kl
         tiles = _draw_tiles(spec, seed, start, rows, n)
         if event == "conservatism":
-            return sum(count(T, means) for T, means in tiles)
+            return sum(count(T, means) for T, means, _ in tiles)
         X, means = np.empty((min(2 * tile, rows), n)), np.empty(min(2 * tile, rows))
         hits = pending = 0
-        for T, tile_means in tiles:
-            keep = np.flatnonzero(tile_means > mu)
+        for T, tile_means, tops in tiles:
+            keep = _disappointment_rows(T, tile_means, tops, mu, r)
             end = pending + keep.size  # < 2 * tile
             np.take(T, keep, axis=0, out=X[pending:end], mode="clip")  # "raise" buffers out
             means[pending:end] = tile_means[keep]
@@ -675,18 +701,43 @@ def _population_radius(spec: DistributionSpec, atilde: float) -> float:
     return e_log + math.log(e_inv)
 
 
+def _population_radius_limit(spec: DistributionSpec) -> float:
+    """r(inf) = E log z + log E[1/z], the limit of r(atilde) as atilde grows,
+    in closed form; it does not change when z is scaled, and it is infinite
+    when z has mass at zero or a density there."""
+    if isinstance(spec, PointMass):
+        return 0.0
+    if isinstance(spec, ScaledBernoulli):
+        return 0.0 if spec.p == 1.0 else math.inf
+    if isinstance(spec, Pareto):  # E log z = log scale + 1/rho, E[1/z] = rho / ((rho + 1) scale)
+        return 1.0 / spec.shape + math.log(spec.shape / (spec.shape + 1.0))
+    if isinstance(spec, LogNormal):  # E log z = mu, E[1/z] = exp(sigma**2 / 2 - mu)
+        return 0.5 * spec.sigma**2
+    if isinstance(spec, UniformBounded):  # on [x, 1], x = lo / hi
+        if spec.lo == 0.0:
+            return math.inf
+        x = spec.lo / spec.hi
+        log_x = math.log(x)
+        return -1.0 - x * log_x / (1.0 - x) + math.log(-log_x / (1.0 - x))
+    raise TypeError(f"unsupported distribution spec {spec!r}")
+
+
 def solve_population_dual(spec: DistributionSpec, r: float) -> float:
     """Reciprocal dual variable atilde = 1/alpha at population level for radius r.
 
     r(atilde) depends on atilde z alone, so the root is found for the law
     scaled to mean 1 (where the bracket may grow to MAX_ATILDE) and divided
-    by the mean.
+    by the mean. r(atilde) increases to r(inf) = E log z + log E[1/z], so a
+    radius at or above r(inf) has no dual point and raises.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
     mu = true_mean(spec)
     if mu == 0.0:
         raise ValueError("z = 0 almost surely: no population dual point")
+    limit = _population_radius_limit(spec)
+    if r >= limit:
+        raise ValueError(f"radius {r!r} too large: r(atilde) stays below E log z + log E[1/z] = {limit!r}")
     unit = _scaled(spec, mu)
     lo, hi = 1e-14, 1.0
     while _population_radius(unit, hi) < r:

@@ -51,6 +51,22 @@ def test_sample_canonical_sorted_and_duplicates_kept():
     assert s.n == 4
 
 
+@pytest.mark.parametrize("values", [[3.0, 1.0, 3.0, 0.5], [0.0, 0.0, 0.0], [2.0, 0.0, 7.0, 1.0], [5.0]])
+def test_weighted_support_is_found_once_and_read_only(values):
+    s = Sample(values)
+    vals, w = s.weighted_support()
+    expected_vals, counts = np.unique(values, return_counts=True)
+    assert vals.tobytes() == expected_vals.tobytes() and w.tobytes() == (counts / len(values)).tobytes()
+    again = s.weighted_support()
+    if vals.size < s.n:  # a sample with repeats keeps its support
+        assert again[0] is vals and again[1] is w
+    else:  # a sample without is its own support
+        assert vals is s.values and again[0] is s.values
+    for arr in (vals, w):
+        with pytest.raises(ValueError):
+            arr[0] = 2.0
+
+
 def test_sample_rejects_bad_values():
     with pytest.raises(ValueError):
         Sample([])

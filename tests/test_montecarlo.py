@@ -28,12 +28,15 @@ from safemean import (
     wilson_interval,
 )
 from safemean import montecarlo
-from safemean.dual import _TILE_VALUES, DualSolverError, solve_kl_dro_dual_batch
+from safemean.dual import _TILE_VALUES, DualSolverError, kl_value_upper_bound, solve_kl_dro_dual_batch
 from safemean.estimators import estimate
 from safemean.montecarlo import (
     TrialReport,
     _draw_block,
+    _draw_tiles,
     _estimate_batch,
+    _population_radius,
+    _population_radius_limit,
     _run_event_trials,
     reports_to_csv,
     row_std,
@@ -322,11 +325,12 @@ def test_event_count_memory_is_bounded_by_the_tile(kind, n, trials, event, b):
 
 
 def test_kl_solves_get_the_rows_of_the_whole_batch(monkeypatch):
-    # kept rows are gathered tile by tile, yet each KL solve gets a full tile
-    # of them, as solve_kl_dro_dual_batch(X[keep]) cuts the whole batch, and
-    # the values are those of the whole batch's kept rows
+    # kept rows, those whose mean exceeds mu that the certified upper bound
+    # does not put below it, are gathered tile by tile, yet each KL solve gets
+    # a full tile of them, as solve_kl_dro_dual_batch(X[keep]) cuts the whole
+    # batch, and the values are those of the whole batch's kept rows
     spec, cfg, n, seed = Pareto(2.5, 1.0), EstimatorConfig("kl", schedule=RadiusSchedule.log_n()), 300, 5
-    tile, batch_size, trials = _TILE_VALUES // n, 2500, 7000
+    tile, batch_size, trials = _TILE_VALUES // n, 12500, 37000
     assert batch_size % tile != 0
     mu, r = true_mean(spec), cfg.resolve_radius(n)
     got = []
@@ -339,9 +343,11 @@ def test_kl_solves_get_the_rows_of_the_whole_batch(monkeypatch):
     hits = _run_event_trials(spec, cfg, n, trials, seed, "disappointment", 0.0, 1, batch_size)
     expected, sizes = [], []
     for start in range(0, trials, batch_size):  # three batches, the last one short
-        X = np.empty((min(batch_size, trials - start), n))
-        keep = _draw_block(spec, seed, start, X) > mu
-        expected.append(solve_kl_dro_dual_batch(X[keep], r, threshold=mu))
+        kept = []
+        for T, means, tops in _draw_tiles(spec, seed, start, min(batch_size, trials - start), n):
+            upper = kl_value_upper_bound(means, np.vecdot(T, T), tops, n, r)
+            kept.append(T[(means > mu) & ~(upper < mu - 1e-9 * (mu + means))])
+        expected.append(solve_kl_dro_dual_batch(np.concatenate(kept), r, threshold=mu))
         sizes += [tile] * (len(expected[-1]) // tile) + [len(expected[-1]) % tile]
     assert [len(values) for values in got] == sizes and sizes.count(tile) >= 3
     assert np.concatenate(got).tobytes() == np.concatenate(expected).tobytes()
@@ -665,6 +671,40 @@ def test_variance_ratio_and_population_dual_are_scale_free(spec, base):
 def test_population_dual_radius_too_large():
     with pytest.raises(ValueError):
         solve_population_dual(Pareto(1.5, 1.0), 50.0)
+
+
+@pytest.mark.parametrize(
+    "spec, limit",
+    [
+        (LogNormal(0.0, 1.0), 0.5),
+        (LogNormal(1.0, 0.5), 0.125),
+        (Pareto(2.5, 1.0), 0.4 + math.log(2.5 / 3.5)),
+        (Pareto(1.5, 3.0), 1.0 / 1.5 + math.log(1.5 / 2.5)),
+        (UniformBounded(1.0, 2.0), 2.0 * math.log(2.0) - 1.0 + math.log(math.log(2.0))),
+        (UniformBounded(0.0, 1.0), math.inf),
+        (ScaledBernoulli(0.5, 2.0), math.inf),
+        (PointMass(2.0), 0.0),
+    ],
+    ids=repr,
+)
+def test_population_dual_exists_only_below_the_radius_limit(spec, limit):
+    # r(atilde) rises to E log z + log E[1/z]; at or above it there is no root
+    # (LogNormal(0, 1) at r = 0.5 returned atilde = 2.58e10)
+    assert _population_radius_limit(spec) == pytest.approx(limit, rel=1e-14)
+    if isinstance(spec, PointMass):
+        with pytest.raises(ValueError, match="too large"):
+            solve_population_dual(spec, 1e-6)
+        return
+    unit = montecarlo._scaled(spec, true_mean(spec))
+    assert _population_radius(unit, 1e3) < _population_radius(unit, 1e6) < limit
+    for r in ([0.9 * limit, 0.5 * limit] if math.isfinite(limit) else [1.0]):
+        atilde = solve_population_dual(spec, r) * true_mean(spec)
+        assert _population_radius(unit, atilde) == pytest.approx(r, rel=1e-9)
+    if math.isfinite(limit):
+        assert _population_radius(unit, 1e9) == pytest.approx(limit, rel=1e-7)
+        for r in (limit, 1.01 * limit):
+            with pytest.raises(ValueError, match="too large"):
+                solve_population_dual(spec, r)
 
 
 def test_csv_and_json_serialization():

@@ -15,6 +15,23 @@ from safemean.dual import primal_witness
 from safemean.oracle import PROBE_MARGIN, CertificateReport, _kl_rows, _support_and_weights, random_instances
 
 
+@pytest.mark.parametrize("values", [[0.0, 1.0, 1.0, 4.0, 9.0], [0.5, 1.0, 4.0, 9.0]])
+def test_certificate_sorts_the_sample_once(monkeypatch, values):
+    # the witness, its KL and the probe all read the support of one Sample,
+    # found from its sorted values without np.unique, which sorted them again
+    # on each of the three calls
+    calls = []
+    unique = np.unique
+
+    def counting_unique(*args, **kwargs):
+        calls.append(1)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    assert verify_certificate(Sample(values), 0.2, probes=500).passed
+    assert calls == []
+
+
 def test_bruteforce_point_mass_closed_form():
     for r in (0.2, 0.7):
         found = kl_projection_bruteforce(Sample([4.0]), r, grid_resolution=300)

@@ -1,0 +1,197 @@
+"""The disappointment screen: a certified, log-free upper bound on each KL
+value decides most rows whose mean exceeds mu before any dual solve."""
+
+import math
+
+import numpy as np
+import pytest
+
+from safemean import (
+    EstimatorConfig,
+    LogNormal,
+    Pareto,
+    RadiusSchedule,
+    Sample,
+    ScaledBernoulli,
+    UniformBounded,
+    disappointment_probability,
+    draw_sample,
+    estimate,
+    solve_kl_dro_dual,
+    true_mean,
+)
+from safemean.dual import DualSolverError, kl_value_upper_bound
+from safemean.montecarlo import _draw_block, _disappointment_rows, _run_event_trials
+
+LAWS = [Pareto(2.5, 1.0), Pareto(1.5, 1.0), LogNormal(0.0, 1.5), ScaledBernoulli(0.5, 2.0)]
+ROWS = 4
+
+
+def _bound(X: np.ndarray, r: float) -> np.ndarray:
+    """The bound on each row from the reductions the harness makes of a drawn tile."""
+    return kl_value_upper_bound(X.mean(axis=1), np.vecdot(X, X), X.max(axis=1), X.shape[1], r)
+
+
+def _reference_value(row: np.ndarray, r: float) -> float:
+    """The KL value by bisection in log a on f(a) = log mean u - mean log u,
+    u = (a + min z) / (a + z), with each log u a log1p of -(z - min z) / (a +
+    z): f is accurate relative to its own size even where the solver's stop
+    test is not (r = 1e-12). The row is scaled by a power of two first."""
+    if row.max() == 0.0:
+        return 0.0
+    e = int(np.frexp(row.max())[1])
+    z = np.ldexp(np.sort(row), -e)
+
+    def log_u(a):
+        return np.log1p(-(z - z[0]) / (a + z))
+
+    def f(a):
+        return np.log1p(-np.mean((z - z[0]) / (a + z))) - np.mean(log_u(a))
+
+    if z[0] > 0.0 and f(0.0) <= r:  # with a zero, f(0) is infinite
+        a = 0.0
+    else:
+        lo, hi = -700.0, 700.0
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if f(math.exp(mid)) > r else (lo, mid)
+        a = math.exp(hi)
+    nu = math.exp(math.log(a + z[0]) - np.mean(log_u(a)) - r)
+    return math.ldexp(nu * np.mean(z / (a + z)), e)
+
+
+@pytest.mark.parametrize("n", [1, 2, 30, 1000, 3000])
+@pytest.mark.parametrize("law", LAWS, ids=repr)
+def test_bound_is_at_least_the_dual_value(law, n):
+    X = np.empty((ROWS, n))
+    _draw_block(law, 11, 0, X)
+    radii = [1.0, 10.0] + ([math.log(n) / n] if n > 1 else [])
+    for k in (-1000, 0, 1000):
+        Xk = np.ldexp(X, k)
+        with np.errstate(over="ignore"):  # at 2**1000 the sum of squares overflows
+            sumsq = np.vecdot(Xk, Xk)
+        for r in radii:
+            upper = kl_value_upper_bound(Xk.mean(axis=1), sumsq, Xk.max(axis=1), n, r)
+            values = np.array([solve_kl_dro_dual(Sample(row), r).value for row in Xk])
+            assert not np.any(upper < values), (k, r, upper, values)
+        # at r = 1e-12 the solver's value can sit 1e-9 of itself above the
+        # exact one, more than the bound's own gap of about r D
+        upper = kl_value_upper_bound(Xk.mean(axis=1), sumsq, Xk.max(axis=1), n, 1e-12)
+        values = np.array([_reference_value(row, 1e-12) for row in Xk])
+        assert not np.any(upper < values), (k, upper, values)
+        if k == 0:
+            # the bound certifies every row with a spread, and only its slack lifts it above the mean
+            spread = X.max(axis=1) > X.min(axis=1)
+            for r in radii + [1e-12]:
+                upper = kl_value_upper_bound(X.mean(axis=1), sumsq, X.max(axis=1), n, r)
+                assert np.isfinite(upper[spread]).all() and np.isnan(upper[~spread]).all()
+                assert np.all(upper[spread] <= X.mean(axis=1)[spread] * (1.0 + (n + 17) * np.finfo(float).eps))
+        else:
+            assert np.isnan(upper).all()  # squares underflow or overflow: nothing is certified
+
+
+def test_reference_value_matches_the_solver_where_it_converges():
+    X = np.empty((3, 300))
+    _draw_block(LogNormal(0.0, 1.5), 2, 0, X)
+    for row in X:
+        for r in (1e-4, 0.02, 1.0):
+            assert _reference_value(row, r) == pytest.approx(solve_kl_dro_dual(Sample(row), r).value, rel=1e-12)
+
+
+def test_bound_is_the_mean_of_a_tilt_in_the_ball():
+    # U is the mean of the chi-square tilt whose KL bound equals r: that
+    # tilt's own KL is at most r, and its weights are positive
+    X = np.empty((20, 50))
+    _draw_block(Pareto(1.5, 1.0), 3, 0, X)
+    for r in (1e-6, 0.1, 1.0, 10.0):
+        for row, upper in zip(X, _bound(X, r)):
+            zbar, sigma = row.mean(), row.std()
+            d = row.max() - zbar
+            t = 2.0 * r * sigma / (r * d + math.sqrt(r * r * d * d + 2.0 * r * sigma * sigma))
+            q = (1.0 - t * (row - zbar) / sigma) / row.size
+            assert q.min() > 0.0 and math.fsum(q) == pytest.approx(1.0, abs=1e-12)
+            assert -np.mean(np.log(row.size * q)) <= r * (1.0 + 1e-12)
+            assert upper >= float(q @ row) >= upper - 1e-12 * zbar
+
+
+def test_bound_certifies_nothing_on_rows_it_cannot_round():
+    # a constant row has no spread; at 2**-1000 the squares underflow and at
+    # 2**1000 they overflow, so the sum of squares is 0 or inf
+    with np.errstate(over="ignore"):
+        X = np.array([[3.0] * 5, np.ldexp([1.0, 2.0, 3.0, 4.0, 5.0], -1000), np.ldexp([1.0, 2.0, 3.0, 4.0, 5.0], 1020)])
+        sumsq = np.vecdot(X, X)
+    assert np.isnan(kl_value_upper_bound(X.mean(axis=1), sumsq, X.max(axis=1), 5, 0.1)).all()
+    means = np.array([np.inf, np.nan, 1.0])
+    got = kl_value_upper_bound(means, np.array([np.inf, 1.0, np.nan]), np.array([1e308, 1.0, 2.0]), 5, 0.1)
+    assert np.isnan(got).all()
+    assert np.isnan(_bound(np.array([[0.0, 1.0]]), 0.0)).all()  # r = 0: no tilt
+
+
+@pytest.mark.parametrize("r", [1e-12, 0.01, 1.0])
+def test_row_one_margin_above_mu_is_kept(r):
+    # mu placed so that the row's exact value sits one screen margin above it
+    X = np.empty((40, 200))
+    means = _draw_block(Pareto(2.5, 1.0), 5, 0, X)
+    tops = X.max(axis=1)
+    for row, mean, top in zip(X, means, tops):
+        value = _reference_value(row, r)
+        for mu in (value - 1e-9 * (value + mean), value, np.nextafter(value, 0.0)):
+            assert mu < mean
+            kept = _disappointment_rows(row[None, :], np.array([mean]), np.array([top]), mu, r)
+            assert kept.tolist() == [0], (mu, value)
+
+
+@pytest.mark.parametrize("law, n", [(ScaledBernoulli(0.5, 2.0), 3000), (Pareto(1.5, 1.0), 1000)], ids=repr)
+def test_screen_never_drops_a_row_the_solver_counts(law, n):
+    # at r = 1e-12 the solver's value can sit above the bound (see the
+    # reference above); the margin keeps a row whose value the solver puts
+    # just above mu, so the harness counts what the solver would
+    X = np.empty((ROWS, n))
+    means = _draw_block(law, 11, 0, X)
+    for r in (1e-12, math.log(n) / n):
+        for row, mean in zip(X, means):
+            value = solve_kl_dro_dual(Sample(row), r).value
+            mu = np.nextafter(value, 0.0)
+            assert _disappointment_rows(row[None, :], np.array([mean]), np.array([row.max()]), mu, r).tolist() == [0]
+
+
+def test_screen_keeps_rows_the_bound_does_not_decide():
+    X = np.empty((300, 100))
+    means = _draw_block(Pareto(2.5, 1.0), 9, 0, X)
+    mu, r = true_mean(Pareto(2.5, 1.0)), 0.05
+    keep = _disappointment_rows(X, means, X.max(axis=1), mu, r)
+    values = np.array([solve_kl_dro_dual(Sample(row), r).value for row in X])
+    dropped = np.setdiff1d(np.flatnonzero(means > mu), keep)
+    assert dropped.size > 0 and np.all(values[dropped] < mu)
+    assert _disappointment_rows(X, means, X.max(axis=1), mu).tolist() == np.flatnonzero(means > mu).tolist()
+
+
+@pytest.mark.parametrize("k", [-1000, 0, 1000])
+def test_harness_hits_match_the_scalar_path_at_every_scale(k):
+    spec = Pareto(2.5, math.ldexp(1.0, k))
+    cfg, n, trials, seed = EstimatorConfig("kl", schedule=RadiusSchedule.log_n(0.25)), 30, 600, 4
+    mu = true_mean(spec)
+    expected = sum(estimate(cfg, draw_sample(spec, n, seed, stream=i)).value > mu for i in range(trials))
+    assert disappointment_probability(spec, cfg, n, trials, seed, threads=1).hits == expected > 0
+
+
+def test_hits_do_not_depend_on_threads():
+    spec, cfg, n, seed = Pareto(2.5, 1.0), EstimatorConfig("kl", schedule=RadiusSchedule.log_n(0.25)), 100, 8
+    hits = [_run_event_trials(spec, cfg, n, 3000, seed, "disappointment", 0.0, threads, 700) for threads in (1, 2)]
+    assert hits[0] == hits[1] > 0
+
+
+def test_overflowing_draw_still_raises():
+    cfg = EstimatorConfig("kl", r=0.1)
+    with pytest.raises(DualSolverError, match="overflows"):
+        disappointment_probability(LogNormal(709.0, 1.0), cfg, 100, 20, 7, threads=1)
+
+
+def test_overflowing_mean_is_kept_and_solved():
+    # the draws are finite but each row's sum overflows: its mean is inf and
+    # its bound NaN, so the row is solved, as the scalar path solves it
+    spec, cfg, n, trials, seed = UniformBounded(0.0, 1e308), EstimatorConfig("kl", r=0.1), 10, 40, 7
+    mu = true_mean(spec)
+    with np.errstate(over="ignore"):
+        expected = sum(estimate(cfg, draw_sample(spec, n, seed, stream=i)).value > mu for i in range(trials))
+    assert disappointment_probability(spec, cfg, n, trials, seed, threads=1).hits == expected > 0
