@@ -3,9 +3,10 @@
 The central estimator is the smallest mean over a KL-divergence ball around
 the empirical distribution, solved through its one-dimensional concave dual.
 Companion estimators (deflated mean, Wasserstein, truncated mean, variance
-regularization, total-variation mass removal) share one interface, and a
+regularization, total-variation mass removal) share one interface, a
 Monte Carlo harness measures disappointment and conservatism probabilities
-against their theoretical bounds.
+against their theoretical bounds, and the rates module gives the
+large-deviation rates and variance-ratio curves they are compared with.
 """
 
 __version__ = "0.1.0"
@@ -43,17 +44,11 @@ from .estimators import (
     truncation_constants,
 )
 from .montecarlo import (
-    RateFit,
     TrialReport,
     conservatism_probability,
-    cramer_rate,
     disappointment_probability,
     draw_sample,
     exact_bernoulli_event_probability,
-    laplace_transform,
-    pareto_variance_ratio_limit,
-    rate_fit,
-    variance_ratio_curve,
     wilson_interval,
 )
 from .oracle import (
@@ -62,4 +57,12 @@ from .oracle import (
     random_feasible_probe,
     random_instances,
     verify_certificate,
+)
+from .rates import (
+    RateFit,
+    cramer_rate,
+    laplace_transform,
+    pareto_variance_ratio_limit,
+    rate_fit,
+    variance_ratio_curve,
 )

@@ -1,5 +1,6 @@
 """Command-line interface: estimate on sample files, run Monte Carlo
-experiments, validate the dual solver, and fit decay rates.
+experiments, validate the dual solver, and fit decay rates; it owns every
+output format (JSON, the CSV of trial reports, the variance-ratio table).
 
 Exit codes: 0 success, 1 validation failure, 2 usage/input error, 3 numeric
 failure. Output artifacts embed the tool version, the resolved configuration,
@@ -14,6 +15,7 @@ import json
 import math
 import sys
 import time
+from typing import Sequence
 
 from . import __version__
 from .core import (
@@ -28,21 +30,15 @@ from .core import (
 )
 from .dual import DualSolverError
 from .estimators import ESTIMATOR_KINDS, EstimatorConfig, estimate
-from .montecarlo import (
-    _fmt,
-    conservatism_probability,
-    cramer_rate,
-    disappointment_probability,
-    rate_fit,
-    reports_to_csv,
-    variance_ratio_curve,
-)
+from .montecarlo import TrialReport, conservatism_probability, disappointment_probability
 from .oracle import random_instances, verify_certificate
+from .rates import cramer_rate, rate_fit, variance_ratio_curve
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+CSV_HEADER = "estimator,n,trials,hits,p_hat,ci_lo,ci_hi,bound,seed"
 
 
 class UsageError(ValueError):
@@ -90,6 +86,35 @@ def _build_config(args) -> EstimatorConfig:
     """The estimator the flags name; EstimatorConfig's ValueError is the usage error."""
     schedule = None if args.lambda_schedule is None else parse_schedule(args.lambda_schedule)
     return EstimatorConfig(args.estimator, args.delta, args.r, args.lam, schedule, args.a, args.A)
+
+
+def _fmt(x) -> str:
+    if x is None:
+        return ""
+    return format(float(x), ".17g")
+
+
+def reports_to_csv(reports: Sequence[TrialReport], header_lines: Sequence[str] = ()) -> str:
+    """CSV document with optional '#' metadata lines; deterministic given inputs."""
+    lines = [f"# {text}" for text in header_lines]
+    lines.append(CSV_HEADER)
+    for rep in reports:
+        lines.append(
+            ",".join(
+                [
+                    rep.estimator_id,
+                    str(rep.n),
+                    str(rep.trials),
+                    str(rep.hits),
+                    _fmt(rep.p_hat),
+                    _fmt(rep.ci_lo),
+                    _fmt(rep.ci_hi),
+                    _fmt(rep.bound),
+                    str(rep.seed),
+                ]
+            )
+        )
+    return "\n".join(lines) + "\n"
 
 
 def _emit(text: str, out) -> None:
@@ -237,12 +262,7 @@ def cmd_rates(args) -> int:
         return EXIT_OK
     if not args.from_csv:
         raise UsageError("rates needs --from-csv, --variance-ratio, or --cramer")
-    points = _read_points_csv(args.from_csv)
-    try:
-        fit = rate_fit(points, axis=args.axis)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    fit = rate_fit(_read_points_csv(args.from_csv), axis=args.axis)
     doc = {
         "axis": fit.axis,
         "slope": fit.slope,
@@ -327,10 +347,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DualSolverError as exc:

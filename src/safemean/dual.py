@@ -25,9 +25,9 @@ iterate a, g(a) bounds the value from below. The law Q_a with weights
 proportional to 1 / (a + z_i) has KL(P_n, Q_a) = f = d + r, so, KL being
 convex in its second argument, the sample mixed with Q_a at weight
 min(1, r / f) lies in the ball and its mean U bounds the value from above. A
-row stops once [g(a), U] clears the threshold by 1e-9 (|threshold| + a +
-mean z), which covers the rounding of both bounds; only undecided rows are
-solved to convergence.
+row stops once [g(a), U] clears the threshold by _side_margin(threshold,
+a + mean z) = 1e-9 (|threshold| + a + mean z), which covers the rounding of
+both bounds; only undecided rows are solved to convergence.
 
 Before any solve, kl_value_upper_bound bounds each value from above without
 a logarithm, from the row's mean, sum of squares and maximum: it is the mean
@@ -69,6 +69,12 @@ _KL_INF_TOL = 1e-13  # kl_inf's bisection stops at this width in t
 _TILE_VALUES = 2**17
 
 
+def _side_margin(threshold: float, size):
+    """How far a certified bound must clear a threshold to decide a value's
+    side of it, for bounds whose terms are of the given size."""
+    return 1e-9 * (abs(threshold) + size)
+
+
 def _tile_rows(n: int) -> int:
     """Rows of n values per tile: at least one, however long the row."""
     return max(1, _TILE_VALUES // max(1, n))
@@ -91,6 +97,9 @@ class DualSolution:
     at the optimum, nu = exp(mean log(alpha_star + z_i) - r), and atom is the
     probability the primal optimizer adds at zero (zero whenever
     alpha_star > 0). bracket[1] is inf if no point right of the root was seen.
+    The value never leaves the float range, but alpha_star, nu and the
+    bracket can (a sample near 1e300 at r = 1e-12 has alpha_star near
+    sigma / sqrt(2 r)); such a dual point reads inf.
     """
 
     alpha_star: float
@@ -203,7 +212,7 @@ def _solve_rows(X: np.ndarray, r: float, threshold=None):
                 ex, mean_z = e[rows], zbar[rows]
                 lower = np.exp(np.log(p) - mean_log_u - r) - a
                 upper = mean_z - np.clip(r / f, 0.0, 1.0) * (mean_z - p / v1 + a)
-                margin = 1e-9 * (abs(threshold) + np.ldexp(a + mean_z, ex))
+                margin = _side_margin(threshold, np.ldexp(a + mean_z, ex))
                 above = np.ldexp(lower, ex) > threshold + margin
                 decided = above | (np.ldexp(upper, ex) < threshold - margin)
                 value[rows[decided]] = np.where(above, lower, upper)[decided]
@@ -234,7 +243,8 @@ def _solve_rows(X: np.ndarray, r: float, threshold=None):
     value[k] = np.minimum(nu[k] * witness_mass, mean)
     if not np.isfinite(nu[k]).all():  # value <= nu and alpha <= nu
         raise DualSolverError("non-finite dual solution")
-    value, nu, alpha, lo, hi = (np.ldexp(x, e) for x in (value, nu, alpha, lo, hi))
+    with np.errstate(over="ignore"):  # alpha*, nu and the bracket can pass the float range; a value <= max z cannot
+        value, nu, alpha, lo, hi = (np.ldexp(x, e) for x in (value, nu, alpha, lo, hi))
     return alpha, nu, value, atom, iterations, lo, hi
 
 

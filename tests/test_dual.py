@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from safemean import (
     EstimatorConfig,
+    Pareto,
     Sample,
     estimate,
     kl_dro_dual_objective,
@@ -15,7 +17,7 @@ from safemean import (
     solve_kl_dro_dual_batch,
 )
 from safemean.dual import _TILE_VALUES, DualSolverError, _solve_rows, witness_empirical_kl
-from safemean.montecarlo import _finite_estimates
+from safemean.montecarlo import _draw_block, _finite_estimates
 from safemean.oracle import random_instances, verify_certificate
 
 # closed form for the two-point sample {0, 2} at radius log 2:
@@ -311,6 +313,23 @@ def test_batch_solver_matches_scalar():
         scalar = solve_kl_dro_dual(Sample(X[i]), r).value
         assert batch[i] == pytest.approx(scalar, rel=1e-10, abs=1e-12)
         assert scalar == sorted_batch[i]  # a batch of one of the sorted sample
+
+
+def test_dual_point_beyond_the_float_range_reads_inf_without_a_warning():
+    # Pareto(1.5) rows of 3000 values near 2**1000 at r = 1e-12: alpha* is near sigma / sqrt(2 r), and
+    # on one row it and nu pass the float range; every value stays the unscaled row's value times 2**1000
+    X = np.empty((4, 3000))
+    _draw_block(Pareto(1.5, 1.0), 11, 0, X)
+    unscaled = _solve_rows(X, 1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        alpha, nu, value, atom, iterations, lo, hi = _solve_rows(np.ldexp(X, 1000), 1e-12)
+    with np.errstate(over="ignore"):
+        expected = [np.ldexp(unscaled[i], 1000) for i in (0, 1, 2, 5, 6)]
+    for got, want in zip((alpha, nu, value, lo, hi), expected):
+        assert np.array_equal(got, want)
+    assert np.array_equal(atom, unscaled[3]) and np.array_equal(iterations, unscaled[4])
+    assert np.isfinite(value).all() and np.isinf(alpha).any() and np.isinf(nu).any()
 
 
 def test_batch_solver_handles_constant_and_zero_rows():

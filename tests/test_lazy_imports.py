@@ -1,7 +1,8 @@
 """scipy is imported only by the routines that use it: lognormal draws (ndtri),
-the rates and variance-ratio quadrature (quad) and pareto_variance_ratio_limit
-(digamma). Each check runs in a fresh interpreter, where nothing has loaded
-scipy yet. Every name a module exports resolves on it."""
+and in safemean.rates the rates and variance-ratio quadrature (quad) and
+pareto_variance_ratio_limit (digamma). Each check runs in a fresh
+interpreter, where nothing has loaded scipy yet. Every name a module exports
+resolves on it."""
 
 import importlib
 import json
@@ -32,6 +33,11 @@ def _child(code: str) -> list:
 
 def test_cli_import_loads_no_scipy():
     assert json.loads(_child("import safemean.cli\n" + SCIPY_MODULES)[-1]) == []
+
+
+def test_rates_import_loads_no_scipy():
+    # quad and digamma are imported by the routines that use them, on first use
+    assert json.loads(_child("import safemean.rates\n" + SCIPY_MODULES)[-1]) == []
 
 
 def test_kl_estimate_from_the_cli_loads_no_scipy(tmp_path):
@@ -70,7 +76,7 @@ def test_cramer_rate_is_the_same_as_the_first_call_of_a_fresh_interpreter():
     assert float.fromhex(_child(code)[0]) == cramer_rate(Pareto(2.5, 1.0), 0.5)
 
 
-@pytest.mark.parametrize("module", ["core", "dual", "estimators", "montecarlo", "oracle"])
+@pytest.mark.parametrize("module", ["core", "dual", "estimators", "montecarlo", "oracle", "rates"])
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(f"safemean.{module}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

@@ -27,21 +27,12 @@ from safemean import (
     variance_ratio_curve,
     wilson_interval,
 )
-from safemean import montecarlo
+from safemean import montecarlo, rates
+from safemean.cli import reports_to_csv
 from safemean.dual import _TILE_VALUES, DualSolverError, kl_value_upper_bound, solve_kl_dro_dual_batch
 from safemean.estimators import estimate
-from safemean.montecarlo import (
-    TrialReport,
-    _draw_block,
-    _draw_tiles,
-    _estimate_batch,
-    _population_radius,
-    _population_radius_limit,
-    _run_event_trials,
-    reports_to_csv,
-    row_std,
-    solve_population_dual,
-)
+from safemean.montecarlo import TrialReport, _draw_block, _draw_tiles, _estimate_batch, _run_event_trials, row_std
+from safemean.rates import _population_radius, _population_radius_limit, solve_population_dual
 
 BERN = ScaledBernoulli(0.5, 2.0)
 # left-tail rate of the scaled Bernoulli at b = 0.5: KL(1/4 || 1/2)
@@ -695,7 +686,7 @@ def test_population_dual_exists_only_below_the_radius_limit(spec, limit):
         with pytest.raises(ValueError, match="too large"):
             solve_population_dual(spec, 1e-6)
         return
-    unit = montecarlo._scaled(spec, true_mean(spec))
+    unit = rates._scaled(spec, true_mean(spec))
     assert _population_radius(unit, 1e3) < _population_radius(unit, 1e6) < limit
     for r in ([0.9 * limit, 0.5 * limit] if math.isfinite(limit) else [1.0]):
         atilde = solve_population_dual(spec, r) * true_mean(spec)
