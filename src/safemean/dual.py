@@ -33,7 +33,7 @@ Before any solve, kl_value_upper_bound bounds each value from above without
 a logarithm, from the row's mean, sum of squares and maximum: it is the mean
 of a chi-square tilt of the sample that lies in the ball, evaluated with a
 lower bound on the variance and raised by its stated rounding. The Monte
-Carlo harness drops the rows it puts below the threshold, most of those
+Carlo harness decides the rows it puts below the threshold, most of those
 whose mean exceeds it, before they reach the solver.
 """
 

@@ -6,21 +6,30 @@ by (master seed, trial index), so draws and hit counts are the same
 regardless of batching or worker-thread count. Trial i of seed s is exactly
 what default_rng(SeedSequence((s, i))) draws, but streams are built a block
 of trials at a time: the SeedSequence hash runs in uint32 arithmetic over
-the whole block and each row's PCG64 state is set into one generator per
-block. It is drawn, transformed, averaged, screened and estimated one tile
-of dual._TILE_VALUES values at a time, in L2, so a worker holds about three
-tiles, never a block. draw_sample is a block of one. The screen and the
-estimator kernels share that one mean per row. A KL estimate is
-bit-identical whichever rows share its solve (each row is reduced on its
+the whole block, and each row's PCG64 is seeded in C (pcg64_set_seed) from
+that row's hashed words. It is drawn, transformed, averaged, screened and
+estimated one tile of dual._TILE_VALUES values at a time, in L2, so a worker
+holds about three tiles, never a block. draw_sample is a block of one. The
+screen and the estimator kernels share that one mean per row. A KL estimate
+is bit-identical whichever rows share its solve (each row is reduced on its
 own), so estimates, like draws, do not depend on batching or worker threads;
-kept rows reach the solver a full tile at a time only because larger solves
-run faster. No estimator exceeds its row's sample mean, so a disappointment count
-estimates only the rows whose mean exceeds mu. For KL the screen also drops
-a row whose certified upper bound (dual.kl_value_upper_bound: one np.vecdot
-per row beside the mean and maximum the draw takes) clears mu by the
-solver's margin; on the mc_kl benchmark cells at seed 7 that decides 80-92%
-of the rows whose mean exceeds mu. A count reads only each estimate's side
-of mu (or mu - b), so the KL rows left are solved with that threshold: a row
+undecided rows reach a kernel a full tile at a time only because larger
+solves run faster.
+
+A count reads only each estimate's side of its threshold, mu or mu - b, so
+one screen serves both events: a certified bracket [lo, hi] on each row's
+estimate, from its mean, maximum and one np.vecdot, decides the rows it
+puts clear of the threshold by the solver's margin, and only the rest reach
+a kernel. For KL, hi is dual.kl_value_upper_bound; for varreg the bracket
+contains the kernel's computed value (_varreg_bracket); every other kind
+has [-inf, mean]. No estimator exceeds its row's sample mean, so a
+disappointment count also drops every row whose mean is at most mu. So a
+varreg row reaches row_std only when its value is within about 1e-9 of the
+threshold, relative to their size (on the mc_light benchmark cells at seed
+7, no row is). KL disappointment rows reach the solver when the bound
+leaves them (4-9% of the mc_kl cells' rows), KL conservatism rows when the
+bound does not put them below mu - b, and other kinds' rows when their mean
+does not decide them. The KL rows left are solved with the threshold: a row
 stops once a certified bracket [g(a), U] on its value clears it, and only
 undecided rows get a converged value. A point mass's row mean is its value.
 Blocks run on as many worker threads as the process has usable cores unless
@@ -35,6 +44,7 @@ variance-ratio curves are in rates.py.
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -107,15 +117,12 @@ def wilson_interval(hits: int, trials: int):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-# SeedSequence hashing constants and pool size (numpy/random/bit_generator.pyx)
-# and the PCG64 128-bit multiplier (numpy/random/src/pcg64/pcg64.h).
+# SeedSequence hashing constants and pool size (numpy/random/bit_generator.pyx).
 _M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _words(x: int) -> list:
@@ -167,6 +174,29 @@ def _seed_state(entropy: list) -> list:
     return state
 
 
+@functools.cache
+def _row_seed():
+    """The _RowSeed class, defined on first use: ISeedSequence lives in
+    numpy.random, which importing the package does not load."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _RowSeed(ISeedSequence):
+        """One trial's seed sequence, already hashed: PCG64 asks it for
+        generate_state(4, np.uint64) and runs pcg64_set_seed on the words in C."""
+
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words  # one C-contiguous row of four uint64 words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:  # a numpy that seeds PCG64 otherwise draws other streams
+                raise RuntimeError(f"PCG64 asked for generate_state({n_words}, {dtype!r}), not (4, np.uint64)")
+            return self.words
+
+    return _RowSeed
+
+
 def _draw_tiles(spec: DistributionSpec, seed: int, start: int, rows: int, n: int):
     """Yield trials start, ..., start + rows - 1 of size n as (T, means, tops),
     the row means and maxima, one tile of dual._TILE_VALUES values at a time,
@@ -174,11 +204,10 @@ def _draw_tiles(spec: DistributionSpec, seed: int, start: int, rows: int, n: int
 
     Row j is what default_rng(SeedSequence((seed, start + j))) draws, then
     the inverse-CDF transform, bit for bit: the seed sequence is hashed for
-    all rows at once, and each row's PCG64 {state, inc} is set by the
-    pcg64_set_seed steps into a generator owned by this call. T is transformed
-    in place with the same ufuncs in the same order and reduced while in L2;
-    it holds its rows until the next tile. A draw that overflows a float
-    raises DualSolverError.
+    all rows at once, and each row's generator is a PCG64 seeded in C from
+    that row's hashed words (_RowSeed). T is transformed in place with the
+    same ufuncs in the same order and reduced while in L2; it holds its rows
+    until the next tile. A draw that overflows a float raises DualSolverError.
     """
     if rows == 1:
         index = _words(start)
@@ -192,24 +221,18 @@ def _draw_tiles(spec: DistributionSpec, seed: int, start: int, rows: int, n: int
         w = np.empty((8, rows), dtype=np.uint64)
         for k, word in enumerate(_seed_state(entropy)):
             w[k] = word
-        # generate_state(4, np.uint64) is (w0 | w1 << 32, ..., w6 | w7 << 32); pcg64_set_seed
-        # takes the first two as the seed's high and low halves, the last two as inc's
-        seeds = zip(*(w[0::2] | w[1::2] << 32).tolist())
-        bitgen = np.random.PCG64(0)  # any seed: every row's state is set below
-        gen = np.random.Generator(bitgen)
+        # generate_state(4, np.uint64) is (w0 | w1 << 32, ..., w6 | w7 << 32): one row per trial
+        words = iter((w[0::2] | w[1::2] << 32).T.copy())
+        row_seed, pcg64, generator = _row_seed(), np.random.PCG64, np.random.Generator
     tile = _tile_rows(n)
     buf = np.empty((min(tile, rows), n))
     for i in range(0, rows, tile):
         T = buf[: min(tile, rows - i)]
         if seeded:
-            for row, (s_hi, s_lo, i_hi, i_lo) in zip(T, seeds):
-                inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-                state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
-                bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                "has_uint32": 0, "uinteger": 0}
-                gen.random(out=row)
+            for row, state in zip(T, words):
+                generator(pcg64(row_seed(state))).random(out=row)
         # overflowing draws are checked below; an overflowing row mean is inf,
-        # which passes the disappointment screen and raises
+        # which no screen decides, and raises
         with np.errstate(over="ignore"):
             _transform(spec, T)
             means = T.mean(axis=1) if seeded else np.full(len(T), spec.value)  # n copies of v need not average to v
@@ -349,23 +372,88 @@ def _fill_bound(cfg: EstimatorConfig, event: str, n: int, spec: DistributionSpec
     return None
 
 
-def _disappointment_rows(T: np.ndarray, means: np.ndarray, tops: np.ndarray, mu: float, r=None) -> np.ndarray:
-    """The rows of a drawn tile whose estimate can exceed mu.
+def _varreg_bracket(means, sumsq, n: int, r: float):
+    """Certified brackets [lo, hi] on the values the varreg kernel computes,
+    means - sqrt(2 r) row_std(X, means), for rows of n values >= 0, from each
+    row's computed mean and sum of squares; NaN where none is certified.
 
-    No estimator exceeds its row's mean, so only rows whose mean exceeds mu
-    can disappoint; an overflowing mean is inf and stays in, and raises. For
-    KL at radius r, a row also stays in unless its certified upper bound
-    (dual.kl_value_upper_bound, one np.vecdot per row) clears mu by the
-    margin the solver's own brackets clear, dual._side_margin(mu, mean); a
-    NaN bound keeps the row.
+    The kernel's standard deviation is about the computed mean m, and
+    s_m**2 = S / n - zbar**2 + (zbar - m)**2, with S the exact sum of squares
+    and zbar the exact mean. With u = eps / 2, m is within n u of zbar and
+    the computed sum of squares s within (n + 2) u of S (a square below the
+    smallest normal is off by at most u tiny <= u S / n), so, with
+    delta = (n + 8) eps as in dual.kl_value_upper_bound,
+    (s / n)(1 - delta) - m**2 (1 + delta) <= s_m**2 <=
+    (s / n)(1 + delta) - m**2 (1 - delta), their own rounding included; their
+    square roots are s_lo and s_hi. row_std is within (n + 8) u of s_m
+    relative (deviations, squares, sum, division and sqrt), sqrt(2 r) and
+    the product within u each, and the final subtraction within
+    u (m + sqrt(2 r) s_m); the bracket's own operations add a few u more. So
+    rho = (n + 16) eps (m + sqrt(2 r) s_hi) is subtracted from lo and added
+    to hi. The argument needs m**2 and s / n to be normal floats; any other
+    row, whose squares underflow or overflow or whose mean is inf, gets NaN.
     """
-    keep = means > mu
-    if r is not None:
-        with np.errstate(over="ignore"):  # an overflowing sum of squares gets a NaN bound
-            sumsq = np.vecdot(T, T)
-        upper = kl_value_upper_bound(means, sumsq, tops, T.shape[1], r)
-        keep &= ~(upper < mu - _side_margin(mu, means))
-    return np.flatnonzero(keep)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    delta = (n + 8) * eps
+    c = math.sqrt(2.0 * r)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        msq, mm = sumsq / n, means * means
+        s_lo = np.sqrt(np.maximum(msq * (1.0 - delta) - mm * (1.0 + delta), 0.0))
+        s_hi = np.sqrt(np.maximum(msq * (1.0 + delta) - mm * (1.0 - delta), 0.0))
+        rho = (n + 16) * eps * (means + c * s_hi)
+        lo, hi = means - c * s_hi - rho, means - c * s_lo + rho
+    ok = (np.minimum(msq, mm) >= tiny) & (msq < np.inf)
+    return np.where(ok, lo, np.nan), np.where(ok, hi, np.nan)
+
+
+def _brackets(kind: str, r: float, T: np.ndarray, means: np.ndarray, tops: np.ndarray):
+    """Certified brackets [lo, hi] on the estimates of a drawn tile's rows.
+
+    For KL at r > 0, hi is dual.kl_value_upper_bound and lo is -inf; for
+    varreg, _varreg_bracket; every other kind gets [-inf, mean]. Both bounds
+    take one np.vecdot per row beside the mean and maximum the draw made. A
+    row whose squares underflow or overflow gets a NaN bound; it is bounded
+    again on the row scaled by 2**-e, e the exponent of its maximum (both
+    bounds are homogeneous of degree 1 and the scaling is exact), and the
+    bound scaled back. A row whose mean is not a normal float stays NaN.
+    """
+    n = T.shape[1]
+    if kind == "varreg":
+        def bound(means, sumsq, tops):
+            return _varreg_bracket(means, sumsq, n, r)
+    elif kind == "kl" and r > 0.0:
+        def bound(means, sumsq, tops):
+            return np.full(len(means), -np.inf), kl_value_upper_bound(means, sumsq, tops, n, r)
+    else:
+        return np.full(len(T), -np.inf), means
+    with np.errstate(over="ignore"):  # an overflowing sum of squares gets a NaN bound
+        lo, hi = bound(means, np.vecdot(T, T), tops)
+    redo = np.flatnonzero(np.isnan(hi) & (means >= np.finfo(float).tiny) & (means < np.inf))
+    if redo.size:
+        e = _exponents(tops[redo])
+        S = np.ldexp(T[redo], -e[:, None])
+        scaled = bound(np.ldexp(means[redo], -e), np.vecdot(S, S), np.ldexp(tops[redo], -e))
+        lo[redo], hi[redo] = (np.ldexp(x, e) for x in scaled)
+    return lo, hi
+
+
+def _screen(kind: str, r: float, T: np.ndarray, means: np.ndarray, tops: np.ndarray, event: str, threshold: float):
+    """The hits among a drawn tile's rows that the screen decides, and the
+    indices of the rows it leaves undecided, for an event at its threshold.
+
+    A row is decided when its bracket (_brackets) clears the threshold by the
+    margin the solver's own brackets clear, dual._side_margin(threshold,
+    mean); a NaN bound decides nothing. No estimator exceeds its row's mean,
+    so a row whose mean is at most mu cannot disappoint; an overflowing mean
+    is inf, is never decided, and raises in the kernel.
+    """
+    lo, hi = _brackets(kind, r, T, means, tops)
+    margin = _side_margin(threshold, means)
+    above, below = lo > threshold + margin, hi < threshold - margin
+    if event == "disappointment":
+        below |= ~(means > threshold)
+    hits = above if event == "disappointment" else below
+    return int(np.count_nonzero(hits)), np.flatnonzero(~(above | below))
 
 
 def _run_event_trials(
@@ -391,7 +479,7 @@ def _run_event_trials(
     starts = list(range(0, trials, batch_size))
     threshold = mu if event == "disappointment" else mu - b  # the estimate's side of it is all _event_hits reads
     tile = _tile_rows(n)
-    r = cfg.resolve_radius(n) if cfg.kind == "kl" else None
+    r = cfg.resolve_radius(n) if cfg.kind in ("kl", "varreg") else 0.0
 
     def run_chunk(start: int) -> int:
         rows = min(batch_size, trials - start)
@@ -400,16 +488,14 @@ def _run_event_trials(
             values = _finite_estimates(cfg, X, means, f"trials {start}..{start + rows - 1}", threshold)
             return int(np.count_nonzero(_event_hits(values, event, mu, b)))
 
-        # each drawn tile, or the rows the screen keeps a full tile at a time, then the rest once: a value
-        # does not depend on the rows solved beside it, but solving each tile's kept rows alone runs about
-        # 10% slower on mc_kl
-        tiles = _draw_tiles(spec, seed, start, rows, n)
-        if event == "conservatism":
-            return sum(count(T, means) for T, means, _ in tiles)
+        # the rows each drawn tile leaves undecided, estimated a full tile at a time, then the rest once: a
+        # value does not depend on the rows solved beside it, but solving each tile's rows alone runs about
+        # 10% slower on mc_kl. The buffer's pages are touched only as rows arrive.
         X, means = np.empty((min(2 * tile, rows), n)), np.empty(min(2 * tile, rows))
         hits = pending = 0
-        for T, tile_means, tops in tiles:
-            keep = _disappointment_rows(T, tile_means, tops, mu, r)
+        for T, tile_means, tops in _draw_tiles(spec, seed, start, rows, n):
+            decided, keep = _screen(cfg.kind, r, T, tile_means, tops, event, threshold)
+            hits += decided
             end = pending + keep.size  # < 2 * tile
             np.take(T, keep, axis=0, out=X[pending:end], mode="clip")  # "raise" buffers out
             means[pending:end] = tile_means[keep]

@@ -101,6 +101,19 @@ def test_block_draw_matches_per_trial_generators(spec, seed):
         assert np.array_equal(got, np.sort(_reference_draw(spec, n, seed, stream)))
 
 
+def test_row_seed_gives_pcg64_only_the_words_it_was_built_for():
+    # PCG64 seeds itself from generate_state(4, np.uint64); any other request
+    # means numpy seeds it otherwise, and the streams would silently differ
+    words = np.random.SeedSequence((7, 3)).generate_state(4, np.uint64)
+    row_seed = montecarlo._row_seed()(words)
+    assert row_seed.generate_state(4, np.uint64) is words
+    for n_words, dtype in ((4, np.uint32), (8, np.uint64), (2, np.uint64)):
+        with pytest.raises(RuntimeError, match="generate_state"):
+            row_seed.generate_state(n_words, dtype)
+    got = np.random.Generator(np.random.PCG64(row_seed)).random(5)
+    assert np.array_equal(got, np.random.default_rng(np.random.SeedSequence((7, 3))).random(5))
+
+
 def _whole_block_transform(spec, U):
     """The inverse-CDF transform as it ran on a whole block before tiles."""
     X = U.copy()

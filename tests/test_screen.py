@@ -1,5 +1,7 @@
-"""The disappointment screen: a certified, log-free upper bound on each KL
-value decides most rows whose mean exceeds mu before any dual solve."""
+"""The harness's screen: certified brackets on each KL and varreg estimate
+(a log-free upper bound on the KL value, a two-sided bracket on the varreg
+kernel's computed value) decide most rows of a drawn tile before any
+estimator kernel runs, for disappointment and conservatism counts alike."""
 
 import math
 
@@ -10,10 +12,12 @@ from safemean import (
     EstimatorConfig,
     LogNormal,
     Pareto,
+    PointMass,
     RadiusSchedule,
     Sample,
     ScaledBernoulli,
     UniformBounded,
+    conservatism_probability,
     disappointment_probability,
     draw_sample,
     estimate,
@@ -21,10 +25,16 @@ from safemean import (
     true_mean,
 )
 from safemean.dual import DualSolverError, kl_value_upper_bound
-from safemean.montecarlo import _draw_block, _disappointment_rows, _run_event_trials
+from safemean.montecarlo import _brackets, _draw_block, _estimate_batch, _finite_estimates, _run_event_trials, _screen
 
 LAWS = [Pareto(2.5, 1.0), Pareto(1.5, 1.0), LogNormal(0.0, 1.5), ScaledBernoulli(0.5, 2.0)]
 ROWS = 4
+
+
+def _disappointment_rows(T, means, tops, mu, r=None):
+    """The rows of a drawn tile the disappointment screen leaves to the KL solver
+    at radius r, or to the sample mean's kernel without one."""
+    return _screen("kl" if r is not None else "mean", r or 0.0, T, means, tops, "disappointment", mu)[1]
 
 
 def _bound(X: np.ndarray, r: float) -> np.ndarray:
@@ -179,12 +189,19 @@ def test_hits_do_not_depend_on_threads():
     spec, cfg, n, seed = Pareto(2.5, 1.0), EstimatorConfig("kl", schedule=RadiusSchedule.log_n(0.25)), 100, 8
     hits = [_run_event_trials(spec, cfg, n, 3000, seed, "disappointment", 0.0, threads, 700) for threads in (1, 2)]
     assert hits[0] == hits[1] > 0
+    cfg = EstimatorConfig("varreg", schedule=RadiusSchedule.log_n())
+    for n, trials, batch_size, b in ((100, 3000, 700, 0.5), (1000, 1000, 250, 0.3)):  # b = 0.5 is too rare at n = 1000
+        hits = [_run_event_trials(spec, cfg, n, trials, seed, "conservatism", b, threads, batch_size) for threads in (1, 2)]
+        assert hits[0] == hits[1] > 0, n
 
 
 def test_overflowing_draw_still_raises():
     cfg = EstimatorConfig("kl", r=0.1)
     with pytest.raises(DualSolverError, match="overflows"):
         disappointment_probability(LogNormal(709.0, 1.0), cfg, 100, 20, 7, threads=1)
+    for cfg in (EstimatorConfig("varreg", r=0.1), EstimatorConfig("kl", r=0.1)):
+        with pytest.raises(DualSolverError, match="overflows"):
+            conservatism_probability(LogNormal(709.0, 1.0), cfg, 0.5, 100, 20, 7, threads=1)
 
 
 def test_overflowing_mean_is_kept_and_solved():
@@ -195,3 +212,106 @@ def test_overflowing_mean_is_kept_and_solved():
     with np.errstate(over="ignore"):
         expected = sum(estimate(cfg, draw_sample(spec, n, seed, stream=i)).value > mu for i in range(trials))
     assert disappointment_probability(spec, cfg, n, trials, seed, threads=1).hits == expected > 0
+
+
+# the varreg bracket and the screen on both events: tiles of every law and a point mass
+BRACKET_LAWS = LAWS + [PointMass(3.0)]
+BRACKET_NS = (1, 2, 100, 1000)
+SCALES = (-1000, 0, 1000)
+
+
+def _tile(law, n: int):
+    """A drawn tile (rows, n) and its row means, as the harness draws them."""
+    X = np.empty((64 if n <= 100 else 16, n))
+    means = _draw_block(law, 11, 0, X)
+    return X, means
+
+
+def _radii(n: int) -> list:
+    return [1e-12, 1.0, 10.0] + ([math.log(n) / n] if n > 1 else [])
+
+
+@pytest.mark.parametrize("n", BRACKET_NS)
+@pytest.mark.parametrize("law", BRACKET_LAWS, ids=repr)
+def test_varreg_bracket_contains_the_computed_value(law, n):
+    X, means = _tile(law, n)
+    for k in SCALES:
+        Xk, mk = np.ldexp(X, k), np.ldexp(means, k)
+        bracketed = mk > 0.0  # an all-zero row gets no bracket and goes to the kernel
+        for r in _radii(n):
+            lo, hi = _brackets("varreg", r, Xk, mk, Xk.max(axis=1))
+            values = _estimate_batch(EstimatorConfig("varreg", r=r), Xk, mk)
+            assert np.isfinite(lo[bracketed]).all() and np.isfinite(hi[bracketed]).all(), (k, r)
+            assert np.all(lo[bracketed] <= values[bracketed]) and np.all(values[bracketed] <= hi[bracketed]), (k, r)
+            assert np.isnan(lo[~bracketed]).all() and np.isnan(hi[~bracketed]).all()
+
+
+def _screened_count(cfg, X, means, event, threshold) -> int:
+    """The event's hits on a tile as the harness counts them: the screen's, then the kernel's on the rest."""
+    hits, keep = _screen(cfg.kind, cfg.resolve_radius(X.shape[1]), X, means, X.max(axis=1), event, threshold)
+    values = _finite_estimates(cfg, X[keep], means[keep], "the undecided rows", threshold)
+    return hits + int(np.count_nonzero(values > threshold if event == "disappointment" else values < threshold))
+
+
+@pytest.mark.parametrize("n", BRACKET_NS)
+@pytest.mark.parametrize("law", BRACKET_LAWS, ids=repr)
+def test_screened_hits_equal_the_unscreened_count(law, n):
+    X, means = _tile(law, n)
+    for kind in ("varreg", "kl"):
+        cfg = EstimatorConfig(kind, r=math.log(n) / n if n > 1 else 1.0)
+        values = _finite_estimates(cfg, X, means, "the tile")
+        # thresholds among the values, on one of them, and at the law's own mu and mu - b
+        thresholds = [*np.quantile(values, [0.1, 0.5, 0.9]), values[0], true_mean(law), true_mean(law) - 0.5]
+        for k in SCALES:
+            Xk, mk = np.ldexp(X, k), np.ldexp(means, k)
+            for event in ("disappointment", "conservatism"):
+                for threshold in np.ldexp(thresholds, k):
+                    values = _finite_estimates(cfg, Xk, mk, "the tile", threshold)
+                    hits = values > threshold if event == "disappointment" else values < threshold
+                    assert _screened_count(cfg, Xk, mk, event, threshold) == np.count_nonzero(hits), (kind, k, event)
+
+
+@pytest.mark.parametrize("law", BRACKET_LAWS, ids=repr)
+def test_threshold_on_a_computed_value_leaves_the_row_undecided(law):
+    X, means = _tile(law, 100)
+    for k in SCALES:
+        Xk, mk = np.ldexp(X, k), np.ldexp(means, k)
+        for r in _radii(100):
+            values = _estimate_batch(EstimatorConfig("varreg", r=r), Xk, mk)
+            for j, value in enumerate(values):
+                for event in ("disappointment", "conservatism"):
+                    hits, keep = _screen("varreg", r, Xk[j : j + 1], mk[j : j + 1], Xk[j : j + 1].max(axis=1), event, value)
+                    # a value equal to its row's mean (no spread) cannot exceed it: the exact mean rule decides
+                    exact = event == "disappointment" and value >= mk[j]
+                    assert hits == 0 and keep.tolist() == ([] if exact else [0]), (k, r, j, event)
+
+
+@pytest.mark.parametrize("kind", ["varreg", "kl"])
+def test_screen_decides_the_same_rows_at_every_scale(kind):
+    # at 2**-1000 and 2**1000 the squares underflow or overflow, so each row
+    # is bounded again on its own scale: the brackets are those of scale 1
+    # times 2**k, bit for bit, and so are the decisions
+    for law in LAWS:
+        X, means = _tile(law, 100)
+        r = math.log(100) / 100
+        for event, threshold in (("disappointment", true_mean(law)), ("conservatism", true_mean(law) - 0.5)):
+            hits, keep = _screen(kind, r, X, means, X.max(axis=1), event, threshold)
+            if kind == "varreg" or event == "disappointment":  # a KL upper bound decides conservatism hits only
+                assert keep.size < len(X) // 2, (law, event)
+            brackets = _brackets(kind, r, X, means, X.max(axis=1))
+            for k in (-1000, 1000):
+                Xk, mk = np.ldexp(X, k), np.ldexp(means, k)
+                for got, want in zip(_brackets(kind, r, Xk, mk, Xk.max(axis=1)), brackets):
+                    assert np.array_equal(got, np.ldexp(want, k)), (law, k)
+                got = _screen(kind, r, Xk, mk, Xk.max(axis=1), event, math.ldexp(threshold, k))
+                assert got[0] == hits and got[1].tolist() == keep.tolist(), (law, event, k)
+
+
+def test_overflowing_mean_raises_for_varreg():
+    # finite draws whose row sums overflow: the mean is inf, no bracket
+    # decides the row, and the kernel's non-finite estimate raises
+    cfg = EstimatorConfig("varreg", r=0.1)
+    with pytest.raises(DualSolverError, match="non-finite varreg estimate"):
+        conservatism_probability(UniformBounded(0.0, 1e308), cfg, 1e300, 10, 40, 7, threads=1)
+    with pytest.raises(DualSolverError, match="non-finite varreg estimate"):
+        disappointment_probability(UniformBounded(0.0, 1e308), cfg, 10, 40, 7, threads=1)
