@@ -215,22 +215,22 @@ def cmd_validate(args) -> int:
 
 
 def _read_points_csv(path):
-    points = []
-    header = None
+    points, header, n_idx, p_idx = [], None, 0, 1
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for i, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             cells = line.split(",")
-            if header is None and any(not _is_float(c) for c in cells):
+            if header is None and not points and any(not _is_float(c) for c in cells):  # a header comes first
                 header = cells
+                if "n" in header and "p_hat" in header:
+                    n_idx, p_idx = header.index("n"), header.index("p_hat")
                 continue
-            if header is not None and "n" in header and "p_hat" in header:
-                n_idx, p_idx = header.index("n"), header.index("p_hat")
-            else:
-                n_idx, p_idx = 0, 1
-            points.append((float(cells[n_idx]), float(cells[p_idx])))
+            try:
+                points.append((float(cells[n_idx]), float(cells[p_idx])))
+            except (IndexError, ValueError):
+                raise UsageError(f"{path}: line {i}: needs numbers in columns {n_idx + 1} and {p_idx + 1}") from None
     return points
 
 

@@ -248,6 +248,25 @@ def _solve_rows(X: np.ndarray, r: float, threshold=None):
     return alpha, nu, value, atom, iterations, lo, hi
 
 
+def _variance_bracket(means, sumsq, n: int):
+    """Bounds (lo, hi) from the computed mean m and sum of squares s of rows
+    of n values >= 0: lo is at most the variance sigma**2 about the exact mean
+    zbar, and hi at least the variance about m, sigma**2 + (zbar - m)**2.
+
+    With u = eps / 2, m is within n u of zbar and s within (n + 2) u of the
+    exact sum of squares S, relative to their size, whatever the order of
+    summation (a square below the smallest normal is off by u tiny <= u S / n
+    at most). So, with delta = (n + 8) eps, lo = (s / n)(1 - delta) -
+    m**2 (1 + delta) and hi = (s / n)(1 + delta) - m**2 (1 - delta) hold
+    with their own rounding when m**2 and s / n are normal floats; each
+    caller masks the other rows. Call it under np.errstate: squares can
+    overflow.
+    """
+    delta = (n + 8) * np.finfo(float).eps
+    msq, mm = sumsq / n, means * means
+    return msq * (1.0 - delta) - mm * (1.0 + delta), msq * (1.0 + delta) - mm * (1.0 - delta)
+
+
 def kl_value_upper_bound(means, sumsq, top, n: int, r: float) -> np.ndarray:
     """Certified upper bounds on the KL values of rows of n values, from each
     row's mean, sum of squares and maximum; NaN where none is certified.
@@ -264,20 +283,18 @@ def kl_value_upper_bound(means, sumsq, top, n: int, r: float) -> np.ndarray:
     sigma**2 grows and rises as D grows, so a lower bound on sigma**2 and an
     upper bound on D keep it an upper bound.
 
-    Rounding, with u = eps / 2: a computed mean m of n values >= 0 and a sum
-    of squares s are each within n u of the exact ones, relative to their
-    size, whatever the order of summation. So var = (s / n)(1 - delta) -
-    m**2 (1 + delta), delta = (n + 8) eps, is at most sigma**2, and
-    D = max - m (1 - delta) at least (1 - u) D; the remaining operations and
-    m's own error move U by less than (n + 11) u m, and (n + 16) eps m is
-    added to it. The argument needs var and 2 r var to be normal floats, so
-    that no product underflows; any other row, a constant or subnormal one
-    or one whose sum of squares overflows (NaN or inf), gets NaN.
+    Rounding, with u = eps / 2: var, _variance_bracket's lo, is at most
+    sigma**2, and with its delta, D = max - m (1 - delta) is at least
+    (1 - u) D; the remaining operations and m's own error move U by less than
+    (n + 11) u m, and (n + 16) eps m is added to it. The argument needs var
+    and 2 r var to be normal floats, so that no product underflows; any other
+    row, a constant or subnormal one or one whose sum of squares overflows
+    (NaN or inf), gets NaN.
     """
     eps = np.finfo(float).eps
     delta = (n + 8) * eps
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        var = sumsq / n * (1.0 - delta) - means * means * (1.0 + delta)
+        var = _variance_bracket(means, sumsq, n)[0]
         q = (2.0 * r) * var
         rd = r * (top - means * (1.0 - delta))
         upper = means - q / (rd + np.sqrt(rd * rd + q)) + (n + 16) * eps * means

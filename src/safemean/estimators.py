@@ -1,15 +1,13 @@
-"""Safe mean estimators under a single dispatch interface.
+"""Safe mean estimators under a single dispatch interface, each defined once.
 
 All estimators are downward corrections of the sample mean: deflation by a
 fixed tolerance, worst case over a 1-Wasserstein ball, truncation with a
 moment-based compensator, variance regularization, total-variation mass
-removal, and the KL-ball worst case. `estimate` runs every kind but kl at a
-positive radius as a batch of one of the Monte Carlo harness kernels
-(montecarlo._estimate_batch): the same kernel, on the sorted sample. The
-harness averages its rows in draw order, so the two can differ in the last
-bits. kl calls solve_kl_dro_dual for its diagnostics, a batch of one of the
-sorted sample. EstimatorConfig.resolve_radius is the one place a radius is
-read from a configuration.
+removal, and the KL-ball worst case; beside them, the screen's bracket on
+the varreg value and the bounds a report carries. `estimate` runs a sample
+as a batch of one of the harness's kernels, on the sorted sample (the
+harness averages rows in draw order, so the two can differ in the last
+bits). EstimatorConfig.resolve_radius is the one place a radius is read.
 """
 
 from __future__ import annotations
@@ -20,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import EstimateResult, RadiusSchedule, Sample
-from .dual import solve_kl_dro_dual
+from .core import DistributionSpec, EstimateResult, RadiusSchedule, Sample, survival_probability
+from .dual import DualSolverError, _exponents, _variance_bracket, solve_kl_dro_dual
 
 __all__ = [
     "EstimatorConfig",
@@ -142,26 +140,106 @@ def kl_disappointment_bound_general(n: int, lam: float, m: Optional[float] = Non
     return math.exp(-lam) * (m * math.e + math.exp(2.0 * n * math.exp(-m / lam)))
 
 
-def estimate(cfg: EstimatorConfig, s: Sample) -> EstimateResult:
-    """Run a configured estimator on one sample.
+def _event_bound(cfg: EstimatorConfig, event: str, n: int, spec: DistributionSpec, b: float):
+    """The bound on the estimator's disappointment or conservatism probability
+    at n that a TrialReport carries, or None where there is none."""
+    if event == "disappointment" and cfg.kind == "kl" and cfg.resolve_lambda(n) > 1.0 and n >= 2:
+        return kl_disappointment_bound(n, cfg.resolve_lambda(n))
+    if event == "disappointment" and cfg.kind == "trunc":
+        return math.exp(-cfg.resolve_lambda(n))
+    if event == "conservatism" and cfg.kind == "varreg" and cfg.resolve_radius(n) > 0.0:  # r = 0 is the sample mean
+        return n * survival_probability(spec, b * math.sqrt(n / (2.0 * cfg.resolve_radius(n))))
+    return None
 
-    kl at a positive radius is the smallest mean over the KL ball, with the
-    solver's diagnostics. Every other kind, and kl at r = 0 (the sample mean),
-    is a batch of one of the harness kernels, and a non-finite value raises
-    DualSolverError.
+
+def row_std(X: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Standard deviation (1/n divisor) of each row of X about its given mean.
+
+    numpy's own two-pass X.std(axis=1) on the passed means: subtract, square,
+    sum over n, divide by n, sqrt, in one work buffer of X's size (the harness
+    passes one tile). The deviations are scaled by 2**-e, e the binary
+    exponent of the row's mean, so squares of deviations from a mean near
+    1e300 or 1e-300 neither overflow nor underflow; the scaling is exact, so
+    every other row gets X.std(axis=1) bit for bit.
     """
+    e = _exponents(means)
+    T = np.subtract(X, means[:, None])
+    T *= np.ldexp(1.0, -e)[:, None]
+    np.multiply(T, T, out=T)
+    out = T.sum(axis=1) / X.shape[1]
+    return np.ldexp(np.sqrt(out, out=out), e)
+
+
+def _varreg_bracket(means, sumsq, n: int, r: float):
+    """Certified brackets [lo, hi] on the values the varreg kernel computes,
+    means - sqrt(2 r) row_std(X, means), for rows of n values >= 0, from each
+    row's computed mean m and sum of squares s; NaN where none is certified.
+
+    row_std is the standard deviation s_m about m, which the square roots
+    s_lo and s_hi of dual._variance_bracket's bounds bracket. With u = eps / 2,
+    row_std is within (n + 8) u of s_m relative (deviations, squares, sum,
+    division and sqrt), sqrt(2 r) and the product within u each, and the
+    final subtraction within u (m + sqrt(2 r) s_m); the bracket's own
+    operations add a few u more. So rho = (n + 16) eps (m + sqrt(2 r) s_hi)
+    is subtracted from lo and added to hi. A row where m**2 or s / n is not a
+    normal float (its squares underflow or overflow, or m is inf) gets NaN.
+    """
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    c = math.sqrt(2.0 * r)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        s_lo, s_hi = np.sqrt(np.maximum(_variance_bracket(means, sumsq, n), 0.0))
+        rho = (n + 16) * eps * (means + c * s_hi)
+        lo, hi = means - c * s_hi - rho, means - c * s_lo + rho
+        ok = (np.minimum(sumsq / n, means * means) >= tiny) & (sumsq / n < np.inf)
+    return np.where(ok, lo, np.nan), np.where(ok, hi, np.nan)
+
+
+def _closed_form(cfg: EstimatorConfig, X: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Row-wise values of every kind but kl at r > 0, which the batch dual solver computes, for a (batch, n)
+    matrix of samples whose row means are given; an overflow is a non-finite value."""
+    n = X.shape[1]
+    kind = cfg.kind
+    if kind == "mean":
+        return means - cfg.delta
+    r = cfg.resolve_radius(n)
+    if kind == "wasserstein":  # moving mass down lowers the mean one-for-one until it piles up at zero
+        return np.maximum(means - r, 0.0)
+    if kind == "trunc":
+        _, c_a = truncation_constants(cfg.a, cfg.A)
+        return np.minimum(X, r ** (-1.0 / cfg.a)).mean(axis=1) - c_a * r ** ((cfg.a - 1.0) / cfg.a)
+    if kind == "varreg":
+        return means - math.sqrt(2.0 * r) * row_std(X, means)
+    if kind == "tv":  # mass sqrt(r/2) moves from the largest values to zero: whole atoms, then a fraction
+        removal = math.sqrt(r / 2.0)
+        if removal > 1.0:
+            raise ValueError(f"sqrt(r/2) = {removal:g} exceeds 1; radius too large for mass removal")
+        S = np.sort(X, axis=1)[:, ::-1]
+        atoms = int(math.floor(removal * n))
+        removed = S[:, :atoms].sum(axis=1) / n  # zeros when no whole atom moves
+        frac = removal - atoms / n
+        if atoms < n and frac > 0.0:
+            removed = removed + frac * S[:, atoms]
+        return means - removed
+    return means  # kl at r = 0
+
+
+def estimate(cfg: EstimatorConfig, s: Sample) -> EstimateResult:
+    """Run a configured estimator on one sample: kl at a positive radius is the
+    smallest mean over the KL ball, with the solver's diagnostics; every other
+    kind, and kl at r = 0 (the sample mean), is a batch of one of _closed_form.
+    A non-finite value raises DualSolverError."""
     r = cfg.resolve_radius(s.n) if cfg.kind == "kl" else 0.0
     if r > 0.0:
         sol = solve_kl_dro_dual(s, r)
         diag = {"alpha_star": sol.alpha_star, "nu": sol.nu, "atom": sol.atom, "iterations": sol.iterations, "radius": r}
         return EstimateResult(sol.value, "kl", diag)
-    from .montecarlo import _finite_estimates  # deferred: montecarlo imports this module
-
     X = s.values[None, :]
-    with np.errstate(over="ignore"):  # an overflowing mean is a non-finite estimate, which raises
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite estimate, which raises
         means = X.mean(axis=1)
-    if np.isfinite(means[0]):  # rounding can carry the mean of equal values past them
-        means = np.clip(means, s.values[0], s.values[-1])
-    value = float(_finite_estimates(cfg, X, means, "the sample")[0])
+        if np.isfinite(means[0]):  # rounding can carry the mean of equal values past them
+            means = np.clip(means, s.values[0], s.values[-1])
+        value = float(_closed_form(cfg, X, means)[0])
+    if not math.isfinite(value):
+        raise DualSolverError(f"non-finite {cfg.kind} estimate in the sample")
     diag = {"alpha_star": math.inf, "nu": value, "atom": 0.0} if cfg.kind == "kl" else {}
     return EstimateResult(value, cfg.kind, diag)

@@ -17,28 +17,22 @@ undecided rows reach a kernel a full tile at a time only because larger
 solves run faster.
 
 A count reads only each estimate's side of its threshold, mu or mu - b, so
-one screen serves both events: a certified bracket [lo, hi] on each row's
-estimate, from its mean, maximum and one np.vecdot, decides the rows it
-puts clear of the threshold by the solver's margin, and only the rest reach
-a kernel. For KL, hi is dual.kl_value_upper_bound; for varreg the bracket
-contains the kernel's computed value (_varreg_bracket); every other kind
-has [-inf, mean]. No estimator exceeds its row's sample mean, so a
-disappointment count also drops every row whose mean is at most mu. So a
-varreg row reaches row_std only when its value is within about 1e-9 of the
-threshold, relative to their size (on the mc_light benchmark cells at seed
-7, no row is). KL disappointment rows reach the solver when the bound
-leaves them (4-9% of the mc_kl cells' rows), KL conservatism rows when the
-bound does not put them below mu - b, and other kinds' rows when their mean
-does not decide them. The KL rows left are solved with the threshold: a row
-stops once a certified bracket [g(a), U] on its value clears it, and only
-undecided rows get a converged value. A point mass's row mean is its value.
-Blocks run on as many worker threads as the process has usable cores unless
-threads says otherwise. A draw or estimate that is not finite raises
-DualSolverError, so it is never counted as a safe trial.
+one screen serves both events (_screen): a certified bracket [lo, hi] on
+each row's estimate, from its mean, maximum and one np.vecdot (_brackets),
+decides the rows it puts clear of the threshold by the solver's margin, and
+only the rest reach a kernel: the KL batch solver at a positive radius,
+estimators._closed_form otherwise. The KL rows left are solved with the
+threshold: a row stops once a certified bracket [g(a), U] on its value
+clears it, and only undecided rows get a converged value. A point mass's row
+mean is its value. Blocks run on as many worker threads as the process has
+usable cores unless threads (at least 1) says otherwise. A draw or estimate
+that is not finite raises DualSolverError, so it is never counted as a safe
+trial.
 
 scipy is imported only by lognormal draws (ndtri), inside the transform, so
-importing the package loads numpy alone. The large-deviation rates and
-variance-ratio curves are in rates.py.
+importing the package loads numpy alone. The estimator kernels, the varreg
+bracket and the bound each report carries are in estimators.py, the
+large-deviation rates and variance-ratio curves in rates.py.
 """
 
 from __future__ import annotations
@@ -61,15 +55,15 @@ from .core import (
     Sample,
     ScaledBernoulli,
     UniformBounded,
-    survival_probability,
     true_mean,
 )
 from .dual import DualSolverError, _exponents, _side_margin, _tile_rows, kl_value_upper_bound, solve_kl_dro_dual_batch
 from .estimators import (
     EstimatorConfig,
+    _closed_form,
+    _event_bound,
+    _varreg_bracket,
     estimate,  # noqa: F401 -- not called here; perfbench/spans.py wraps this name
-    kl_disappointment_bound,
-    truncation_constants,
 )
 
 __all__ = [
@@ -287,57 +281,14 @@ def draw_sample(spec: DistributionSpec, n: int, seed: int, stream: int = 0) -> S
     return Sample(X[0])
 
 
-def row_std(X: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """Standard deviation (1/n divisor) of each row of X about its given mean.
-
-    numpy's own two-pass X.std(axis=1) on the passed means: subtract, square,
-    sum over n, divide by n, sqrt, in one work buffer of X's size (the harness
-    passes one tile). The deviations are scaled by 2**-e, e the binary
-    exponent of the row's mean, so squares of deviations from a mean near
-    1e300 or 1e-300 neither overflow nor underflow; the scaling is exact, so
-    every other row gets X.std(axis=1) bit for bit.
-    """
-    e = _exponents(means)
-    T = np.subtract(X, means[:, None])
-    T *= np.ldexp(1.0, -e)[:, None]
-    np.multiply(T, T, out=T)
-    out = T.sum(axis=1) / X.shape[1]
-    return np.ldexp(np.sqrt(out, out=out), e)
-
-
 def _estimate_batch(cfg: EstimatorConfig, X: np.ndarray, means: np.ndarray, threshold=None) -> np.ndarray:
-    """Row-wise estimator values for a (batch, n) matrix of samples whose row means are given.
-
-    These are the only closed-form estimator kernels: estimators.estimate runs
-    them on a batch of one. With a threshold, a KL value is exact only in its
-    side of it (see solve_kl_dro_dual_batch); the other kinds ignore it.
-    """
-    n = X.shape[1]
-    kind = cfg.kind
-    if kind == "mean":
-        return means - cfg.delta
-    r = cfg.resolve_radius(n)
-    if kind == "wasserstein":  # moving mass down lowers the mean one-for-one until it piles up at zero
-        return np.maximum(means - r, 0.0)
-    if kind == "trunc":
-        _, c_a = truncation_constants(cfg.a, cfg.A)
-        return np.minimum(X, r ** (-1.0 / cfg.a)).mean(axis=1) - c_a * r ** ((cfg.a - 1.0) / cfg.a)
-    if kind == "varreg":
-        return means - math.sqrt(2.0 * r) * row_std(X, means)
-    if kind == "tv":  # mass sqrt(r/2) moves from the largest values to zero: whole atoms, then a fraction
-        removal = math.sqrt(r / 2.0)
-        if removal > 1.0:
-            raise ValueError(f"sqrt(r/2) = {removal:g} exceeds 1; radius too large for mass removal")
-        S = np.sort(X, axis=1)[:, ::-1]
-        atoms = int(math.floor(removal * n))
-        removed = S[:, :atoms].sum(axis=1) / n if atoms > 0 else np.zeros(X.shape[0])
-        frac = removal - atoms / n
-        if atoms < n and frac > 0.0:
-            removed = removed + frac * S[:, atoms]
-        return means - removed
-    if kind == "kl":
-        return means if r == 0.0 else solve_kl_dro_dual_batch(X, r, threshold=threshold)
-    raise ValueError(f"unknown estimator kind {kind!r}")
+    """Row-wise estimator values for a (batch, n) matrix of samples whose row means are given: KL at
+    r > 0 by solve_kl_dro_dual_batch, looked up here so that a wrapper of this name sees every solve
+    (with a threshold, a value is exact only in its side of it), every other kind by estimators._closed_form."""
+    r = cfg.resolve_radius(X.shape[1]) if cfg.kind == "kl" else 0.0
+    if r > 0.0:
+        return solve_kl_dro_dual_batch(X, r, threshold=threshold)
+    return _closed_form(cfg, X, means)
 
 
 def _finite_estimates(cfg: EstimatorConfig, X: np.ndarray, means: np.ndarray, where: str, threshold=None) -> np.ndarray:
@@ -349,68 +300,21 @@ def _finite_estimates(cfg: EstimatorConfig, X: np.ndarray, means: np.ndarray, wh
     return values
 
 
-def _event_hits(values: np.ndarray, event: str, mu: float, b: float) -> np.ndarray:
-    """Which estimates disappoint (exceed mu) or are conservative (below mu - b)."""
-    return values > mu if event == "disappointment" else values < mu - b
+def _event_threshold(spec: DistributionSpec, event: str, b: float) -> float:
+    """The threshold whose side of it is all an event reads: mu, or mu - b for conservatism."""
+    return true_mean(spec) - (b if event == "conservatism" else 0.0)
 
 
-def _fill_bound(cfg: EstimatorConfig, event: str, n: int, spec: DistributionSpec, b: float):
-    if event == "disappointment":
-        if cfg.kind == "kl":
-            lam = cfg.resolve_lambda(n)
-            if lam > 1.0 and n >= 2:
-                return kl_disappointment_bound(n, lam)
-            return None
-        if cfg.kind == "trunc":
-            return math.exp(-cfg.resolve_lambda(n))
-        return None
-    if cfg.kind == "varreg":
-        r = cfg.resolve_radius(n)
-        if r == 0.0:  # the plain sample mean: no bound
-            return None
-        return n * survival_probability(spec, b * math.sqrt(n / (2.0 * r)))
-    return None
+def _event_hits(values: np.ndarray, event: str, threshold: float) -> np.ndarray:
+    """Which estimates disappoint (exceed mu) or are conservative (below mu - b), at the event's threshold."""
+    return values > threshold if event == "disappointment" else values < threshold
 
 
-def _varreg_bracket(means, sumsq, n: int, r: float):
-    """Certified brackets [lo, hi] on the values the varreg kernel computes,
-    means - sqrt(2 r) row_std(X, means), for rows of n values >= 0, from each
-    row's computed mean and sum of squares; NaN where none is certified.
-
-    The kernel's standard deviation is about the computed mean m, and
-    s_m**2 = S / n - zbar**2 + (zbar - m)**2, with S the exact sum of squares
-    and zbar the exact mean. With u = eps / 2, m is within n u of zbar and
-    the computed sum of squares s within (n + 2) u of S (a square below the
-    smallest normal is off by at most u tiny <= u S / n), so, with
-    delta = (n + 8) eps as in dual.kl_value_upper_bound,
-    (s / n)(1 - delta) - m**2 (1 + delta) <= s_m**2 <=
-    (s / n)(1 + delta) - m**2 (1 - delta), their own rounding included; their
-    square roots are s_lo and s_hi. row_std is within (n + 8) u of s_m
-    relative (deviations, squares, sum, division and sqrt), sqrt(2 r) and
-    the product within u each, and the final subtraction within
-    u (m + sqrt(2 r) s_m); the bracket's own operations add a few u more. So
-    rho = (n + 16) eps (m + sqrt(2 r) s_hi) is subtracted from lo and added
-    to hi. The argument needs m**2 and s / n to be normal floats; any other
-    row, whose squares underflow or overflow or whose mean is inf, gets NaN.
-    """
-    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-    delta = (n + 8) * eps
-    c = math.sqrt(2.0 * r)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        msq, mm = sumsq / n, means * means
-        s_lo = np.sqrt(np.maximum(msq * (1.0 - delta) - mm * (1.0 + delta), 0.0))
-        s_hi = np.sqrt(np.maximum(msq * (1.0 + delta) - mm * (1.0 - delta), 0.0))
-        rho = (n + 16) * eps * (means + c * s_hi)
-        lo, hi = means - c * s_hi - rho, means - c * s_lo + rho
-    ok = (np.minimum(msq, mm) >= tiny) & (msq < np.inf)
-    return np.where(ok, lo, np.nan), np.where(ok, hi, np.nan)
-
-
-def _brackets(kind: str, r: float, T: np.ndarray, means: np.ndarray, tops: np.ndarray):
+def _brackets(cfg: EstimatorConfig, T: np.ndarray, means: np.ndarray, tops: np.ndarray):
     """Certified brackets [lo, hi] on the estimates of a drawn tile's rows.
 
     For KL at r > 0, hi is dual.kl_value_upper_bound and lo is -inf; for
-    varreg, _varreg_bracket; every other kind gets [-inf, mean]. Both bounds
+    varreg, estimators._varreg_bracket; every other kind gets [-inf, mean]. Both bounds
     take one np.vecdot per row beside the mean and maximum the draw made. A
     row whose squares underflow or overflow gets a NaN bound; it is bounded
     again on the row scaled by 2**-e, e the exponent of its maximum (both
@@ -418,10 +322,11 @@ def _brackets(kind: str, r: float, T: np.ndarray, means: np.ndarray, tops: np.nd
     bound scaled back. A row whose mean is not a normal float stays NaN.
     """
     n = T.shape[1]
-    if kind == "varreg":
+    r = cfg.resolve_radius(n) if cfg.kind in ("kl", "varreg") else 0.0
+    if cfg.kind == "varreg":
         def bound(means, sumsq, tops):
             return _varreg_bracket(means, sumsq, n, r)
-    elif kind == "kl" and r > 0.0:
+    elif cfg.kind == "kl" and r > 0.0:
         def bound(means, sumsq, tops):
             return np.full(len(means), -np.inf), kl_value_upper_bound(means, sumsq, tops, n, r)
     else:
@@ -437,7 +342,7 @@ def _brackets(kind: str, r: float, T: np.ndarray, means: np.ndarray, tops: np.nd
     return lo, hi
 
 
-def _screen(kind: str, r: float, T: np.ndarray, means: np.ndarray, tops: np.ndarray, event: str, threshold: float):
+def _screen(cfg: EstimatorConfig, T: np.ndarray, means: np.ndarray, tops: np.ndarray, event: str, threshold: float):
     """The hits among a drawn tile's rows that the screen decides, and the
     indices of the rows it leaves undecided, for an event at its threshold.
 
@@ -447,7 +352,7 @@ def _screen(kind: str, r: float, T: np.ndarray, means: np.ndarray, tops: np.ndar
     so a row whose mean is at most mu cannot disappoint; an overflowing mean
     is inf, is never decided, and raises in the kernel.
     """
-    lo, hi = _brackets(kind, r, T, means, tops)
+    lo, hi = _brackets(cfg, T, means, tops)
     margin = _side_margin(threshold, means)
     above, below = lo > threshold + margin, hi < threshold - margin
     if event == "disappointment":
@@ -471,22 +376,22 @@ def _run_event_trials(
         raise ValueError("n must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    mu = true_mean(spec)
     if threads is None:  # the cores this process may run on
         threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    elif threads < 1:
+        raise ValueError("threads must be >= 1")
     if batch_size is None:
         batch_size = max(1, min(4096, 4_000_000 // n))
     starts = list(range(0, trials, batch_size))
-    threshold = mu if event == "disappointment" else mu - b  # the estimate's side of it is all _event_hits reads
+    threshold = _event_threshold(spec, event, b)
     tile = _tile_rows(n)
-    r = cfg.resolve_radius(n) if cfg.kind in ("kl", "varreg") else 0.0
 
     def run_chunk(start: int) -> int:
         rows = min(batch_size, trials - start)
 
         def count(X: np.ndarray, means: np.ndarray) -> int:
             values = _finite_estimates(cfg, X, means, f"trials {start}..{start + rows - 1}", threshold)
-            return int(np.count_nonzero(_event_hits(values, event, mu, b)))
+            return int(np.count_nonzero(_event_hits(values, event, threshold)))
 
         # the rows each drawn tile leaves undecided, estimated a full tile at a time, then the rest once: a
         # value does not depend on the rows solved beside it, but solving each tile's rows alone runs about
@@ -494,7 +399,7 @@ def _run_event_trials(
         X, means = np.empty((min(2 * tile, rows), n)), np.empty(min(2 * tile, rows))
         hits = pending = 0
         for T, tile_means, tops in _draw_tiles(spec, seed, start, rows, n):
-            decided, keep = _screen(cfg.kind, r, T, tile_means, tops, event, threshold)
+            decided, keep = _screen(cfg, T, tile_means, tops, event, threshold)
             hits += decided
             end = pending + keep.size  # < 2 * tile
             np.take(T, keep, axis=0, out=X[pending:end], mode="clip")  # "raise" buffers out
@@ -515,7 +420,7 @@ def _report(spec, cfg, n, trials, seed, event, b, threads) -> TrialReport:
     """The event's hit count over the trials, its Wilson interval and its bound."""
     hits = _run_event_trials(spec, cfg, n, trials, seed, event, b, threads)
     lo, hi = wilson_interval(hits, trials)
-    return TrialReport(cfg.kind, n, trials, hits, hits / trials, lo, hi, _fill_bound(cfg, event, n, spec, b), seed)
+    return TrialReport(cfg.kind, n, trials, hits, hits / trials, lo, hi, _event_bound(cfg, event, n, spec, b), seed)
 
 
 def disappointment_probability(
@@ -593,8 +498,7 @@ def exact_bernoulli_event_probability(
         raise ValueError(f"unknown event {event!r}")
     if event == "conservatism" and b <= 0:
         raise ValueError("b must be positive")
-    mu = true_mean(spec)
-    threshold = mu if event == "disappointment" else mu - b
+    threshold = _event_threshold(spec, event, b)
     pmf = _binomial_pmf(n, spec.p)
     rows = _tile_rows(n)
     total = 0.0
@@ -604,6 +508,6 @@ def exact_bernoulli_event_probability(
         with np.errstate(over="ignore"):  # an overflowing mean is a non-finite estimate, which raises
             means = X.mean(axis=1)
         values = _finite_estimates(cfg, X, means, f"count patterns {k[0]}..{k[-1]}", threshold)
-        for p in pmf[k[_event_hits(values, event, mu, b)]]:
+        for p in pmf[k[_event_hits(values, event, threshold)]]:
             total += float(p)
     return total

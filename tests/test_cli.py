@@ -240,6 +240,23 @@ def test_rates_too_few_points(tmp_path, capsys):
     assert main(["rates", "--from-csv", str(csv)]) == 2
 
 
+@pytest.mark.parametrize(
+    "text, line", [("100\n", 1), ("n,p_hat\n100,0.1\n200\n", 3), ("# run 7\nn,p_hat\n10,x\n", 3), ("10,0.5\n20,x\n", 2)]
+)
+def test_rates_short_or_non_numeric_row_is_usage_error(tmp_path, capsys, text, line):
+    csv = tmp_path / "pts.csv"
+    csv.write_text(text)
+    assert main(["rates", "--from-csv", str(csv)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {csv}: line {line}: ")
+
+
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_simulate_rejects_fewer_than_one_thread(capsys, threads):
+    argv = ["simulate", "--dist", "pareto:2.5:1", "--estimator", "mean", "--n", "20", "--trials", "10"]
+    assert main(argv + ["--threads", threads]) == 2
+    assert capsys.readouterr().err.strip() == "error: threads must be >= 1"
+
+
 def test_rates_cramer(capsys):
     assert main(["rates", "--cramer", "--dist", "bern:0.5:2", "--b", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)

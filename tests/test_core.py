@@ -20,7 +20,7 @@ from safemean import (
     true_variance,
 )
 from safemean.core import SampleFileError
-from safemean.montecarlo import row_std
+from safemean.estimators import row_std
 
 
 def sample_mean(s):
@@ -28,7 +28,7 @@ def sample_mean(s):
 
 
 def sample_variance(s):
-    """The sample's variance with the 1/n divisor, from the harness's row_std."""
+    """The sample's variance with the 1/n divisor, from the varreg kernel's row_std."""
     X = s.values[None, :]
     return float(row_std(X, X.mean(axis=1))[0]) ** 2
 

@@ -16,8 +16,8 @@ from safemean import (
     truncation_constants,
 )
 from safemean.core import Pareto
-from safemean.estimators import ESTIMATOR_KINDS
-from safemean.montecarlo import _draw_block, _estimate_batch, row_std
+from safemean.estimators import ESTIMATOR_KINDS, row_std
+from safemean.montecarlo import _draw_block, _estimate_batch
 
 VALUE_TWO_POINT = 0.5 / math.sqrt(3.0) - (2.0 * math.sqrt(3.0) - 3.0) / 3.0
 
@@ -28,7 +28,7 @@ def value(kind, values, **params):
 
 
 def variance(s):
-    """The sample's variance with the 1/n divisor, from the harness's row_std."""
+    """The sample's variance with the 1/n divisor, from the varreg kernel's row_std."""
     X = s.values[None, :]
     return float(row_std(X, X.mean(axis=1))[0]) ** 2
 

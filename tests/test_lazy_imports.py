@@ -4,6 +4,7 @@ pareto_variance_ratio_limit (digamma). Each check runs in a fresh
 interpreter, where nothing has loaded scipy yet. Every name a module exports
 resolves on it."""
 
+import ast
 import importlib
 import json
 import subprocess
@@ -74,6 +75,28 @@ def test_cramer_rate_is_the_same_as_the_first_call_of_a_fresh_interpreter():
         "print(cramer_rate(Pareto(2.5, 1.0), 0.5).hex())\n"
     )
     assert float.fromhex(_child(code)[0]) == cramer_rate(Pareto(2.5, 1.0), 0.5)
+
+
+def _own_package(node) -> bool:
+    """Whether an import statement imports from safemean itself."""
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or node.module == "safemean" or node.module.startswith("safemean.")
+    return any(alias.name == "safemean" or alias.name.startswith("safemean.") for alias in node.names)
+
+
+def test_no_function_defers_an_import_from_the_package():
+    # every intra-package import is at module level, so module dependencies are
+    # what the import lines say; deferred third-party imports (scipy) stay allowed
+    deferred = []
+    for path in sorted(Path(safemean.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                deferred += [
+                    f"{path.name}:{node.lineno} in {func.name}"
+                    for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) and _own_package(node)
+                ]
+    assert deferred == []
 
 
 @pytest.mark.parametrize("module", ["core", "dual", "estimators", "montecarlo", "oracle", "rates"])

@@ -30,8 +30,8 @@ from safemean import (
 from safemean import montecarlo, rates
 from safemean.cli import reports_to_csv
 from safemean.dual import _TILE_VALUES, DualSolverError, kl_value_upper_bound, solve_kl_dro_dual_batch
-from safemean.estimators import estimate
-from safemean.montecarlo import TrialReport, _draw_block, _draw_tiles, _estimate_batch, _run_event_trials, row_std
+from safemean.estimators import estimate, row_std
+from safemean.montecarlo import TrialReport, _draw_block, _draw_tiles, _estimate_batch, _run_event_trials
 from safemean.rates import _population_radius, _population_radius_limit, solve_population_dual
 
 BERN = ScaledBernoulli(0.5, 2.0)
@@ -389,6 +389,15 @@ def test_disappointment_point_mass_zero():
     # tie is not a disappointment
     rep_mean = disappointment_probability(PointMass(3.0), EstimatorConfig("mean", delta=0.0), 10, 500, seed=4)
     assert rep_mean.hits == 0
+
+
+@pytest.mark.parametrize("threads", [0, -5])
+def test_fewer_than_one_thread_raises(threads):
+    spec, cfg = Pareto(2.5, 1.0), EstimatorConfig("varreg", lam=2.0)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        disappointment_probability(spec, cfg, 20, 10, seed=1, threads=threads)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        conservatism_probability(spec, cfg, 0.5, 20, 10, seed=1, threads=threads)
 
 
 def test_disappointment_reproducible_across_threads():

@@ -34,7 +34,8 @@ ROWS = 4
 def _disappointment_rows(T, means, tops, mu, r=None):
     """The rows of a drawn tile the disappointment screen leaves to the KL solver
     at radius r, or to the sample mean's kernel without one."""
-    return _screen("kl" if r is not None else "mean", r or 0.0, T, means, tops, "disappointment", mu)[1]
+    cfg = EstimatorConfig("kl", r=r) if r is not None else EstimatorConfig("mean")
+    return _screen(cfg, T, means, tops, "disappointment", mu)[1]
 
 
 def _bound(X: np.ndarray, r: float) -> np.ndarray:
@@ -239,8 +240,9 @@ def test_varreg_bracket_contains_the_computed_value(law, n):
         Xk, mk = np.ldexp(X, k), np.ldexp(means, k)
         bracketed = mk > 0.0  # an all-zero row gets no bracket and goes to the kernel
         for r in _radii(n):
-            lo, hi = _brackets("varreg", r, Xk, mk, Xk.max(axis=1))
-            values = _estimate_batch(EstimatorConfig("varreg", r=r), Xk, mk)
+            cfg = EstimatorConfig("varreg", r=r)
+            lo, hi = _brackets(cfg, Xk, mk, Xk.max(axis=1))
+            values = _estimate_batch(cfg, Xk, mk)
             assert np.isfinite(lo[bracketed]).all() and np.isfinite(hi[bracketed]).all(), (k, r)
             assert np.all(lo[bracketed] <= values[bracketed]) and np.all(values[bracketed] <= hi[bracketed]), (k, r)
             assert np.isnan(lo[~bracketed]).all() and np.isnan(hi[~bracketed]).all()
@@ -248,7 +250,7 @@ def test_varreg_bracket_contains_the_computed_value(law, n):
 
 def _screened_count(cfg, X, means, event, threshold) -> int:
     """The event's hits on a tile as the harness counts them: the screen's, then the kernel's on the rest."""
-    hits, keep = _screen(cfg.kind, cfg.resolve_radius(X.shape[1]), X, means, X.max(axis=1), event, threshold)
+    hits, keep = _screen(cfg, X, means, X.max(axis=1), event, threshold)
     values = _finite_estimates(cfg, X[keep], means[keep], "the undecided rows", threshold)
     return hits + int(np.count_nonzero(values > threshold if event == "disappointment" else values < threshold))
 
@@ -277,10 +279,11 @@ def test_threshold_on_a_computed_value_leaves_the_row_undecided(law):
     for k in SCALES:
         Xk, mk = np.ldexp(X, k), np.ldexp(means, k)
         for r in _radii(100):
-            values = _estimate_batch(EstimatorConfig("varreg", r=r), Xk, mk)
+            cfg = EstimatorConfig("varreg", r=r)
+            values = _estimate_batch(cfg, Xk, mk)
             for j, value in enumerate(values):
                 for event in ("disappointment", "conservatism"):
-                    hits, keep = _screen("varreg", r, Xk[j : j + 1], mk[j : j + 1], Xk[j : j + 1].max(axis=1), event, value)
+                    hits, keep = _screen(cfg, Xk[j : j + 1], mk[j : j + 1], Xk[j : j + 1].max(axis=1), event, value)
                     # a value equal to its row's mean (no spread) cannot exceed it: the exact mean rule decides
                     exact = event == "disappointment" and value >= mk[j]
                     assert hits == 0 and keep.tolist() == ([] if exact else [0]), (k, r, j, event)
@@ -293,17 +296,17 @@ def test_screen_decides_the_same_rows_at_every_scale(kind):
     # times 2**k, bit for bit, and so are the decisions
     for law in LAWS:
         X, means = _tile(law, 100)
-        r = math.log(100) / 100
+        cfg = EstimatorConfig(kind, r=math.log(100) / 100)
         for event, threshold in (("disappointment", true_mean(law)), ("conservatism", true_mean(law) - 0.5)):
-            hits, keep = _screen(kind, r, X, means, X.max(axis=1), event, threshold)
+            hits, keep = _screen(cfg, X, means, X.max(axis=1), event, threshold)
             if kind == "varreg" or event == "disappointment":  # a KL upper bound decides conservatism hits only
                 assert keep.size < len(X) // 2, (law, event)
-            brackets = _brackets(kind, r, X, means, X.max(axis=1))
+            brackets = _brackets(cfg, X, means, X.max(axis=1))
             for k in (-1000, 1000):
                 Xk, mk = np.ldexp(X, k), np.ldexp(means, k)
-                for got, want in zip(_brackets(kind, r, Xk, mk, Xk.max(axis=1)), brackets):
+                for got, want in zip(_brackets(cfg, Xk, mk, Xk.max(axis=1)), brackets):
                     assert np.array_equal(got, np.ldexp(want, k)), (law, k)
-                got = _screen(kind, r, Xk, mk, Xk.max(axis=1), event, math.ldexp(threshold, k))
+                got = _screen(cfg, Xk, mk, Xk.max(axis=1), event, math.ldexp(threshold, k))
                 assert got[0] == hits and got[1].tolist() == keep.tolist(), (law, event, k)
 
 
