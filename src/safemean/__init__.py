@@ -31,7 +31,6 @@ from .dual import (
     DualSolverError,
     kl_dro_dual_objective,
     kl_inf,
-    log_likelihood_ratio,
     primal_witness,
     solve_kl_dro_dual,
     solve_kl_dro_dual_batch,
@@ -40,7 +39,6 @@ from .estimators import (
     EstimatorConfig,
     estimate,
     kl_disappointment_bound,
-    kl_disappointment_bound_general,
     truncation_constants,
 )
 from .montecarlo import (

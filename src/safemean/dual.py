@@ -19,6 +19,10 @@ another OPENBLAS_NUM_THREADS, since OpenBLAS splits a long dot across threads.
 The primal optimizer puts weight (1/n) * nu / (alpha* + z_i) on each sample
 point plus an atom at zero, which certifies the solution; the value is that
 witness's mean, which unlike nu - alpha* neither cancels nor goes negative.
+A solution keeps its dual point and value in the 2**-e scale it was solved
+in, and _witness rebuilds the witness, its mean and its empirical KL there,
+so certificates hold from subnormal samples to 2**1021, even where alpha*
+and nu themselves leave the float range.
 
 Given a threshold, a batch solve decides each value's side of it. At any
 iterate a, g(a) bounds the value from below. The law Q_a with weights
@@ -55,7 +59,6 @@ __all__ = [
     "kl_value_upper_bound",
     "primal_witness",
     "kl_inf",
-    "log_likelihood_ratio",
 ]
 
 # Constants in units of the row scale 2**e, where max z / 2**e lies in [0.5, 1).
@@ -88,27 +91,42 @@ class DualSolverError(RuntimeError):
         self.bracket = bracket
 
 
+def _unscale(x: float, e: int) -> float:
+    """x * 2**e, which reads inf past the float range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 @dataclass(frozen=True)
 class DualSolution:
-    """Solved dual instance.
+    """Solved dual instance, in the scale it was solved in: the sample divided
+    by 2**exponent, whose maximum lies in [0.5, 1) (below 0.5 if subnormal).
 
-    value = nu * mean(z_i / (alpha_star + z_i)), which equals
-    exp(-r) * exp(mean log(alpha_star + z_i)) - alpha_star = nu - alpha_star
-    at the optimum, nu = exp(mean log(alpha_star + z_i) - r), and atom is the
-    probability the primal optimizer adds at zero (zero whenever
-    alpha_star > 0). bracket[1] is inf if no point right of the root was seen.
-    The value never leaves the float range, but alpha_star, nu and the
-    bracket can (a sample near 1e300 at r = 1e-12 has alpha_star near
-    sigma / sqrt(2 r)); such a dual point reads inf.
+    scaled_value = scaled_nu * mean(z_i / (scaled_alpha + z_i)) over the
+    scaled sample z, which equals scaled_nu - scaled_alpha at the optimum, and
+    scaled_nu = exp(mean log(scaled_alpha + z_i) - r); alpha_star, nu and
+    value read them back at the sample's scale. The value never leaves the
+    float range, but alpha_star and nu can (a sample near 1e300 at r = 1e-12
+    has alpha_star near sigma / sqrt(2 r)) and then read inf, while the scaled
+    copies that certificates use stay finite. atom is the probability the
+    primal optimizer adds at zero (zero whenever alpha_star > 0). bracket is
+    unscaled; bracket[1] is inf if no point right of the root was seen.
     """
 
-    alpha_star: float
-    value: float
-    nu: float
+    exponent: int
+    scaled_alpha: float
+    scaled_nu: float
+    scaled_value: float
     atom: float
     iterations: int
     bracket: tuple
     radius: float
+
+    alpha_star = property(lambda self: _unscale(self.scaled_alpha, self.exponent))
+    nu = property(lambda self: _unscale(self.scaled_nu, self.exponent))
+    value = property(lambda self: _unscale(self.scaled_value, self.exponent))
 
 
 def kl_dro_dual_objective(s: Sample, r: float, alpha: float) -> float:
@@ -137,9 +155,10 @@ def _solve_rows(X: np.ndarray, r: float, threshold=None):
     """Maximize the dual for every row of a (batch, n) matrix of samples.
 
     Each column carries probability 1/n, and each row is reduced on its own,
-    so a row's results do not depend on the other rows. Returns alpha*, nu,
-    the value, the atom, the iteration count and the final bracket (lo, hi)
-    of every row; all-zero rows take no iterations and report zeros.
+    so a row's results do not depend on the other rows. Returns each row's
+    exponent e (the row is solved divided by 2**e) and, in that scale,
+    alpha*, nu, the value, the atom, the iteration count and the final
+    bracket (lo, hi); all-zero rows take no iterations and report zeros.
     With a threshold, a row whose bracket clears it reports the bound on
     that side as its value, and NaN as nu and atom.
     """
@@ -243,9 +262,7 @@ def _solve_rows(X: np.ndarray, r: float, threshold=None):
     value[k] = np.minimum(nu[k] * witness_mass, mean)
     if not np.isfinite(nu[k]).all():  # value <= nu and alpha <= nu
         raise DualSolverError("non-finite dual solution")
-    with np.errstate(over="ignore"):  # alpha*, nu and the bracket can pass the float range; a value <= max z cannot
-        value, nu, alpha, lo, hi = (np.ldexp(x, e) for x in (value, nu, alpha, lo, hi))
-    return alpha, nu, value, atom, iterations, lo, hi
+    return e, alpha, nu, value, atom, iterations, lo, hi
 
 
 def _variance_bracket(means, sumsq, n: int):
@@ -306,8 +323,8 @@ def solve_kl_dro_dual(s: Sample, r: float) -> DualSolution:
     """Maximize the dual over alpha >= 0 for one sample, with its certificate
     ingredients (nu, atom): a batch of one of the sorted sample, so the value
     is the one the batch solver gives that row anywhere in a batch."""
-    alpha, nu, value, atom, it, lo, hi = (x[0] for x in _solve_rows(s.values[None, :], r))
-    return DualSolution(float(alpha), float(value), float(nu), float(atom), int(it), (float(lo), float(hi)), r)
+    e, alpha, nu, value, atom, it, lo, hi = (x[0].item() for x in _solve_rows(s.values[None, :], r))
+    return DualSolution(e, alpha, nu, value, atom, it, (_unscale(lo, e), _unscale(hi, e)), r)
 
 
 def solve_kl_dro_dual_batch(X: np.ndarray, r: float, threshold=None) -> np.ndarray:
@@ -321,44 +338,59 @@ def solve_kl_dro_dual_batch(X: np.ndarray, r: float, threshold=None) -> np.ndarr
     if X.ndim != 2:
         raise ValueError("X must be a (batch, n) array")
     rows = _tile_rows(X.shape[1])
-    return np.concatenate([_solve_rows(X[i : i + rows], r, threshold)[2] for i in range(0, max(1, len(X)), rows)])
+    tiles = (_solve_rows(X[i : i + rows], r, threshold) for i in range(0, max(1, len(X)), rows))
+    return np.concatenate([np.ldexp(value, e) for e, _, _, value, *_ in tiles])  # a value <= max x stays finite
 
 
-def primal_witness(s: Sample, sol: DualSolution) -> DiscreteDistribution:
-    """Reconstruct the optimizing distribution from a dual solution.
+def _zero_first(v: np.ndarray, w: np.ndarray, atom: float = 0.0):
+    """The layout of every witness and probe: the distinct values v with zero
+    first, prepended when absent, and their weights w with atom added at zero."""
+    if v[0] == 0.0:
+        w = w.copy()
+        w[0] += atom
+        return v, w
+    return np.concatenate(([0.0], v)), np.concatenate(([atom], w))
+
+
+def _witness(s: Sample, sol: DualSolution):
+    """The primal witness of a solution, computed in the solve's scale.
 
     Weight (1/n) * nu / (alpha* + z_i) sits on each distinct sample point
-    (duplicates summed); the remaining probability is an atom at zero. The
-    witness mean equals the dual value and its empirical KL divergence from
-    the sample equals the solve radius, which certifies optimality of both.
+    z_i (duplicates summed) and the rest, if any, on zero, with the scaled
+    alpha* and nu and z the sample divided by 2**exponent. Returns the
+    support (the sample's distinct values, zero first), the weights,
+    renormalized when the stationarity residual leaves a mass of
+    1 + O(1e-16), that mass before renormalizing, the witness mean in the
+    solve's scale, and the empirical KL divergence mean log((alpha* + z_i) / nu).
     """
     v, w = s.weighted_support()
     if v[-1] == 0.0:
-        return DiscreteDistribution([0.0], [1.0])
-    alpha, nu = sol.alpha_star, sol.nu
+        return v, np.ones(1), 1.0, 0.0, 0.0
+    alpha, nu = sol.scaled_alpha, sol.scaled_nu
     if alpha == 0.0 and v[0] == 0.0 and sol.radius > 0.0:
         raise DualSolverError("inconsistent solution: alpha = 0 with a zero observation", sol.bracket)
-    weights = w * nu / (alpha + v)
-    total = float(weights.sum())
-    atom = 1.0 - total
-    if atom < 0.0:
-        # Stationarity residual can leave total = 1 + O(1e-16); renormalize.
-        weights = weights / total
-        atom = 0.0
-    if v[0] == 0.0:
-        support = v.copy()
-        weights = weights.copy()
-        weights[0] += atom
-    else:
-        support = np.concatenate([[0.0], v])
-        weights = np.concatenate([[atom], weights])
+    t = alpha + np.ldexp(v, -sol.exponent)
+    weights = w * nu / t
+    kl = float(np.dot(w, np.log(t / nu)))
+    mass = float(weights.sum())
+    if mass > 1.0:
+        weights /= mass
+    support, weights = _zero_first(v, weights, max(0.0, 1.0 - mass))
+    return support, weights, max(mass, 1.0), float(np.dot(np.ldexp(support, -sol.exponent), weights)), kl
+
+
+def primal_witness(s: Sample, sol: DualSolution) -> DiscreteDistribution:
+    """Reconstruct the optimizing distribution from a dual solution (see
+    _witness). Its mean equals the dual value and its empirical KL divergence
+    from the sample equals the solve radius, which certifies optimality of
+    both."""
+    support, weights, _, _, _ = _witness(s, sol)
     return DiscreteDistribution(support, weights)
 
 
 def witness_empirical_kl(s: Sample, sol: DualSolution) -> float:
     """Empirical KL divergence from the sample to the witness: mean log((alpha*+z_i)/nu)."""
-    v, w = s.weighted_support()
-    return float(np.dot(w, np.log((sol.alpha_star + v) / sol.nu)))
+    return _witness(s, sol)[4]
 
 
 def kl_inf(s: Sample, mu: float) -> float:
@@ -395,12 +427,3 @@ def kl_inf(s: Sample, mu: float) -> float:
     t = 0.5 * (lo + hi) if lo < hi else hi
     phi = float(np.dot(w, np.log(1.0 - t + t * x)))
     return max(phi, 0.0)
-
-
-def log_likelihood_ratio(sol: DualSolution, u: float) -> float:
-    """log of the sample-to-witness density ratio at u: log(alpha* + u) - log(nu)."""
-    if u < 0:
-        raise ValueError("u must be non-negative")
-    if sol.alpha_star == 0.0 and u == 0.0:
-        raise ValueError("likelihood ratio undefined at u = 0 when alpha* = 0")
-    return math.log(sol.alpha_star + u) - math.log(sol.nu)

@@ -27,7 +27,6 @@ __all__ = [
     "estimate",
     "truncation_constants",
     "kl_disappointment_bound",
-    "kl_disappointment_bound_general",
 ]
 
 ESTIMATOR_KINDS = ("mean", "wasserstein", "trunc", "varreg", "tv", "kl")
@@ -119,25 +118,6 @@ def kl_disappointment_bound(n: int, lam: float) -> float:
         raise ValueError("bound requires lambda > 1")
     raw = (math.e * lam * math.log(n) + math.e**2) * math.exp(-lam)
     return min(1.0, raw)
-
-
-def kl_disappointment_bound_general(n: int, lam: float, m: Optional[float] = None) -> float:
-    """Unclamped bound e^{-lam} (m e + exp(2 n e^{-m/lam})) for a free grid size m.
-
-    Defaults to m = lam log n, which recovers the headline bound before
-    clamping. Requires (1 - 1/lam)^m <= 1/2, satisfied by the default.
-    """
-    if n < 2:
-        raise ValueError("bound requires n >= 2")
-    if lam <= 1.0:
-        raise ValueError("bound requires lambda > 1")
-    if m is None:
-        m = lam * math.log(n)
-    if m <= 0:
-        raise ValueError("grid size m must be positive")
-    if (1.0 - 1.0 / lam) ** m > 0.5:
-        raise ValueError("grid size m too small: (1 - 1/lambda)^m must be <= 1/2")
-    return math.exp(-lam) * (m * math.e + math.exp(2.0 * n * math.exp(-m / lam)))
 
 
 def _event_bound(cfg: EstimatorConfig, event: str, n: int, spec: DistributionSpec, b: float):

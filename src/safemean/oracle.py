@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .core import DiscreteDistribution, Sample, _golden_max
-from .dual import DualSolution, _exponents, primal_witness, solve_kl_dro_dual, witness_empirical_kl
+from .dual import DualSolution, _unscale, _witness, _zero_first, primal_witness, solve_kl_dro_dual
+from .dual import witness_empirical_kl  # noqa: F401 -- not called here; perfbench/spans.py wraps this name
 
 __all__ = [
     "CertificateReport",
@@ -66,12 +67,8 @@ class CertificateReport:
 
 
 def _support_and_weights(s: Sample):
-    """Distinct sample values with empirical weights, zero prepended if absent."""
-    vals, w = s.weighted_support()
-    if vals[0] > 0.0:
-        vals = np.concatenate([[0.0], vals])
-        w = np.concatenate([[0.0], w])
-    return vals, w
+    """Distinct sample values with empirical weights, zero first as in the witness."""
+    return _zero_first(*s.weighted_support())
 
 
 def _kl_rows(w: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -194,8 +191,9 @@ def random_feasible_probe(
     whose mean, assembled from their base's and their noise's means, falls
     within a rounding bound of that are built, and only their KL is
     evaluated; each built candidate's exact mean is one dot over its own row.
-    The probe runs on the support scaled by a power of two, so it finds the
-    same violations at every scale. Expected count for a correct solver: 0.
+    The probe runs in the reference's scale, on the support divided by
+    2**exponent, so it finds the same violations at every scale. Expected
+    count for a correct solver: 0.
     `witness` defaults to the reference's.
     """
     if trials < 1:
@@ -208,12 +206,11 @@ def random_feasible_probe(
     if witness is None:
         witness = primal_witness(s, reference)
 
-    # the support scaled by 2**-e to a maximum of at most 1, so the synthetic
-    # point 2 * max neither overflows nor rounds, and every mean and the bound
-    # are the unscaled ones times 2**-e; the witness lives on vals, the
-    # support with zero included
-    e = int(_exponents(vals[-1]))
-    z = np.ldexp(vals, -e)
+    # the support in the reference's scale, a maximum below 1, so the
+    # synthetic point 2 * max neither overflows nor rounds, and every mean is
+    # in the scale of the reference's scaled value; the witness lives on vals,
+    # the support with zero included
+    z = np.ldexp(vals, -reference.exponent)
     z_ext = np.append(z, 2.0 * z[-1])
     w_ext = np.append(w, 0.0)
     wit_ext = np.append(witness.weights, 0.0)
@@ -223,7 +220,7 @@ def random_feasible_probe(
     rng = np.random.default_rng(seed)
 
     concentrations = [np.ones(m), np.concatenate([[5.0], np.ones(m - 1)]), np.concatenate([np.ones(m - 1), [5.0]])]
-    bound = math.ldexp(reference.value, -e) * (1.0 - PROBE_MARGIN)
+    bound = reference.scaled_value * (1.0 - PROBE_MARGIN)
     # the screen's assembled mean and the exact mean each round a sum of
     # about m nonnegative terms totalling at most z_ext[-1], so they differ
     # by less than this
@@ -256,6 +253,9 @@ def verify_certificate(
 ) -> CertificateReport:
     """Solve, reconstruct the witness, and check the full optimality certificate.
 
+    The witness's mass, its empirical KL divergence and its mean are taken in
+    the solve's own scale (see dual._witness), so the check holds from
+    subnormal samples to 2**1021; the duality gap is reported unscaled.
     `check_radius` overrides the radius the empirical KL is compared against;
     it exists so the checker itself can be exercised with a deliberately
     inconsistent radius (a negative control).
@@ -264,19 +264,16 @@ def verify_certificate(
         raise ValueError("radius must be positive")
     sol = solve_kl_dro_dual(s, r)
     witness = primal_witness(s, sol)
-    target = r if check_radius is None else check_radius
+    _, weights, mass, mean, kl = _witness(s, sol)
+    duality_gap = _unscale(abs(mean - sol.scaled_value), sol.exponent)
     if s.max() == 0.0:
         # Degenerate all-zero sample: the constraint is slack at the optimum.
-        return CertificateReport(True, 0.0, abs(witness.mean() - sol.value), 0, sol.value)
-    kl_gap = abs(witness_empirical_kl(s, sol) - target)
-    duality_gap = abs(witness.mean() - sol.value)
-    feasible = (
-        bool(np.all(witness.weights >= 0.0))
-        and abs(float(witness.weights.sum()) - 1.0) <= 1e-10
-        and bool(np.all(np.isfinite(witness.weights)))
-    )
+        return CertificateReport(True, 0.0, duality_gap, 0, sol.value)
+    target = r if check_radius is None else check_radius
+    # the mass before renormalizing, which a NaN or inf weight fails
+    feasible = bool(np.all(weights >= 0.0)) and abs(mass - 1.0) <= 1e-10
     violations = random_feasible_probe(s, r, probes, seed=seed, reference=sol, witness=witness)
-    return CertificateReport(feasible, kl_gap, duality_gap, violations, sol.value)
+    return CertificateReport(feasible, abs(kl - target), duality_gap, violations, sol.value)
 
 
 def random_instances(count: int, seed: int):

@@ -11,7 +11,6 @@ from safemean import (
     estimate,
     kl_dro_dual_objective,
     kl_inf,
-    log_likelihood_ratio,
     primal_witness,
     solve_kl_dro_dual,
     solve_kl_dro_dual_batch,
@@ -278,31 +277,6 @@ def test_radius_statistic_duality():
         assert kl_inf(s, value - eps) >= r - 1e-9
 
 
-def test_log_likelihood_ratio():
-    s = Sample([0, 2])
-    sol = solve_kl_dro_dual(s, math.log(2))
-    u_match = sol.nu - sol.alpha_star
-    assert log_likelihood_ratio(sol, u_match) == pytest.approx(0.0, abs=1e-12)
-    assert log_likelihood_ratio(sol, 2.0) == pytest.approx(
-        math.log((sol.alpha_star + 2.0) / sol.nu), abs=1e-12
-    )
-    with pytest.raises(ValueError):
-        log_likelihood_ratio(sol, -1.0)
-
-
-def test_log_likelihood_ratio_boundary_zero():
-    sol = solve_kl_dro_dual(Sample([3.0]), 0.5)  # alpha* = 0
-    with pytest.raises(ValueError):
-        log_likelihood_ratio(sol, 0.0)
-
-
-def test_log_likelihood_ratio_unit_solution():
-    from safemean.dual import DualSolution
-
-    sol = DualSolution(1.0, 0.0, 1.0, 0.0, 0, (0.0, 1.0), 0.1)
-    assert log_likelihood_ratio(sol, 0.0) == 0.0
-
-
 def test_batch_solver_matches_scalar():
     rng = np.random.default_rng(8)
     X = (1.0 - rng.random((30, 23))) ** (-1.0 / 2.5)
@@ -317,19 +291,24 @@ def test_batch_solver_matches_scalar():
 
 def test_dual_point_beyond_the_float_range_reads_inf_without_a_warning():
     # Pareto(1.5) rows of 3000 values near 2**1000 at r = 1e-12: alpha* is near sigma / sqrt(2 r), and
-    # on one row it and nu pass the float range; every value stays the unscaled row's value times 2**1000
+    # on one row it and nu pass the float range. Each row is solved in its own scale, so the scaled
+    # results are the unscaled rows' bit for bit and only the exponents move; every value stays the
+    # unscaled row's value times 2**1000, and a dual point past the float range reads inf
     X = np.empty((4, 3000))
     _draw_block(Pareto(1.5, 1.0), 11, 0, X)
-    unscaled = _solve_rows(X, 1e-12)
+    e, *unscaled = _solve_rows(X, 1e-12)
+    big = np.ldexp(X, 1000)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        alpha, nu, value, atom, iterations, lo, hi = _solve_rows(np.ldexp(X, 1000), 1e-12)
-    with np.errstate(over="ignore"):
-        expected = [np.ldexp(unscaled[i], 1000) for i in (0, 1, 2, 5, 6)]
-    for got, want in zip((alpha, nu, value, lo, hi), expected):
+        e_big, *scaled = _solve_rows(big, 1e-12)
+        values = solve_kl_dro_dual_batch(big, 1e-12)
+        sols = [solve_kl_dro_dual(Sample(row), 1e-12) for row in big]
+    assert np.array_equal(e_big, e + 1000)
+    for got, want in zip(scaled, unscaled):
         assert np.array_equal(got, want)
-    assert np.array_equal(atom, unscaled[3]) and np.array_equal(iterations, unscaled[4])
-    assert np.isfinite(value).all() and np.isinf(alpha).any() and np.isinf(nu).any()
+    assert np.array_equal(values, np.ldexp(np.ldexp(unscaled[2], e), 1000))
+    assert all(math.isfinite(sol.value) for sol in sols)
+    assert any(math.isinf(sol.alpha_star) and math.isinf(sol.nu) for sol in sols)
 
 
 def test_batch_solver_handles_constant_and_zero_rows():
@@ -437,18 +416,20 @@ def test_threshold_decided_rows_report_a_certified_bound():
     X = (1.0 - rng.random((200, 1000))) ** (-1.0 / 2.5)
     X[::4, 0] = 0.0
     r = math.log(1000) / 1000
-    full = _solve_rows(X, r)
-    threshold = full[2][7]  # row 7 cannot be decided
-    alpha, nu, value, atom, iterations, lo, hi = _solve_rows(X, r, threshold=threshold)
+    e, _, _, full, _, full_iterations, _, _ = _solve_rows(X, r)
+    full = np.ldexp(full, e)  # the values at the rows' own scale, which a threshold is given in
+    threshold = full[7]  # row 7 cannot be decided
+    _, alpha, nu, value, atom, iterations, lo, hi = _solve_rows(X, r, threshold=threshold)
+    value = np.ldexp(value, e)
     decided = np.isnan(nu)
     assert 0 < np.count_nonzero(decided) < len(X) and np.isnan(atom[decided]).all()
-    assert iterations[decided].max() < full[4].max()
+    assert iterations[decided].max() < full_iterations.max()
     # undecided rows are solved in full; decided rows hold g(a) or U
-    assert np.array_equal(value[~decided], full[2][~decided])
+    assert np.array_equal(value[~decided], full[~decided])
     above, below = decided & (value > threshold), decided & (value < threshold)
     assert np.count_nonzero(above) + np.count_nonzero(below) == np.count_nonzero(decided)
-    assert np.all(value[above] <= full[2][above] * (1 + 1e-12))
-    assert np.all(value[below] >= full[2][below] * (1 - 1e-12))
+    assert np.all(value[above] <= full[above] * (1 + 1e-12))
+    assert np.all(value[below] >= full[below] * (1 - 1e-12))
 
 
 @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])

@@ -12,7 +12,6 @@ from safemean import (
     Sample,
     estimate,
     kl_disappointment_bound,
-    kl_disappointment_bound_general,
     truncation_constants,
 )
 from safemean.core import Pareto
@@ -202,15 +201,10 @@ def test_kl_disappointment_bound_values():
     assert kl_disappointment_bound(100, lam) == pytest.approx(0.6503726925914973, rel=1e-12)
     # raw value 1.51 clamps to 1
     assert kl_disappointment_bound(2, 2.0) == 1.0
-    assert kl_disappointment_bound_general(2, 2.0) == pytest.approx(
-        (math.e * 2.0 * math.log(2) + math.e**2) * math.exp(-2.0), rel=1e-12
-    )
     with pytest.raises(ValueError):
         kl_disappointment_bound(100, 1.0)
     with pytest.raises(ValueError):
         kl_disappointment_bound(1, 2.0)
-    with pytest.raises(ValueError):
-        kl_disappointment_bound_general(100, 2.0, m=0.1)
 
 
 def test_estimate_dispatch_and_mean_dominance():

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from safemean import (
+    Pareto,
     Sample,
     kl_projection_bruteforce,
     random_feasible_probe,
     solve_kl_dro_dual,
     verify_certificate,
 )
+from safemean import oracle
 from safemean.dual import primal_witness
+from safemean.montecarlo import _draw_block
 from safemean.oracle import PROBE_MARGIN, CertificateReport, _kl_rows, _support_and_weights, random_instances
 
 
@@ -106,6 +109,54 @@ def test_verify_certificate_radius_mismatch_fails():
     assert report.kl_gap == pytest.approx(0.2, abs=1e-9)
 
 
+def _scaled_certificate_cases():
+    """A Pareto(2.5) sample scaled by 2**k at r = 0.05, from subnormal values
+    (k = -1060) to a maximum near the overflow, and a Pareto(1.5) row of 3000
+    values near 2**1000 at r = 1e-12, whose alpha* and nu pass the float range."""
+    x = np.random.default_rng(6).pareto(2.5, 25) + 1.0
+    cases = {k: (Sample(np.ldexp(x, k)), 0.05) for k in (-1060, -1040, -1000, 0, 1000, 1021)}
+    X = np.empty((4, 3000))
+    _draw_block(Pareto(1.5, 1.0), 11, 0, X)
+    cases["pareto1.5"] = (Sample(np.ldexp(X[2], 1000)), 1e-12)
+    return cases
+
+
+def _replace_scaled(sol, field, factor):
+    return dataclasses.replace(sol, **{field: getattr(sol, field) * factor})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_certificates_hold_in_the_solve_scale_at_every_magnitude(monkeypatch):
+    cases = _scaled_certificate_cases()
+    s, r = cases["pareto1.5"]
+    assert math.isinf(solve_kl_dro_dual(s, r).alpha_star)
+    for name, (s, r) in cases.items():
+        assert verify_certificate(s, r, probes=500).passed, name
+        if r > oracle.KL_GAP_TOL:  # a smaller radius off by half is within the KL tolerance
+            assert not verify_certificate(s, r, probes=500, check_radius=1.5 * r).passed, name
+    # a value off by 1e-6 fails, but at 2**-1060 the unscaled duality gap and
+    # 1e-9 of the value both underflow to zero
+    solve = oracle.solve_kl_dro_dual
+    monkeypatch.setattr(
+        oracle, "solve_kl_dro_dual", lambda s, r: _replace_scaled(solve(s, r), "scaled_value", 1.0 + 1e-6)
+    )
+    for name, (s, r) in cases.items():
+        if name != -1060:
+            assert not verify_certificate(s, r, probes=500).passed, name
+
+
+def test_witness_mass_is_checked_before_it_is_renormalized(monkeypatch):
+    # nu 1% high puts mass 1.01 on the sample points; primal_witness renormalizes
+    # that to 1, with a mean equal to the value, but the certificate reads the raw mass
+    s, r = Sample([0.5, 1.0, 4.0, 9.0]), 0.2
+    sol = _replace_scaled(solve_kl_dro_dual(s, r), "scaled_nu", 1.01)
+    witness = primal_witness(s, sol)
+    assert float(witness.weights.sum()) == pytest.approx(1.0, abs=1e-15)
+    assert witness.mean() == pytest.approx(sol.value, rel=1e-12)
+    monkeypatch.setattr(oracle, "solve_kl_dro_dual", lambda s, r: sol)
+    assert not verify_certificate(s, r, probes=500).primal_feasible
+
+
 def test_probe_requires_trials():
     with pytest.raises(ValueError):
         random_feasible_probe(Sample([1.0, 2.0]), 0.1, trials=0)
@@ -180,6 +231,11 @@ def _unfiltered_probe(s, r, trials, seed, reference):
     )
 
 
+def _with_value(sol, value):
+    """The solution with its value replaced, kept in the scale it was solved in."""
+    return dataclasses.replace(sol, scaled_value=math.ldexp(value, -sol.exponent))
+
+
 def _value_with_bound(bound):
     """A reference value whose probe bound value * (1 - PROBE_MARGIN) is exactly `bound`."""
     value = bound / (1.0 - PROBE_MARGIN)
@@ -199,7 +255,7 @@ def test_probe_matches_unfiltered_loop_on_certify_instances(seed):
         if s.max() == 0.0:
             continue
         sol = solve_kl_dro_dual(s, r)
-        for reference in (sol, dataclasses.replace(sol, value=1.5 * sol.value + 0.1)):
+        for reference in (sol, _with_value(sol, 1.5 * sol.value + 0.1)):
             got = random_feasible_probe(s, r, 10_000, seed=seed + i, reference=reference)
             assert got == _unfiltered_probe(s, r, 10_000, seed + i, reference)
         inflated_violations += got
@@ -223,7 +279,7 @@ def test_probe_single_candidate_rounds_as_in_its_batch():
     (Q, means, kl, _), = _unfiltered_probe_batches(s, 500, 0, sol)
     j, second = np.argsort(means)[:2]
     r = float(kl[j])
-    reference = dataclasses.replace(sol, value=0.5 * (means[j] + means[second]) / (1.0 - PROBE_MARGIN))
+    reference = _with_value(sol, 0.5 * (means[j] + means[second]) / (1.0 - PROBE_MARGIN))
     assert _unfiltered_probe(s, r, 500, 0, reference) == 1
     assert random_feasible_probe(s, r, 500, seed=0, reference=reference) == 1
     assert random_feasible_probe(s, r, 500, seed=0, reference=reference, witness=primal_witness(s, sol)) == 1
@@ -245,7 +301,7 @@ def test_probe_boundary_candidate_matches_unfiltered_loop(scale_exponent):
         r = float(kl[j])
         counts = []
         for bound in (np.nextafter(means[j], -np.inf), means[j], np.nextafter(means[j], np.inf)):
-            reference = dataclasses.replace(sol, value=_value_with_bound(bound))
+            reference = _with_value(sol, _value_with_bound(bound))
             counts.append(random_feasible_probe(s, r, 2000, seed=0, reference=reference))
             assert counts[-1] == _unfiltered_probe(s, r, 2000, 0, reference), (j, bound)
         assert counts[0] == counts[1] < counts[2]
