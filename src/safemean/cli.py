@@ -200,8 +200,9 @@ def cmd_validate(args) -> int:
         report = verify_certificate(sample, r, probes=args.probes, seed=args.seed + i, check_radius=check_radius)
         worst_kl = max(worst_kl, report.kl_gap)
         worst_gap = max(worst_gap, report.duality_gap / max(1.0, abs(report.value)))
-        if report.duality_gap > 0.0:  # the ratio CertificateReport.passed bounds
-            worst_value_gap = max(worst_value_gap, report.duality_gap / abs(report.value) if report.value else math.inf)
+        if report.scaled_duality_gap > 0.0:  # the ratio CertificateReport.passed bounds, in its scale
+            gap, value = report.scaled_duality_gap, abs(report.scaled_value)
+            worst_value_gap = max(worst_value_gap, gap / value if value else math.inf)
         total_violations += report.probe_violations
         if not report.passed:
             failures += 1

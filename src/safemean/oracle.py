@@ -40,28 +40,35 @@ INSTANCE_R_LO, INSTANCE_R_HI = 1e-4, 2.0
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Outcome of one certificate check.
+    """Outcome of one certificate check, its gap and value in the solve's
+    scale: the sample divided by 2**exponent, as in DualSolution.
 
     Passing means: witness on the simplex, |empirical KL - r| <= 1e-8, value
-    >= 0 and |witness mean - value| <= 1e-9 * value, and no probe violations:
-    no random candidate with KL at most r and mean below value * (1 -
-    PROBE_MARGIN). The probe builds only the candidates whose mean, assembled
-    from their parts' means, can fall below that bound.
+    >= 0 and |witness mean - value| <= 1e-9 * value, compared in that scale so
+    neither side underflows, and no probe violations: no random candidate
+    with KL at most r and mean below value * (1 - PROBE_MARGIN). The probe
+    builds only the candidates whose mean, assembled from their parts' means,
+    can fall below that bound. duality_gap and value read the scaled fields
+    back at the sample's scale.
     """
 
     primal_feasible: bool
     kl_gap: float
-    duality_gap: float
+    scaled_duality_gap: float
     probe_violations: int
-    value: float
+    scaled_value: float
+    exponent: int = 0
+
+    duality_gap = property(lambda self: _unscale(self.scaled_duality_gap, self.exponent))
+    value = property(lambda self: _unscale(self.scaled_value, self.exponent))
 
     @property
     def passed(self) -> bool:
         return (
             self.primal_feasible
             and self.kl_gap <= KL_GAP_TOL
-            and self.value >= 0.0
-            and self.duality_gap <= DUALITY_GAP_TOL * abs(self.value)
+            and self.scaled_value >= 0.0
+            and self.scaled_duality_gap <= DUALITY_GAP_TOL * abs(self.scaled_value)
             and self.probe_violations == 0
         )
 
@@ -174,6 +181,17 @@ def kl_projection_bruteforce(
     return min(best, min(coarse), refined)
 
 
+def _probe_noise(rng: np.random.Generator, count: int, m: int, batch: int) -> np.ndarray:
+    """Gamma noise for probe batch number `batch`, a row per candidate:
+    Gamma(1) = Exp(1) in every column, except Gamma(5) in the first column
+    when batch % 3 == 1 and in the last when batch % 3 == 2. A row divided by
+    its sum is Dirichlet with those concentrations."""
+    G = rng.standard_exponential((count, m))
+    if batch % 3:
+        G[:, 0 if batch % 3 == 1 else m - 1] = rng.standard_gamma(5.0, count)
+    return G
+
+
 def random_feasible_probe(
     s: Sample,
     r: float,
@@ -186,11 +204,25 @@ def random_feasible_probe(
 
     Candidates mix the witness, the empirical weights or their midpoint with
     Dirichlet noise on the support plus a synthetic point at twice the sample
-    maximum, which can only raise the mean. A violation is a candidate with
-    mean below value * (1 - PROBE_MARGIN) and KL at most r. Only candidates
-    whose mean, assembled from their base's and their noise's means, falls
-    within a rounding bound of that are built, and only their KL is
-    evaluated; each built candidate's exact mean is one dot over its own row.
+    maximum, which can only raise the mean. The noise is drawn as raw gamma
+    variates G (see _probe_noise); one (count, m) @ (m, 2) product gives each
+    row's G @ z and its sum S, and a candidate is
+    q = G * (t / S) + (1 - t) * base. A violation is a candidate with mean
+    below value * (1 - PROBE_MARGIN) and KL at most r. Only candidates whose
+    mean, assembled as (1 - t) * (base @ z) + t * (G @ z) / S, falls below
+    that plus a rounding slack are built, and only their KL is evaluated;
+    each built candidate's exact mean is one dot over its own row.
+
+    The slack, 4 (m + 2) eps z_max, bounds |assembled - exact| with room to
+    spare. With u = eps / 2, every term nonnegative, and mu = t (G @ z) / S
+    + (1 - t) (base @ z) in exact sums over the computed S: a dot of m terms
+    summed in any order errs by at most m u relative, so the assembled mean
+    is within (m + 3) u of mu (G @ z, the divide and the multiply by t; base
+    @ z and its multiply; the add), and so is the exact one (each built q_j
+    is within 3 u of its exact value, then its dot). Hence they differ by
+    at most (m + 3) eps mu, and mu <= z_max (1 + O(m u)), since S is within
+    (m - 1) u of the row sum and the bases sum to 1.
+
     The probe runs in the reference's scale, on the support divided by
     2**exponent, so it finds the same violations at every scale. Expected
     count for a correct solver: 0.
@@ -217,27 +249,26 @@ def random_feasible_probe(
     bases = np.vstack([wit_ext, w_ext, 0.5 * (wit_ext + w_ext)])
     base_means = bases @ z_ext
     m = z_ext.size
+    z_and_ones = np.column_stack([z_ext, np.ones(m)])
     rng = np.random.default_rng(seed)
 
-    concentrations = [np.ones(m), np.concatenate([[5.0], np.ones(m - 1)]), np.concatenate([np.ones(m - 1), [5.0]])]
     bound = reference.scaled_value * (1.0 - PROBE_MARGIN)
-    # the screen's assembled mean and the exact mean each round a sum of
-    # about m nonnegative terms totalling at most z_ext[-1], so they differ
-    # by less than this
+    # a rounding bound on |assembled - exact mean|, derived above
     slack = 4 * (m + 2) * np.finfo(float).eps * z_ext[-1]
     violations = 0
     done = 0
     batch = 4096
     while done < trials:
         count = min(batch, trials - done)
-        noise = rng.dirichlet(concentrations[done % len(concentrations)], size=count)
+        G = _probe_noise(rng, count, m, done // batch)
         t = rng.uniform(0.0, 0.35, size=count)
         pick = rng.integers(0, bases.shape[0], size=count)
-        near = np.flatnonzero((1.0 - t) * base_means[pick] + t * (noise @ z_ext) < bound + slack)
-        t_near = t.take(near)[:, None]
-        q = noise.take(near, axis=0)
-        q *= t_near
-        q += (1.0 - t_near) * bases.take(pick.take(near), axis=0)
+        Gz, S = (G @ z_and_ones).T
+        near = np.flatnonzero((1.0 - t) * base_means[pick] + t * (Gz / S) < bound + slack)
+        t_near = t.take(near)
+        q = G.take(near, axis=0)
+        q *= (t_near / S.take(near))[:, None]
+        q += (1.0 - t_near)[:, None] * bases.take(pick.take(near), axis=0)
         below = np.vecdot(q, z_ext) < bound
         violations += int(np.count_nonzero(below & (_kl_rows(w_ext, q) <= r)))
         done += count
@@ -255,7 +286,8 @@ def verify_certificate(
 
     The witness's mass, its empirical KL divergence and its mean are taken in
     the solve's own scale (see dual._witness), so the check holds from
-    subnormal samples to 2**1021; the duality gap is reported unscaled.
+    subnormal samples to 2**1021; the report keeps the duality gap and the
+    value in that scale too.
     `check_radius` overrides the radius the empirical KL is compared against;
     it exists so the checker itself can be exercised with a deliberately
     inconsistent radius (a negative control).
@@ -265,15 +297,15 @@ def verify_certificate(
     sol = solve_kl_dro_dual(s, r)
     witness = primal_witness(s, sol)
     _, weights, mass, mean, kl = _witness(s, sol)
-    duality_gap = _unscale(abs(mean - sol.scaled_value), sol.exponent)
+    gap = abs(mean - sol.scaled_value)
     if s.max() == 0.0:
         # Degenerate all-zero sample: the constraint is slack at the optimum.
-        return CertificateReport(True, 0.0, duality_gap, 0, sol.value)
+        return CertificateReport(True, 0.0, gap, 0, sol.scaled_value, sol.exponent)
     target = r if check_radius is None else check_radius
     # the mass before renormalizing, which a NaN or inf weight fails
     feasible = bool(np.all(weights >= 0.0)) and abs(mass - 1.0) <= 1e-10
     violations = random_feasible_probe(s, r, probes, seed=seed, reference=sol, witness=witness)
-    return CertificateReport(feasible, abs(kl - target), duality_gap, violations, sol.value)
+    return CertificateReport(feasible, abs(kl - target), gap, violations, sol.scaled_value, sol.exponent)
 
 
 def random_instances(count: int, seed: int):

@@ -15,7 +15,14 @@ from safemean import (
 from safemean import oracle
 from safemean.dual import primal_witness
 from safemean.montecarlo import _draw_block
-from safemean.oracle import PROBE_MARGIN, CertificateReport, _kl_rows, _support_and_weights, random_instances
+from safemean.oracle import (
+    PROBE_MARGIN,
+    CertificateReport,
+    _kl_rows,
+    _probe_noise,
+    _support_and_weights,
+    random_instances,
+)
 
 
 @pytest.mark.parametrize("values", [[0.0, 1.0, 1.0, 4.0, 9.0], [0.5, 1.0, 4.0, 9.0]])
@@ -134,15 +141,14 @@ def test_certificates_hold_in_the_solve_scale_at_every_magnitude(monkeypatch):
         assert verify_certificate(s, r, probes=500).passed, name
         if r > oracle.KL_GAP_TOL:  # a smaller radius off by half is within the KL tolerance
             assert not verify_certificate(s, r, probes=500, check_radius=1.5 * r).passed, name
-    # a value off by 1e-6 fails, but at 2**-1060 the unscaled duality gap and
-    # 1e-9 of the value both underflow to zero
+    # a value off by 1e-6 fails at every magnitude: the gap is compared with
+    # the value in the solve's scale, where neither underflows at 2**-1060
     solve = oracle.solve_kl_dro_dual
     monkeypatch.setattr(
         oracle, "solve_kl_dro_dual", lambda s, r: _replace_scaled(solve(s, r), "scaled_value", 1.0 + 1e-6)
     )
     for name, (s, r) in cases.items():
-        if name != -1060:
-            assert not verify_certificate(s, r, probes=500).passed, name
+        assert not verify_certificate(s, r, probes=500).passed, name
 
 
 def test_witness_mass_is_checked_before_it_is_renormalized(monkeypatch):
@@ -182,6 +188,39 @@ def test_probe_detects_radius_inversion():
     assert len(counts) == 1 and counts.pop() > 0
 
 
+@pytest.mark.parametrize("batch", [0, 1, 2])
+def test_probe_noise_is_dirichlet_with_the_batch_concentration(batch):
+    # three batches of 4096 rows with each concentration: all ones, then 5 on
+    # the first column, then 5 on the last; each normalized column mean lies
+    # within 5 standard errors of alpha_j / sum(alpha)
+    m = 6
+    alpha = np.ones(m)
+    if batch:
+        alpha[0 if batch == 1 else -1] = 5.0
+    rng = np.random.default_rng(2024)
+    G = np.vstack([_probe_noise(rng, 4096, m, batch + 3 * k) for k in range(3)])
+    means = (G / G.sum(axis=1, keepdims=True)).mean(axis=0)
+    a0 = alpha.sum()
+    stderr = np.sqrt(alpha * (a0 - alpha) / (a0**2 * (a0 + 1)) / G.shape[0])
+    assert np.all(np.abs(means - alpha / a0) <= 5 * stderr), (means, alpha / a0)
+
+
+def test_probe_candidates_lie_on_the_simplex():
+    eps = np.finfo(float).eps
+    for i, (s, r) in enumerate(random_instances(50, seed=7)):
+        sol = solve_kl_dro_dual(s, r)
+        for Q, _, _, _ in _unfiltered_probe_batches(s, 10_000, i, sol):
+            assert np.all(Q >= 0.0), i
+            assert np.all(np.abs(Q.sum(axis=1) - 1.0) <= Q.shape[1] * eps), i
+
+
+@pytest.mark.parametrize("scale_exponent", [-1000, 0, 1000])
+def test_probe_finds_no_false_violations_at_any_scale(scale_exponent):
+    for i, (s, r) in enumerate(random_instances(50, seed=3)):
+        scaled = Sample(np.ldexp(s.values, scale_exponent))
+        assert random_feasible_probe(scaled, r, 10_000, seed=i) == 0, i
+
+
 def test_certificate_report_pass_logic():
     good = CertificateReport(True, 1e-10, 1e-12, 0, 1.0)
     assert good.passed
@@ -211,15 +250,16 @@ def _unfiltered_probe_batches(s, trials, seed, reference):
     )
     m = vals_ext.size
     rng = np.random.default_rng(seed)
-    concentrations = [np.ones(m), np.concatenate([[5.0], np.ones(m - 1)]), np.concatenate([np.ones(m - 1), [5.0]])]
     done = 0
     while done < trials:
         count = min(4096, trials - done)
-        noise = rng.dirichlet(concentrations[done % len(concentrations)], size=count)
-        t = rng.uniform(0.0, 0.35, size=count)[:, None]
+        G = _probe_noise(rng, count, m, done // 4096)
+        t = rng.uniform(0.0, 0.35, size=count)
         pick = rng.integers(0, bases.shape[0], size=count)
-        Q = (1.0 - t) * bases[pick] + t * noise
-        assembled = (1.0 - t[:, 0]) * (bases @ vals_ext)[pick] + t[:, 0] * (noise @ vals_ext)
+        Gz, S = (G @ np.column_stack([vals_ext, np.ones(m)])).T
+        Q = G * (t / S)[:, None]
+        Q += (1.0 - t)[:, None] * bases[pick]
+        assembled = (1.0 - t) * (bases @ vals_ext)[pick] + t * (Gz / S)
         yield Q, np.vecdot(Q, vals_ext), _kl_rows(w_ext, Q), assembled
         done += count
 
