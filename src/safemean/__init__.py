@@ -29,7 +29,6 @@ from .core import (
 from .dual import (
     DualSolution,
     DualSolverError,
-    kl_dro_dual_objective,
     kl_inf,
     primal_witness,
     solve_kl_dro_dual,

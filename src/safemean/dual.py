@@ -53,7 +53,6 @@ from .core import DiscreteDistribution, Sample
 __all__ = [
     "DualSolution",
     "DualSolverError",
-    "kl_dro_dual_objective",
     "solve_kl_dro_dual",
     "solve_kl_dro_dual_batch",
     "kl_value_upper_bound",
@@ -127,22 +126,6 @@ class DualSolution:
     alpha_star = property(lambda self: _unscale(self.scaled_alpha, self.exponent))
     nu = property(lambda self: _unscale(self.scaled_nu, self.exponent))
     value = property(lambda self: _unscale(self.scaled_value, self.exponent))
-
-
-def kl_dro_dual_objective(s: Sample, r: float, alpha: float) -> float:
-    """Evaluate g(alpha) = exp(-r) * exp(mean log(alpha + z_i)) - alpha.
-
-    At alpha = 0 with a zero observation the geometric-mean factor is zero by
-    the convention exp(-inf) = 0.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
-    if r < 0:
-        raise ValueError("radius must be non-negative")
-    v, w = s.weighted_support()
-    if alpha == 0.0 and v[0] == 0.0:
-        return 0.0
-    return math.exp(-r + float(np.dot(w, np.log(alpha + v)))) - alpha
 
 
 def _exponents(x: np.ndarray) -> np.ndarray:

@@ -43,13 +43,13 @@ class CertificateReport:
     """Outcome of one certificate check, its gap and value in the solve's
     scale: the sample divided by 2**exponent, as in DualSolution.
 
-    Passing means: witness on the simplex, |empirical KL - r| <= 1e-8, value
-    >= 0 and |witness mean - value| <= 1e-9 * value, compared in that scale so
-    neither side underflows, and no probe violations: no random candidate
-    with KL at most r and mean below value * (1 - PROBE_MARGIN). The probe
-    builds only the candidates whose mean, assembled from their parts' means,
-    can fall below that bound. duality_gap and value read the scaled fields
-    back at the sample's scale.
+    Passing means: witness on the simplex, |empirical KL - r| <= kl_tol (see
+    verify_certificate), value >= 0 and |witness mean - value| <= 1e-9 * value,
+    compared in that scale so neither side underflows, and no probe
+    violations: no random candidate with KL at most r and mean below
+    value * (1 - PROBE_MARGIN). The probe builds only the candidates whose
+    mean, assembled from their parts' means, can fall below that bound.
+    duality_gap and value read the scaled fields back at the sample's scale.
     """
 
     primal_feasible: bool
@@ -58,6 +58,7 @@ class CertificateReport:
     probe_violations: int
     scaled_value: float
     exponent: int = 0
+    kl_tol: float = KL_GAP_TOL
 
     duality_gap = property(lambda self: _unscale(self.scaled_duality_gap, self.exponent))
     value = property(lambda self: _unscale(self.scaled_value, self.exponent))
@@ -66,7 +67,7 @@ class CertificateReport:
     def passed(self) -> bool:
         return (
             self.primal_feasible
-            and self.kl_gap <= KL_GAP_TOL
+            and self.kl_gap <= self.kl_tol
             and self.scaled_value >= 0.0
             and self.scaled_duality_gap <= DUALITY_GAP_TOL * abs(self.scaled_value)
             and self.probe_violations == 0
@@ -185,11 +186,16 @@ def _probe_noise(rng: np.random.Generator, count: int, m: int, batch: int) -> np
     """Gamma noise for probe batch number `batch`, a row per candidate:
     Gamma(1) = Exp(1) in every column, except Gamma(5) in the first column
     when batch % 3 == 1 and in the last when batch % 3 == 2. A row divided by
-    its sum is Dirichlet with those concentrations."""
-    G = rng.standard_exponential((count, m))
+    its sum is Dirichlet with those concentrations. Both come from uniforms U
+    on the 2**-53 grid, with 1 - U exact in [2**-53, 1]: Exp(1) = -log(1 - U),
+    Gamma(5) = -log of a product of five (1 - U), at least 2**-265, so all are
+    finite and >= 0. A row sums to 0 only if all its U are 0 (probability
+    at most 2**(-53 m)); its screen mean is then NaN and it is not built."""
+    G = rng.random((count, m))
+    np.subtract(1.0, G, out=G)
     if batch % 3:
-        G[:, 0 if batch % 3 == 1 else m - 1] = rng.standard_gamma(5.0, count)
-    return G
+        G[:, 0 if batch % 3 == 1 else m - 1] = (1.0 - rng.random((5, count))).prod(axis=0)
+    return np.negative(np.log(G, out=G), out=G)
 
 
 def random_feasible_probe(
@@ -250,13 +256,12 @@ def random_feasible_probe(
     base_means = bases @ z_ext
     m = z_ext.size
     z_and_ones = np.column_stack([z_ext, np.ones(m)])
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.SFC64(seed))
 
     bound = reference.scaled_value * (1.0 - PROBE_MARGIN)
     # a rounding bound on |assembled - exact mean|, derived above
     slack = 4 * (m + 2) * np.finfo(float).eps * z_ext[-1]
-    violations = 0
-    done = 0
+    violations = done = 0
     batch = 4096
     while done < trials:
         count = min(batch, trials - done)
@@ -291,6 +296,15 @@ def verify_certificate(
     `check_radius` overrides the radius the empirical KL is compared against;
     it exists so the checker itself can be exercised with a deliberately
     inconsistent radius (a negative control).
+
+    The KL gap is held to KL_GAP_TOL * min(1, r), floored at a rounding bound
+    B and capped at KL_GAP_TOL. In the solve's scale, with p = alpha* + min z,
+    D = log((alpha* + max z) / p), n values of which m distinct, u = eps / 2:
+    log nu = log p - mean log(p / (alpha* + z)) - r makes the exact KL r, each
+    |log((alpha* + z) / nu)| <= D + r, and with log and exp within 4 ulp the
+    solver's log nu errs by 11 u + 10 u |log p| + (n + 10) u D + u r and the
+    witness's KL by 3 u + (m + 8) u (D + r); B = eps (8 + 8 |log p| +
+    (n + m + 16) (D + r)) is above their sum.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
@@ -305,7 +319,11 @@ def verify_certificate(
     # the mass before renormalizing, which a NaN or inf weight fails
     feasible = bool(np.all(weights >= 0.0)) and abs(mass - 1.0) <= 1e-10
     violations = random_feasible_probe(s, r, probes, seed=seed, reference=sol, witness=witness)
-    return CertificateReport(feasible, abs(kl - target), gap, violations, sol.scaled_value, sol.exponent)
+    p, top = np.ldexp(s.values[[0, -1]], -sol.exponent) + sol.scaled_alpha
+    m = s.weighted_support()[0].size
+    bound = np.finfo(float).eps * (8 + 8 * abs(math.log(p)) + (s.n + m + 16) * (math.log(top / p) + r))
+    tol = min(KL_GAP_TOL, max(KL_GAP_TOL * min(1.0, r), bound))
+    return CertificateReport(feasible, abs(kl - target), gap, violations, sol.scaled_value, sol.exponent, tol)
 
 
 def random_instances(count: int, seed: int):

@@ -9,7 +9,6 @@ from safemean import (
     Pareto,
     Sample,
     estimate,
-    kl_dro_dual_objective,
     kl_inf,
     primal_witness,
     solve_kl_dro_dual,
@@ -25,26 +24,10 @@ ALPHA_TWO_POINT = (2.0 * math.sqrt(3.0) - 3.0) / 3.0
 VALUE_TWO_POINT = 0.5 / math.sqrt(3.0) - ALPHA_TWO_POINT  # 0.13397459621556138...
 
 
-def test_objective_zero_observation_kills_geometric_mean():
-    assert kl_dro_dual_objective(Sample([0, 2]), math.log(2), 0.0) == 0.0
-
-
-def test_objective_constant_sample_closed_form():
-    s = Sample([4.0, 4.0, 4.0])
-    r = 0.3
-    assert kl_dro_dual_objective(s, r, 0.0) == pytest.approx(4.0 * math.exp(-r), rel=1e-14)
-
-
-def test_objective_two_point_closed_form():
-    g = kl_dro_dual_objective(Sample([0, 2]), math.log(2), ALPHA_TWO_POINT)
-    assert g == pytest.approx(VALUE_TWO_POINT, abs=1e-12)
-
-
-def test_objective_domain_errors():
-    with pytest.raises(ValueError):
-        kl_dro_dual_objective(Sample([1.0]), 0.1, -0.5)
-    with pytest.raises(ValueError):
-        kl_dro_dual_objective(Sample([1.0]), -0.1, 0.5)
+def _dual_objective(s, r, alpha):
+    """The dual objective g(alpha) = exp(-r) * exp(mean log(alpha + z_i)) - alpha."""
+    v, w = s.weighted_support()
+    return math.exp(-r + float(np.dot(w, np.log(alpha + v)))) - alpha
 
 
 def _two_point_min_mean(zeros: int, n: int, high: float, r: float) -> float:
@@ -205,7 +188,7 @@ def test_dual_concavity_random_triples():
     for _ in range(200):
         a1, a2 = rng.uniform(0.0, 10.0, size=2)
         theta = rng.uniform(0.0, 1.0)
-        g = lambda a: kl_dro_dual_objective(s, r, a)
+        g = lambda a: _dual_objective(s, r, a)
         mix = g(theta * a1 + (1 - theta) * a2)
         assert mix >= theta * g(a1) + (1 - theta) * g(a2) - 1e-10
 

@@ -139,8 +139,7 @@ def test_certificates_hold_in_the_solve_scale_at_every_magnitude(monkeypatch):
     assert math.isinf(solve_kl_dro_dual(s, r).alpha_star)
     for name, (s, r) in cases.items():
         assert verify_certificate(s, r, probes=500).passed, name
-        if r > oracle.KL_GAP_TOL:  # a smaller radius off by half is within the KL tolerance
-            assert not verify_certificate(s, r, probes=500, check_radius=1.5 * r).passed, name
+        assert not verify_certificate(s, r, probes=500, check_radius=1.5 * r).passed, name
     # a value off by 1e-6 fails at every magnitude: the gap is compared with
     # the value in the solve's scale, where neither underflows at 2**-1060
     solve = oracle.solve_kl_dro_dual
@@ -149,6 +148,26 @@ def test_certificates_hold_in_the_solve_scale_at_every_magnitude(monkeypatch):
     )
     for name, (s, r) in cases.items():
         assert not verify_certificate(s, r, probes=500).passed, name
+
+
+@pytest.mark.parametrize("r", [1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("scale_exponent", [0, 1000])
+def test_radius_control_fails_at_tiny_radii(scale_exponent, r):
+    # The KL tolerance is KL_GAP_TOL * r below r = 1, floored at the witness
+    # KL's rounding bound, so a check radius off by half fails down to
+    # r = 1e-12, where an absolute 1e-8 passed it; the true radius passes.
+    X = np.empty((4, 3000))
+    _draw_block(Pareto(1.5, 1.0), 11, 0, X)
+    s = Sample(np.ldexp(X[2], scale_exponent))
+    assert verify_certificate(s, r, probes=500).passed
+    report = verify_certificate(s, r, probes=500, check_radius=1.5 * r)
+    assert report.kl_gap == pytest.approx(0.5 * r, rel=1e-3) and not report.passed
+
+
+def test_certificates_pass_the_kl_tolerance_relative_to_r():
+    for i, (s, r) in enumerate(random_instances(200, seed=7)):
+        report = verify_certificate(s, r, probes=100, seed=i)
+        assert report.passed and report.kl_tol <= oracle.KL_GAP_TOL * min(1.0, r), i
 
 
 def test_witness_mass_is_checked_before_it_is_renormalized(monkeypatch):
@@ -191,18 +210,35 @@ def test_probe_detects_radius_inversion():
 @pytest.mark.parametrize("batch", [0, 1, 2])
 def test_probe_noise_is_dirichlet_with_the_batch_concentration(batch):
     # three batches of 4096 rows with each concentration: all ones, then 5 on
-    # the first column, then 5 on the last; each normalized column mean lies
-    # within 5 standard errors of alpha_j / sum(alpha)
+    # the first column, then 5 on the last. All noise is finite and >= 0; each
+    # column's mean and variance lie within 5 standard errors of alpha_j, those
+    # of Gamma(alpha_j) (the variance's squared error is (2 alpha**2 + 6 alpha) / N),
+    # and each normalized column mean within 5 of alpha_j / sum(alpha)
     m = 6
     alpha = np.ones(m)
     if batch:
         alpha[0 if batch == 1 else -1] = 5.0
-    rng = np.random.default_rng(2024)
+    rng = np.random.Generator(np.random.SFC64(2024))
     G = np.vstack([_probe_noise(rng, 4096, m, batch + 3 * k) for k in range(3)])
+    assert np.all(np.isfinite(G)) and np.all(G >= 0.0)
+    N = G.shape[0]
+    assert np.all(np.abs(G.mean(axis=0) - alpha) <= 5 * np.sqrt(alpha / N)), G.mean(axis=0)
+    variances = G.var(axis=0, ddof=1)
+    assert np.all(np.abs(variances - alpha) <= 5 * np.sqrt((2 * alpha**2 + 6 * alpha) / N)), variances
     means = (G / G.sum(axis=1, keepdims=True)).mean(axis=0)
     a0 = alpha.sum()
     stderr = np.sqrt(alpha * (a0 - alpha) / (a0**2 * (a0 + 1)) / G.shape[0])
     assert np.all(np.abs(means - alpha / a0) <= 5 * stderr), (means, alpha / a0)
+
+
+def test_probe_catches_most_instances_at_a_larger_radius():
+    # power guard: against the value at r, candidates feasible at 1.5 r must
+    # beat it on at least 40 of the 50 instances, so a cheaper noise draw
+    # cannot buy speed by weakening the probe
+    caught = 0
+    for i, (s, r) in enumerate(random_instances(50, seed=7)):
+        caught += random_feasible_probe(s, 1.5 * r, 10_000, seed=i, reference=solve_kl_dro_dual(s, r)) > 0
+    assert caught >= 40, caught
 
 
 def test_probe_candidates_lie_on_the_simplex():
@@ -232,6 +268,8 @@ def test_certificate_report_pass_logic():
     # a gap that is small in absolute terms but not relative to the value
     assert not CertificateReport(True, 1e-10, 1e-20, 0, -1.6e-11).passed
     assert not CertificateReport(True, 1e-10, 1e-12, 0, 2e-9).passed
+    # the KL gap is held to the report's own tolerance
+    assert not CertificateReport(True, 1e-10, 1e-12, 0, 1.0, kl_tol=1e-11).passed
 
 
 def _unfiltered_probe_batches(s, trials, seed, reference):
@@ -249,7 +287,7 @@ def _unfiltered_probe_batches(s, trials, seed, reference):
         [np.concatenate([wit, [0.0]]), w_ext, 0.5 * (np.concatenate([wit, [0.0]]) + w_ext)]
     )
     m = vals_ext.size
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.SFC64(seed))
     done = 0
     while done < trials:
         count = min(4096, trials - done)
