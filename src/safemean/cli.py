@@ -281,38 +281,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"safemean {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_radius_flags(p):
+    def add_estimator_flags(p):
+        """The flags _build_config reads, the same for estimate and simulate."""
+        p.add_argument("--estimator", required=True, choices=ESTIMATOR_KINDS)
+        p.add_argument("--delta", type=float, default=None, help="mean only: tolerance subtracted (default 0)")
+        p.add_argument("--a", type=float, default=None, help="trunc only: moment exponent in (1, 2] (default 2)")
+        p.add_argument("--A", type=float, default=None, help="trunc only: moment bound E[z^a] <= A (default 1)")
         p.add_argument("--r", type=float, default=None, help="fixed KL/W radius")
         p.add_argument("--lambda", dest="lam", type=float, default=None, help="fixed exponent lambda")
-        p.add_argument(
-            "--lambda-schedule",
-            default=None,
-            help="schedule logn[:<c>] | loglogn[:<c>] | power:<c>:<beta>",
-        )
+        p.add_argument("--lambda-schedule", default=None, help="schedule logn[:<c>] | loglogn[:<c>] | power:<c>:<beta>")
 
     p_est = sub.add_parser("estimate", help="run one estimator on a sample file")
-    p_est.add_argument("--estimator", required=True, choices=ESTIMATOR_KINDS)
     p_est.add_argument("--input", required=True, help="sample file, one value per line")
-    p_est.add_argument("--delta", type=float, default=None, help="mean only: tolerance subtracted (default 0)")
-    p_est.add_argument("--a", type=float, default=None, help="trunc only: moment exponent in (1, 2] (default 2)")
-    p_est.add_argument("--A", type=float, default=None, help="trunc only: moment bound E[z^a] <= A (default 1)")
-    add_radius_flags(p_est)
+    add_estimator_flags(p_est)
     p_est.set_defaults(func=cmd_estimate)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo disappointment/conservatism experiment")
     p_sim.add_argument("--dist", required=True)
-    p_sim.add_argument("--estimator", required=True, choices=ESTIMATOR_KINDS)
     p_sim.add_argument("--n", required=True, help="comma-separated sample sizes")
     p_sim.add_argument("--trials", type=int, required=True)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--event", choices=("disappointment", "conservatism"), default="disappointment")
     p_sim.add_argument("--b", type=float, default=None)
-    p_sim.add_argument("--delta", type=float, default=None, help="mean only: tolerance subtracted (default 0)")
-    p_sim.add_argument("--a", type=float, default=None, help="trunc only: moment exponent in (1, 2] (default 2)")
-    p_sim.add_argument("--A", type=float, default=None, help="trunc only: moment bound E[z^a] <= A (default 1)")
     p_sim.add_argument("--threads", type=int, default=None, help="worker threads (default: usable cores)")
     p_sim.add_argument("--out", default=None)
-    add_radius_flags(p_sim)
+    add_estimator_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_val = sub.add_parser("validate", help="dual-solver certificate suite")

@@ -74,24 +74,17 @@ class Sample:
     def weighted_support(self):
         """Distinct values with empirical weights (multiplicities / n), both read-only.
 
-        The sorted values are scanned for repeats once per sample. A sample
-        with repeats keeps its support for every later call. A sample without
-        is its own support, and its weights, all 1/n, are made on each call,
-        so it holds no second copy of its values.
+        Found once per sample and kept for every later call. A sample without
+        repeats is its own support, so it holds no second copy of its values.
         """
-        v = self._values
         if self._support is None:
-            starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
-            self._support = ()
-            if starts.size < v.size:
-                vals, weights = v[starts], np.diff(np.append(starts, v.size)) / v.size
-                vals.flags.writeable = weights.flags.writeable = False
-                self._support = vals, weights
-        if self._support:
-            return self._support
-        weights = np.full(v.size, 1.0 / v.size)
-        weights.flags.writeable = False
-        return v, weights
+            v = self._values
+            edges = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1], [True])))  # run starts, then n
+            weights = np.diff(edges) / v.size
+            vals = v[edges[:-1]] if weights.size < v.size else v
+            vals.flags.writeable = weights.flags.writeable = False
+            self._support = vals, weights
+        return self._support
 
     def __len__(self):
         return self._values.size

@@ -110,8 +110,7 @@ class DualSolution:
     float range, but alpha_star and nu can (a sample near 1e300 at r = 1e-12
     has alpha_star near sigma / sqrt(2 r)) and then read inf, while the scaled
     copies that certificates use stay finite. atom is the probability the
-    primal optimizer adds at zero (zero whenever alpha_star > 0). bracket is
-    unscaled; bracket[1] is inf if no point right of the root was seen.
+    primal optimizer adds at zero (zero whenever alpha_star > 0).
     """
 
     exponent: int
@@ -120,8 +119,6 @@ class DualSolution:
     scaled_value: float
     atom: float
     iterations: int
-    bracket: tuple
-    radius: float
 
     alpha_star = property(lambda self: _unscale(self.scaled_alpha, self.exponent))
     nu = property(lambda self: _unscale(self.scaled_nu, self.exponent))
@@ -140,8 +137,8 @@ def _solve_rows(X: np.ndarray, r: float, threshold=None):
     Each column carries probability 1/n, and each row is reduced on its own,
     so a row's results do not depend on the other rows. Returns each row's
     exponent e (the row is solved divided by 2**e) and, in that scale,
-    alpha*, nu, the value, the atom, the iteration count and the final
-    bracket (lo, hi); all-zero rows take no iterations and report zeros.
+    alpha*, nu, the value, the atom and the iteration count; all-zero rows
+    take no iterations and report zeros.
     With a threshold, a row whose bracket clears it reports the bound on
     that side as its value, and NaN as nu and atom.
     """
@@ -155,7 +152,7 @@ def _solve_rows(X: np.ndarray, r: float, threshold=None):
     Z = X * np.ldexp(1.0, -e)[:, None]
     zmin = Z.min(axis=1)
     w = np.full(n, 1.0 / n)
-    alpha, lo, hi, iterations = np.zeros(B), np.zeros(B), np.zeros(B), np.zeros(B, dtype=int)
+    alpha, iterations = np.zeros(B), np.zeros(B, dtype=int)
     rows = np.flatnonzero(top)
     # Rows without a zero start at a = 0 (d(0) <= 0 means alpha* = 0). a_lo is
     # the largest point seen left of the root (on rows with a zero, the floor).
@@ -222,7 +219,7 @@ def _solve_rows(X: np.ndarray, r: float, threshold=None):
             if np.count_nonzero(done):
                 finished = rows[done]
                 alpha[finished] = np.where(ok, nxt, a)[done]
-                lo[finished], hi[finished], iterations[finished] = a_lo[done], a_hi[done], it
+                iterations[finished] = it
                 rows, nxt, a_lo, a_hi = (x[~done] for x in (rows, nxt, a_lo, a_hi))
             a = nxt
     if rows.size:
@@ -245,7 +242,7 @@ def _solve_rows(X: np.ndarray, r: float, threshold=None):
     value[k] = np.minimum(nu[k] * witness_mass, mean)
     if not np.isfinite(nu[k]).all():  # value <= nu and alpha <= nu
         raise DualSolverError("non-finite dual solution")
-    return e, alpha, nu, value, atom, iterations, lo, hi
+    return e, alpha, nu, value, atom, iterations
 
 
 def _variance_bracket(means, sumsq, n: int):
@@ -306,8 +303,7 @@ def solve_kl_dro_dual(s: Sample, r: float) -> DualSolution:
     """Maximize the dual over alpha >= 0 for one sample, with its certificate
     ingredients (nu, atom): a batch of one of the sorted sample, so the value
     is the one the batch solver gives that row anywhere in a batch."""
-    e, alpha, nu, value, atom, it, lo, hi = (x[0].item() for x in _solve_rows(s.values[None, :], r))
-    return DualSolution(e, alpha, nu, value, atom, it, (_unscale(lo, e), _unscale(hi, e)), r)
+    return DualSolution(*(x[0].item() for x in _solve_rows(s.values[None, :], r)))
 
 
 def solve_kl_dro_dual_batch(X: np.ndarray, r: float, threshold=None) -> np.ndarray:
@@ -350,8 +346,8 @@ def _witness(s: Sample, sol: DualSolution):
     if v[-1] == 0.0:
         return v, np.ones(1), 1.0, 0.0, 0.0
     alpha, nu = sol.scaled_alpha, sol.scaled_nu
-    if alpha == 0.0 and v[0] == 0.0 and sol.radius > 0.0:
-        raise DualSolverError("inconsistent solution: alpha = 0 with a zero observation", sol.bracket)
+    if alpha == 0.0 and v[0] == 0.0:
+        raise DualSolverError("inconsistent solution: alpha = 0 with a zero observation")
     t = alpha + np.ldexp(v, -sol.exponent)
     weights = w * nu / t
     kl = float(np.dot(w, np.log(t / nu)))

@@ -4,10 +4,10 @@ All estimators are downward corrections of the sample mean: deflation by a
 fixed tolerance, worst case over a 1-Wasserstein ball, truncation with a
 moment-based compensator, variance regularization, total-variation mass
 removal, and the KL-ball worst case; beside them, the screen's bracket on
-the varreg value and the bounds a report carries. `estimate` runs a sample
-as a batch of one of the harness's kernels, on the sorted sample (the
-harness averages rows in draw order, so the two can differ in the last
-bits). EstimatorConfig.resolve_radius is the one place a radius is read.
+each kind's value (_brackets) and the bounds a report carries. `estimate`
+runs a sample as a batch of one of the harness's kernels, on the sorted
+sample (the harness averages rows in draw order, so the two can differ in
+the last bits). EstimatorConfig.resolve_radius alone reads a radius.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DistributionSpec, EstimateResult, RadiusSchedule, Sample, survival_probability
-from .dual import DualSolverError, _exponents, _variance_bracket, solve_kl_dro_dual
+from .dual import DualSolverError, _exponents, _variance_bracket, kl_value_upper_bound, solve_kl_dro_dual
 
 __all__ = [
     "EstimatorConfig",
@@ -172,6 +172,39 @@ def _varreg_bracket(means, sumsq, n: int, r: float):
         lo, hi = means - c * s_hi - rho, means - c * s_lo + rho
         ok = (np.minimum(sumsq / n, means * means) >= tiny) & (sumsq / n < np.inf)
     return np.where(ok, lo, np.nan), np.where(ok, hi, np.nan)
+
+
+def _brackets(cfg: EstimatorConfig, T: np.ndarray, means: np.ndarray, tops: np.ndarray):
+    """Certified brackets [lo, hi] on the estimates of the rows of a tile the
+    harness drew, the bracket its screen reads for every kind.
+
+    For KL at r > 0, hi is dual.kl_value_upper_bound and lo is -inf; for
+    varreg, _varreg_bracket; every other kind gets [-inf, mean]. Both bounds
+    take one np.vecdot per row beside the mean and maximum the draw made. A
+    row whose squares underflow or overflow gets a NaN bound; it is bounded
+    again on the row scaled by 2**-e, e the exponent of its maximum (both
+    bounds are homogeneous of degree 1 and the scaling is exact), and the
+    bound scaled back. A row whose mean is not a normal float stays NaN.
+    """
+    n = T.shape[1]
+    r = cfg.resolve_radius(n) if cfg.kind in ("kl", "varreg") else 0.0
+    if cfg.kind == "varreg":
+        def bound(means, sumsq, tops):
+            return _varreg_bracket(means, sumsq, n, r)
+    elif cfg.kind == "kl" and r > 0.0:
+        def bound(means, sumsq, tops):
+            return np.full(len(means), -np.inf), kl_value_upper_bound(means, sumsq, tops, n, r)
+    else:
+        return np.full(len(T), -np.inf), means
+    with np.errstate(over="ignore"):  # an overflowing sum of squares gets a NaN bound
+        lo, hi = bound(means, np.vecdot(T, T), tops)
+    redo = np.flatnonzero(np.isnan(hi) & (means >= np.finfo(float).tiny) & (means < np.inf))
+    if redo.size:
+        e = _exponents(tops[redo])
+        S = np.ldexp(T[redo], -e[:, None])
+        scaled = bound(np.ldexp(means[redo], -e), np.vecdot(S, S), np.ldexp(tops[redo], -e))
+        lo[redo], hi[redo] = (np.ldexp(x, e) for x in scaled)
+    return lo, hi
 
 
 def _closed_form(cfg: EstimatorConfig, X: np.ndarray, means: np.ndarray) -> np.ndarray:

@@ -18,11 +18,11 @@ solves run faster.
 
 A count reads only each estimate's side of its threshold, mu or mu - b, so
 one screen serves both events (_screen): a certified bracket [lo, hi] on
-each row's estimate, from its mean, maximum and one np.vecdot (_brackets),
-decides the rows it puts clear of the threshold by the solver's margin, and
-only the rest reach a kernel: the KL batch solver at a positive radius,
-estimators._closed_form otherwise. The KL rows left are solved with the
-threshold: a row stops once a certified bracket [g(a), U] on its value
+each row's estimate (estimators._brackets), from its mean, maximum and one
+np.vecdot, decides the rows it puts clear of the threshold by the solver's
+margin, and only the rest reach a kernel: the KL batch solver at a positive
+radius, estimators._closed_form otherwise. The KL rows left are solved with
+the threshold: a row stops once a certified bracket [g(a), U] on its value
 clears it, and only undecided rows get a converged value. A point mass's row
 mean is its value. Blocks run on as many worker threads as the process has
 usable cores unless threads (at least 1) says otherwise. A draw or estimate
@@ -30,9 +30,10 @@ that is not finite raises DualSolverError, so it is never counted as a safe
 trial.
 
 scipy is imported only by lognormal draws (ndtri), inside the transform, so
-importing the package loads numpy alone. The estimator kernels, the varreg
-bracket and the bound each report carries are in estimators.py, the
-large-deviation rates and variance-ratio curves in rates.py.
+importing the package loads numpy alone. The estimator kernels, the
+screen's bracket for every kind (estimators._brackets) and the bound each
+report carries are in estimators.py, the large-deviation rates and
+variance-ratio curves in rates.py.
 """
 
 from __future__ import annotations
@@ -57,12 +58,12 @@ from .core import (
     UniformBounded,
     true_mean,
 )
-from .dual import DualSolverError, _exponents, _side_margin, _tile_rows, kl_value_upper_bound, solve_kl_dro_dual_batch
+from .dual import DualSolverError, _side_margin, _tile_rows, solve_kl_dro_dual_batch
 from .estimators import (
     EstimatorConfig,
+    _brackets,
     _closed_form,
     _event_bound,
-    _varreg_bracket,
     estimate,  # noqa: F401 -- not called here; perfbench/spans.py wraps this name
 )
 
@@ -310,47 +311,16 @@ def _event_hits(values: np.ndarray, event: str, threshold: float) -> np.ndarray:
     return values > threshold if event == "disappointment" else values < threshold
 
 
-def _brackets(cfg: EstimatorConfig, T: np.ndarray, means: np.ndarray, tops: np.ndarray):
-    """Certified brackets [lo, hi] on the estimates of a drawn tile's rows.
-
-    For KL at r > 0, hi is dual.kl_value_upper_bound and lo is -inf; for
-    varreg, estimators._varreg_bracket; every other kind gets [-inf, mean]. Both bounds
-    take one np.vecdot per row beside the mean and maximum the draw made. A
-    row whose squares underflow or overflow gets a NaN bound; it is bounded
-    again on the row scaled by 2**-e, e the exponent of its maximum (both
-    bounds are homogeneous of degree 1 and the scaling is exact), and the
-    bound scaled back. A row whose mean is not a normal float stays NaN.
-    """
-    n = T.shape[1]
-    r = cfg.resolve_radius(n) if cfg.kind in ("kl", "varreg") else 0.0
-    if cfg.kind == "varreg":
-        def bound(means, sumsq, tops):
-            return _varreg_bracket(means, sumsq, n, r)
-    elif cfg.kind == "kl" and r > 0.0:
-        def bound(means, sumsq, tops):
-            return np.full(len(means), -np.inf), kl_value_upper_bound(means, sumsq, tops, n, r)
-    else:
-        return np.full(len(T), -np.inf), means
-    with np.errstate(over="ignore"):  # an overflowing sum of squares gets a NaN bound
-        lo, hi = bound(means, np.vecdot(T, T), tops)
-    redo = np.flatnonzero(np.isnan(hi) & (means >= np.finfo(float).tiny) & (means < np.inf))
-    if redo.size:
-        e = _exponents(tops[redo])
-        S = np.ldexp(T[redo], -e[:, None])
-        scaled = bound(np.ldexp(means[redo], -e), np.vecdot(S, S), np.ldexp(tops[redo], -e))
-        lo[redo], hi[redo] = (np.ldexp(x, e) for x in scaled)
-    return lo, hi
-
-
 def _screen(cfg: EstimatorConfig, T: np.ndarray, means: np.ndarray, tops: np.ndarray, event: str, threshold: float):
     """The hits among a drawn tile's rows that the screen decides, and the
     indices of the rows it leaves undecided, for an event at its threshold.
 
-    A row is decided when its bracket (_brackets) clears the threshold by the
-    margin the solver's own brackets clear, dual._side_margin(threshold,
-    mean); a NaN bound decides nothing. No estimator exceeds its row's mean,
-    so a row whose mean is at most mu cannot disappoint; an overflowing mean
-    is inf, is never decided, and raises in the kernel.
+    A row is decided when its bracket (estimators._brackets) clears the
+    threshold by the margin the solver's own brackets clear,
+    dual._side_margin(threshold, mean); a NaN bound decides nothing. No
+    estimator exceeds its row's mean, so a row whose mean is at most mu
+    cannot disappoint; an overflowing mean is inf, is never decided, and
+    raises in the kernel.
     """
     lo, hi = _brackets(cfg, T, means, tops)
     margin = _side_margin(threshold, means)

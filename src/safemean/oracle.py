@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DiscreteDistribution, Sample, _golden_max
+from .core import Sample, _golden_max
 from .dual import DualSolution, _unscale, _witness, _zero_first, primal_witness, solve_kl_dro_dual
 from .dual import witness_empirical_kl  # noqa: F401 -- not called here; perfbench/spans.py wraps this name
 
@@ -74,11 +74,6 @@ class CertificateReport:
         )
 
 
-def _support_and_weights(s: Sample):
-    """Distinct sample values with empirical weights, zero first as in the witness."""
-    return _zero_first(*s.weighted_support())
-
-
 def _kl_rows(w: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """KL(w, q) for each row q of Q as one dot over its own contiguous row, so
     it does not depend on the batch (a boolean column mask returns strided rows)."""
@@ -120,7 +115,7 @@ def kl_projection_bruteforce(
         raise ValueError("radius must be positive")
     if grid_resolution < 1:
         raise ValueError("grid_resolution must be positive")
-    vals, w = _support_and_weights(s)
+    vals, w = _zero_first(*s.weighted_support())
     m = vals.size
     if m > MAX_ORACLE_SUPPORT:
         raise ValueError(f"oracle handles at most {MAX_ORACLE_SUPPORT} support points, got {m}")
@@ -204,7 +199,6 @@ def random_feasible_probe(
     trials: int,
     seed: int = 0,
     reference: Optional[DualSolution] = None,
-    witness: Optional[DiscreteDistribution] = None,
 ) -> int:
     """Count random feasible distributions with mean below the reference value.
 
@@ -232,17 +226,14 @@ def random_feasible_probe(
     The probe runs in the reference's scale, on the support divided by
     2**exponent, so it finds the same violations at every scale. Expected
     count for a correct solver: 0.
-    `witness` defaults to the reference's.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if reference is None:
         reference = solve_kl_dro_dual(s, r)
-    vals, w = _support_and_weights(s)
+    vals, w = _zero_first(*s.weighted_support())
     if vals[-1] == 0.0:
         return 0
-    if witness is None:
-        witness = primal_witness(s, reference)
 
     # the support in the reference's scale, a maximum below 1, so the
     # synthetic point 2 * max neither overflows nor rounds, and every mean is
@@ -251,7 +242,7 @@ def random_feasible_probe(
     z = np.ldexp(vals, -reference.exponent)
     z_ext = np.append(z, 2.0 * z[-1])
     w_ext = np.append(w, 0.0)
-    wit_ext = np.append(witness.weights, 0.0)
+    wit_ext = np.append(primal_witness(s, reference).weights, 0.0)
     bases = np.vstack([wit_ext, w_ext, 0.5 * (wit_ext + w_ext)])
     base_means = bases @ z_ext
     m = z_ext.size
@@ -309,7 +300,6 @@ def verify_certificate(
     if r <= 0:
         raise ValueError("radius must be positive")
     sol = solve_kl_dro_dual(s, r)
-    witness = primal_witness(s, sol)
     _, weights, mass, mean, kl = _witness(s, sol)
     gap = abs(mean - sol.scaled_value)
     if s.max() == 0.0:
@@ -318,7 +308,7 @@ def verify_certificate(
     target = r if check_radius is None else check_radius
     # the mass before renormalizing, which a NaN or inf weight fails
     feasible = bool(np.all(weights >= 0.0)) and abs(mass - 1.0) <= 1e-10
-    violations = random_feasible_probe(s, r, probes, seed=seed, reference=sol, witness=witness)
+    violations = random_feasible_probe(s, r, probes, seed=seed, reference=sol)
     p, top = np.ldexp(s.values[[0, -1]], -sol.exponent) + sol.scaled_alpha
     m = s.weighted_support()[0].size
     bound = np.finfo(float).eps * (8 + 8 * abs(math.log(p)) + (s.n + m + 16) * (math.log(top / p) + r))

@@ -58,10 +58,9 @@ def test_weighted_support_is_found_once_and_read_only(values):
     expected_vals, counts = np.unique(values, return_counts=True)
     assert vals.tobytes() == expected_vals.tobytes() and w.tobytes() == (counts / len(values)).tobytes()
     again = s.weighted_support()
-    if vals.size < s.n:  # a sample with repeats keeps its support
-        assert again[0] is vals and again[1] is w
-    else:  # a sample without is its own support
-        assert vals is s.values and again[0] is s.values
+    assert again[0] is vals and again[1] is w  # found once, for every sample
+    if vals.size == s.n:  # a sample without repeats is its own support
+        assert vals is s.values
     for arr in (vals, w):
         with pytest.raises(ValueError):
             arr[0] = 2.0

@@ -399,10 +399,10 @@ def test_threshold_decided_rows_report_a_certified_bound():
     X = (1.0 - rng.random((200, 1000))) ** (-1.0 / 2.5)
     X[::4, 0] = 0.0
     r = math.log(1000) / 1000
-    e, _, _, full, _, full_iterations, _, _ = _solve_rows(X, r)
+    e, _, _, full, _, full_iterations = _solve_rows(X, r)
     full = np.ldexp(full, e)  # the values at the rows' own scale, which a threshold is given in
     threshold = full[7]  # row 7 cannot be decided
-    _, alpha, nu, value, atom, iterations, lo, hi = _solve_rows(X, r, threshold=threshold)
+    _, alpha, nu, value, atom, iterations = _solve_rows(X, r, threshold=threshold)
     value = np.ldexp(value, e)
     decided = np.isnan(nu)
     assert 0 < np.count_nonzero(decided) < len(X) and np.isnan(atom[decided]).all()

@@ -25,7 +25,8 @@ from safemean import (
     true_mean,
 )
 from safemean.dual import DualSolverError, kl_value_upper_bound
-from safemean.montecarlo import _brackets, _draw_block, _estimate_batch, _finite_estimates, _run_event_trials, _screen
+from safemean.estimators import _brackets
+from safemean.montecarlo import _draw_block, _estimate_batch, _finite_estimates, _run_event_trials, _screen
 
 LAWS = [Pareto(2.5, 1.0), Pareto(1.5, 1.0), LogNormal(0.0, 1.5), ScaledBernoulli(0.5, 2.0)]
 ROWS = 4
