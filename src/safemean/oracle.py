@@ -204,14 +204,19 @@ def random_feasible_probe(
 
     Candidates mix the witness, the empirical weights or their midpoint with
     Dirichlet noise on the support plus a synthetic point at twice the sample
-    maximum, which can only raise the mean. The noise is drawn as raw gamma
-    variates G (see _probe_noise); one (count, m) @ (m, 2) product gives each
-    row's G @ z and its sum S, and a candidate is
-    q = G * (t / S) + (1 - t) * base. A violation is a candidate with mean
-    below value * (1 - PROBE_MARGIN) and KL at most r. Only candidates whose
-    mean, assembled as (1 - t) * (base @ z) + t * (G @ z) / S, falls below
-    that plus a rounding slack are built, and only their KL is evaluated;
-    each built candidate's exact mean is one dot over its own row.
+    maximum, which can only raise the mean. A candidate is
+    q = G * (t / S) + (1 - t) * base, with G raw gamma variates (see
+    _probe_noise) and S their sum. A violation is a candidate with mean
+    below value * (1 - PROBE_MARGIN) and KL at most r. Each batch draws
+    every row's mixing weight t and base first, then noise only for the live
+    rows, whose fixed part (1 - t) * (base @ z) is below that bound plus a
+    rounding slack: t (G @ z) / S is never negative and adding it never
+    lowers a rounded sum, so no other row could pass the screen below. So
+    which candidates are drawn depends on the reference's bound. One
+    (live, m) @ (m, 2) product gives each live row's G @ z and S; only rows
+    whose mean, assembled as (1 - t) * (base @ z) + t * (G @ z) / S, is
+    still below the bound plus the slack are built, and only their KL is
+    evaluated; each built candidate's exact mean is one dot over its own row.
 
     The slack, 4 (m + 2) eps z_max, bounds |assembled - exact| with room to
     spare. With u = eps / 2, every term nonnegative, and mu = t (G @ z) / S
@@ -256,11 +261,14 @@ def random_feasible_probe(
     batch = 4096
     while done < trials:
         count = min(batch, trials - done)
-        G = _probe_noise(rng, count, m, done // batch)
         t = rng.uniform(0.0, 0.35, size=count)
         pick = rng.integers(0, bases.shape[0], size=count)
+        fixed = (1.0 - t) * base_means[pick]
+        live = np.flatnonzero(fixed < bound + slack)
+        t, pick, fixed = t.take(live), pick.take(live), fixed.take(live)
+        G = _probe_noise(rng, live.size, m, done // batch)
         Gz, S = (G @ z_and_ones).T
-        near = np.flatnonzero((1.0 - t) * base_means[pick] + t * (Gz / S) < bound + slack)
+        near = np.flatnonzero(fixed + t * (Gz / S) < bound + slack)
         t_near = t.take(near)
         q = G.take(near, axis=0)
         q *= (t_near / S.take(near))[:, None]

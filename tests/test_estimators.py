@@ -149,6 +149,13 @@ def test_variance_reg_examples():
     assert value("varreg", [0, 2], lam=0.0) == 1.0
 
 
+def test_trunc_and_varreg_are_not_clipped_at_zero():
+    # the README's example: a compensator larger than the mean gives a
+    # negative estimate of a non-negative sample, reported as defined
+    assert value("trunc", [0.5, 2.0], a=2.0, A=5.0, lam=3.0) == -0.5664965809277259
+    assert value("varreg", [0.5, 2.0], lam=3.0) == -0.049038105676658006
+
+
 def test_tv_estimator_examples():
     # r = 0.5 -> removal 0.5: the whole atom at 2 moves to zero
     assert value("tv", [0, 2], lam=1.0) == pytest.approx(0.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -244,9 +245,9 @@ def test_probe_candidates_lie_on_the_simplex():
     eps = np.finfo(float).eps
     for i, (s, r) in enumerate(random_instances(50, seed=7)):
         sol = solve_kl_dro_dual(s, r)
-        for Q, _, _, _ in _unfiltered_probe_batches(s, 10_000, i, sol):
-            assert np.all(Q >= 0.0), i
-            assert np.all(np.abs(Q.sum(axis=1) - 1.0) <= Q.shape[1] * eps), i
+        for batch in _unfiltered_probe_batches(s, 10_000, i, sol, np.inf, 0.0):
+            assert np.all(batch.Q >= 0.0), i
+            assert np.all(np.abs(batch.Q.sum(axis=1) - 1.0) <= batch.Q.shape[1] * eps), i
 
 
 @pytest.mark.parametrize("scale_exponent", [-1000, 0, 1000])
@@ -271,10 +272,23 @@ def test_certificate_report_pass_logic():
     assert not CertificateReport(True, 1e-10, 1e-12, 0, 1.0, kl_tol=1e-11).passed
 
 
-def _unfiltered_probe_batches(s, trials, seed, reference):
+def _probe_bound_and_slack(s, reference):
+    """The probe's bound value * (1 - PROBE_MARGIN) and its rounding slack
+    4 (m + 2) eps max(z_ext), on the unscaled support."""
+    vals = _zero_first(*s.weighted_support())[0]
+    m = vals.size + 1
+    return reference.value * (1.0 - PROBE_MARGIN), 4 * (m + 2) * np.finfo(float).eps * (2.0 * vals[-1])
+
+
+def _unfiltered_probe_batches(s, trials, seed, reference, bound, slack):
     """The probe without its mean screen or its KL filter, on the unscaled
-    support: yields every candidate, its mean (one dot over its own row), its
-    KL divergence and its mean as the screen assembles it, batch by batch."""
+    support, drawing in the probe's order: each batch's mixing weights t and
+    bases first, then noise for the live trials, those whose fixed part
+    (1 - t) * (base mean) is below bound + slack (every trial when bound is
+    inf). Yields per batch the fixed parts and t of all its trials, the live
+    trials' indices, and for each live trial its candidate Q, its mean (one
+    dot over its own row), its KL divergence and its mean as the screen
+    assembles it."""
     vals, w = _zero_first(*s.weighted_support())
     witness = primal_witness(s, reference)
     wit = np.zeros_like(w)
@@ -290,21 +304,31 @@ def _unfiltered_probe_batches(s, trials, seed, reference):
     done = 0
     while done < trials:
         count = min(4096, trials - done)
-        G = _probe_noise(rng, count, m, done // 4096)
         t = rng.uniform(0.0, 0.35, size=count)
         pick = rng.integers(0, bases.shape[0], size=count)
+        fixed = (1.0 - t) * (bases @ vals_ext)[pick]
+        live = np.flatnonzero(fixed < bound + slack)
+        G = _probe_noise(rng, live.size, m, done // 4096)
         Gz, S = (G @ np.column_stack([vals_ext, np.ones(m)])).T
-        Q = G * (t / S)[:, None]
-        Q += (1.0 - t)[:, None] * bases[pick]
-        assembled = (1.0 - t) * (bases @ vals_ext)[pick] + t * (Gz / S)
-        yield Q, np.vecdot(Q, vals_ext), _kl_rows(w_ext, Q), assembled
+        Q = G * (t[live] / S)[:, None]
+        Q += (1.0 - t[live])[:, None] * bases[pick[live]]
+        yield SimpleNamespace(
+            fixed=fixed,
+            t=t,
+            live=live,
+            Q=Q,
+            means=np.vecdot(Q, vals_ext),
+            kl=_kl_rows(w_ext, Q),
+            assembled=fixed[live] + t[live] * (Gz / S),
+        )
         done += count
 
 
 def _unfiltered_probe(s, r, trials, seed, reference):
+    bound, slack = _probe_bound_and_slack(s, reference)
     return sum(
-        int(np.sum((kl <= r) & (means < reference.value * (1.0 - PROBE_MARGIN))))
-        for _, means, kl, _ in _unfiltered_probe_batches(s, trials, seed, reference)
+        int(np.sum((batch.kl <= r) & (batch.means < bound)))
+        for batch in _unfiltered_probe_batches(s, trials, seed, reference, bound, slack)
     )
 
 
@@ -323,6 +347,35 @@ def _value_with_bound(bound):
     raise AssertionError(f"no value has bound {bound!r}")
 
 
+def _candidates_keeping_their_noise(s, trials, sol, bounds_of):
+    """Candidates of one unboosted batch, each drawn with the same noise at
+    every bound in bounds_of(its mean), pooled over selection bounds from
+    0.85 to 1.6 times sol's: (batch, k, bounds) for candidate k of the batch
+    drawn at that selection bound. Which trials get noise depends on the
+    bound, and live trial k gets uniforms [k m, (k + 1) m) of the batch's
+    stream, so a candidate keeps its noise exactly where its trial is live
+    and has k live trials before it."""
+    bound, slack = _probe_bound_and_slack(s, sol)
+    pool = []
+    for selection in bound * np.geomspace(0.85, 1.6, 16):
+        (batch,) = _unfiltered_probe_batches(s, trials, 0, sol, selection, slack)
+        ranks = np.arange(batch.live.size)
+        before = np.arange(batch.fixed.size) < batch.live[:, None]
+        keeps = np.ones(ranks.size, dtype=bool)
+        for x in np.array([bounds_of(mean) for mean in batch.means]).T:
+            live = batch.fixed < (x + slack)[:, None]
+            keeps &= live[ranks, batch.live] & (np.count_nonzero(live & before, axis=1) == ranks)
+        pool += [(batch, k, bounds_of(batch.means[k])) for k in np.flatnonzero(keeps)]
+    return pool
+
+
+def _assert_keeps_its_noise(s, trials, sol, batch, k, bounds):
+    _, slack = _probe_bound_and_slack(s, sol)
+    for bound in bounds:
+        (again,) = _unfiltered_probe_batches(s, trials, 0, sol, bound, slack)
+        assert again.live[k] == batch.live[k] and again.means[k] == batch.means[k], (k, bound)
+
+
 @pytest.mark.parametrize("seed", [7, 11])
 def test_probe_matches_unfiltered_loop_on_certify_instances(seed):
     # the certify benchmark's instances and probe seeds; the inflated
@@ -339,24 +392,65 @@ def test_probe_matches_unfiltered_loop_on_certify_instances(seed):
     assert inflated_violations > 200_000
 
 
+def test_probe_skips_only_rows_that_cannot_fall_below_the_bound():
+    # A trial draws no noise when its fixed part (1 - t) * (base mean) is at
+    # least bound + slack: t (G @ z) / S is never negative, and adding it
+    # never lowers a rounded sum. Full-width noise from an independent stream
+    # for every skipped trial of the certify instances, against the true and
+    # an inflated reference, never brings an assembled mean below.
+    noise = np.random.Generator(np.random.SFC64(2025))
+    skipped_trials = 0
+    for i, (s, r) in enumerate(random_instances(200, seed=7)):
+        if s.max() == 0.0:
+            continue
+        sol = solve_kl_dro_dual(s, r)
+        vals = _zero_first(*s.weighted_support())[0]
+        z_and_ones = np.column_stack([np.append(vals, 2.0 * vals[-1]), np.ones(vals.size + 1)])
+        for reference in (sol, _with_value(sol, 1.5 * sol.value + 0.1)):
+            bound, slack = _probe_bound_and_slack(s, reference)
+            for number, batch in enumerate(_unfiltered_probe_batches(s, 10_000, 7 + i, reference, bound, slack)):
+                skipped = np.flatnonzero(batch.fixed >= bound + slack)
+                Gz, S = (_probe_noise(noise, skipped.size, vals.size + 1, number) @ z_and_ones).T
+                assembled = batch.fixed[skipped] + batch.t[skipped] * (Gz / S)
+                assert not np.any(assembled < bound + slack), i
+                skipped_trials += skipped.size
+    assert skipped_trials > 200_000, skipped_trials
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("trials", [1, 10_000])
+def test_probe_without_live_trials_finds_nothing(trials):
+    # every fixed part is at least 0.65 times the lowest base mean, the
+    # witness's, far above a bound at a quarter of the value: no batch draws
+    # noise, the boosted ones at 10,000 trials included
+    s = Sample(np.random.default_rng(15).lognormal(0.0, 1.0, 12))
+    sol = solve_kl_dro_dual(s, 0.1)
+    reference = _with_value(sol, 0.25 * sol.value)
+    bound, slack = _probe_bound_and_slack(s, reference)
+    assert all(batch.live.size == 0 for batch in _unfiltered_probe_batches(s, trials, 0, reference, bound, slack))
+    assert random_feasible_probe(s, 0.1, trials, seed=0, reference=reference) == 0
+
+
 def test_probe_single_candidate_rounds_as_in_its_batch():
     # Each candidate's KL is one dot over its own contiguous row, so a lone
     # candidate below the reference gets its batch KL bit for bit. The radius
     # is set to the lowest-mean candidate's KL, so that candidate is counted
-    # only if the probe's one-row KL is not an ulp above its batch KL.
+    # only if the probe's one-row KL is not an ulp above its batch KL; the
+    # bound is the next double above its mean.
     for sample_seed in range(15, 35):
         s = Sample(np.random.default_rng(sample_seed).lognormal(0.0, 1.0, 12))
         sol = solve_kl_dro_dual(s, 0.1)
-        (Q, means, kl, _), = _unfiltered_probe_batches(s, 500, 0, sol)
+        (batch,) = _unfiltered_probe_batches(s, 500, 0, sol, np.inf, 0.0)
         w = np.append(_zero_first(*s.weighted_support())[1], 0.0)
-        alone = np.array([_kl_rows(w, Q[j : j + 1])[0] for j in range(len(Q))])
-        assert np.array_equal(alone, kl), sample_seed
+        alone = np.array([_kl_rows(w, batch.Q[j : j + 1])[0] for j in range(len(batch.Q))])
+        assert np.array_equal(alone, batch.kl), sample_seed
     s = Sample(np.random.default_rng(15).lognormal(0.0, 1.0, 12))
     sol = solve_kl_dro_dual(s, 0.1)
-    (Q, means, kl, _), = _unfiltered_probe_batches(s, 500, 0, sol)
-    j, second = np.argsort(means)[:2]
-    r = float(kl[j])
-    reference = _with_value(sol, 0.5 * (means[j] + means[second]) / (1.0 - PROBE_MARGIN))
+    pool = _candidates_keeping_their_noise(s, 500, sol, lambda mean: (np.nextafter(mean, np.inf),))
+    batch, j, (bound,) = min(pool, key=lambda c: c[0].means[c[1]])
+    _assert_keeps_its_noise(s, 500, sol, batch, j, (bound,))
+    r = float(batch.kl[j])
+    reference = _with_value(sol, _value_with_bound(bound))
     assert _unfiltered_probe(s, r, 500, 0, reference) == 1
     assert random_feasible_probe(s, r, 500, seed=0, reference=reference) == 1
 
@@ -367,16 +461,19 @@ def test_probe_boundary_candidate_matches_unfiltered_loop(scale_exponent):
     # side: the mean screen must never drop a candidate the exact test keeps.
     # The radius is that candidate's KL, so it counts only when strictly below.
     # The candidates: the lowest mean, the median, and the one whose screen
-    # mean rounds furthest above its exact mean.
+    # mean rounds furthest above its exact mean, each chosen among the
+    # candidates that keep their noise at all three bounds.
     s = Sample(np.ldexp(np.random.default_rng(15).lognormal(0.0, 1.0, 12), scale_exponent))
     sol = solve_kl_dro_dual(s, 0.1)
-    (_, means, kl, assembled), = _unfiltered_probe_batches(s, 2000, 0, sol)
-    rounded_up = np.argmax(assembled - means)
-    assert assembled[rounded_up] > means[rounded_up]
-    for j in (np.argmin(means), np.argsort(means)[len(means) // 2], rounded_up):
-        r = float(kl[j])
+    around = lambda mean: (np.nextafter(mean, -np.inf), mean, np.nextafter(mean, np.inf))
+    pool = sorted(_candidates_keeping_their_noise(s, 2000, sol, around), key=lambda c: c[0].means[c[1]])
+    rounded_up = max(pool, key=lambda c: c[0].assembled[c[1]] - c[0].means[c[1]])
+    assert rounded_up[0].assembled[rounded_up[1]] > rounded_up[0].means[rounded_up[1]]
+    for batch, j, bounds in (pool[0], pool[len(pool) // 2], rounded_up):
+        _assert_keeps_its_noise(s, 2000, sol, batch, j, bounds)
+        r = float(batch.kl[j])
         counts = []
-        for bound in (np.nextafter(means[j], -np.inf), means[j], np.nextafter(means[j], np.inf)):
+        for bound in bounds:
             reference = _with_value(sol, _value_with_bound(bound))
             counts.append(random_feasible_probe(s, r, 2000, seed=0, reference=reference))
             assert counts[-1] == _unfiltered_probe(s, r, 2000, 0, reference), (j, bound)
