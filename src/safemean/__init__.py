@@ -16,7 +16,6 @@ from .core import (
     EstimateResult,
     LogNormal,
     Pareto,
-    PointMass,
     RadiusSchedule,
     Sample,
     ScaledBernoulli,

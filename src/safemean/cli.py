@@ -21,7 +21,6 @@ from . import __version__
 from .core import (
     LogNormal,
     Pareto,
-    PointMass,
     RadiusSchedule,
     SampleFileError,
     ScaledBernoulli,
@@ -46,7 +45,8 @@ class UsageError(ValueError):
 
 
 def parse_distribution(text: str):
-    """Grammar: pareto:rho:xm | lognormal:mu:sigma | bern:p:high | point:c | uniform:lo:hi."""
+    """Grammar: pareto:rho:xm | lognormal:mu:sigma | bern:p:high | point:c | uniform:lo:hi,
+    where point:c, the point mass at c, is bern:1:c."""
     parts = text.split(":")
     name = parts[0].lower()
     args = [float(p) for p in parts[1:]]
@@ -58,7 +58,7 @@ def parse_distribution(text: str):
         if name in ("bern", "bernoulli") and len(args) == 2:
             return ScaledBernoulli(args[0], args[1])
         if name == "point" and len(args) == 1:
-            return PointMass(args[0])
+            return ScaledBernoulli(1.0, args[0])
         if name == "uniform" and len(args) == 2:
             return UniformBounded(args[0], args[1])
     except ValueError as exc:

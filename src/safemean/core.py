@@ -20,7 +20,6 @@ __all__ = [
     "Pareto",
     "LogNormal",
     "ScaledBernoulli",
-    "PointMass",
     "UniformBounded",
     "DistributionSpec",
     "EstimateResult",
@@ -214,7 +213,7 @@ class LogNormal:
 
 @dataclass(frozen=True)
 class ScaledBernoulli:
-    """Takes value `high` with probability p, else 0."""
+    """Takes value `high` with probability p, else 0; p = 1 is the point mass at `high`."""
 
     p: float
     high: float
@@ -222,17 +221,8 @@ class ScaledBernoulli:
     def __post_init__(self):
         if not (0.0 <= self.p <= 1.0):
             raise ValueError("Bernoulli probability must lie in [0, 1]")
-        if self.high < 0.0:
-            raise ValueError("Bernoulli high value must be non-negative")
-
-
-@dataclass(frozen=True)
-class PointMass:
-    value: float
-
-    def __post_init__(self):
-        if self.value < 0.0 or not math.isfinite(self.value):
-            raise ValueError("point mass must be a finite non-negative value")
+        if not (0.0 <= self.high < math.inf):  # NaN fails too
+            raise ValueError("Bernoulli high value must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -245,7 +235,7 @@ class UniformBounded:
             raise ValueError("uniform bounds require 0 <= lo < hi")
 
 
-DistributionSpec = Union[Pareto, LogNormal, ScaledBernoulli, PointMass, UniformBounded]
+DistributionSpec = Union[Pareto, LogNormal, ScaledBernoulli, UniformBounded]
 
 
 def true_mean(spec: DistributionSpec) -> float:
@@ -256,28 +246,27 @@ def true_mean(spec: DistributionSpec) -> float:
         return math.exp(spec.mu + 0.5 * spec.sigma**2)
     if isinstance(spec, ScaledBernoulli):
         return spec.p * spec.high
-    if isinstance(spec, PointMass):
-        return spec.value
     if isinstance(spec, UniformBounded):
         return 0.5 * (spec.lo + spec.hi)
     raise TypeError(f"unsupported distribution spec {spec!r}")
 
 
 def true_variance(spec: DistributionSpec) -> float:
-    """Closed-form population variance; inf when the second moment diverges."""
+    """Closed-form population variance; inf when the second moment diverges
+    or the variance overflows a float. Products are taken left to right with
+    the scale last, so a Bernoulli at p = 0 or 1 has variance 0.0 at any high."""
     if isinstance(spec, Pareto):
         if spec.shape <= 2.0:
             return math.inf
-        m = true_mean(spec)
-        second = spec.shape * spec.scale**2 / (spec.shape - 2.0)
-        return second - m * m
-    if isinstance(spec, LogNormal):
+        return spec.shape / ((spec.shape - 1.0) ** 2 * (spec.shape - 2.0)) * spec.scale * spec.scale
+    if isinstance(spec, LogNormal):  # exp(2 mu + s2) expm1(s2), in logs so neither factor overflows alone
         s2 = spec.sigma**2
-        return (math.exp(s2) - 1.0) * math.exp(2.0 * spec.mu + s2)
+        try:
+            return math.exp(2.0 * (spec.mu + s2) + math.log(-math.expm1(-s2)))
+        except OverflowError:
+            return math.inf
     if isinstance(spec, ScaledBernoulli):
-        return spec.p * (1.0 - spec.p) * spec.high**2
-    if isinstance(spec, PointMass):
-        return 0.0
+        return spec.p * (1.0 - spec.p) * spec.high * spec.high
     if isinstance(spec, UniformBounded):
         return (spec.hi - spec.lo) ** 2 / 12.0
     raise TypeError(f"unsupported distribution spec {spec!r}")
@@ -318,8 +307,6 @@ def survival_probability(spec: DistributionSpec, u: float) -> float:
         return 0.5 * math.erfc(z / math.sqrt(2.0))
     if isinstance(spec, ScaledBernoulli):
         return spec.p if u < spec.high else 0.0
-    if isinstance(spec, PointMass):
-        return 1.0 if u < spec.value else 0.0
     if isinstance(spec, UniformBounded):
         if u <= spec.lo:
             return 1.0

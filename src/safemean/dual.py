@@ -131,6 +131,32 @@ def _exponents(x: np.ndarray) -> np.ndarray:
     return np.maximum(np.frexp(x)[1], -1021)
 
 
+def _row_means(X: np.ndarray, tops: np.ndarray) -> np.ndarray:
+    """The mean of each row of X, values >= 0 whose row maxima are tops,
+    held within the row's [min, max]: rounding can carry the mean of nearly
+    equal values past them. A mean that is not finite (an overflowing sum)
+    is left alone, so that it still raises where it is used.
+
+    The minimum is read only on the rows where max <= m (1 + (n + 1)**2 eps)
+    + n d, m the computed mean and d = 2**-1074, the only rows where m can
+    leave [min, max]. A row with m > max is one of them. For m < min: with
+    u = eps / 2, a sum of n values >= 0 in any order and its division by n
+    leave m >= zbar (1 - g) - d / 2, g = n u / (1 - n u), zbar the exact
+    mean; and zbar >= (max + (n - 1) min) / n. So m < min gives max <=
+    n zbar - (n - 1) m < m (1 + n g / (1 - g)) + n d, where n g / (1 - g) =
+    n**2 u / (1 - 2 n u) <= n**2 eps; the (2n + 1) eps to spare covers the
+    rounding of the test itself.
+    """
+    n = X.shape[1]
+    slack = 1.0 + (n + 1) ** 2 * np.finfo(float).eps
+    with np.errstate(over="ignore"):
+        means = X.sum(axis=1) / n  # X.mean(axis=1) bit for bit, without its overhead
+        near = np.flatnonzero((tops <= means * slack + n * 5e-324) & (means < np.inf))
+    if near.size:
+        means[near] = np.clip(means[near], X[near].min(axis=1), tops[near])
+    return means
+
+
 def _solve_rows(X: np.ndarray, r: float, threshold=None):
     """Maximize the dual for every row of a (batch, n) matrix of samples.
 
@@ -229,8 +255,8 @@ def _solve_rows(X: np.ndarray, r: float, threshold=None):
     # nu, value and atom at alpha* on undecided rows; all-zero rows are evaluated at alpha = 1.
     k = slice(None) if zbar is None else np.flatnonzero(np.isnan(value))
     Z, solved = Z[k], top[k] > 0.0
-    # the value's cap, the mean clipped to the max as in estimate(mean), which at r ~ 1e-100 its rounding can pass
-    mean = np.minimum(Z.mean(axis=1), np.ldexp(top[k], -e[k]))
+    # the value's cap, the row mean as estimate(mean) takes it, which at r ~ 1e-100 its rounding can pass
+    mean = _row_means(Z, np.ldexp(top[k], -e[k]))
     a, T = alpha[k] + ~solved, T[: len(Z)]
     p = a + zmin[k]
     np.add(Z, a[:, None], out=T)

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DistributionSpec, EstimateResult, RadiusSchedule, Sample, survival_probability
-from .dual import DualSolverError, _exponents, _variance_bracket, kl_value_upper_bound, solve_kl_dro_dual
+from .dual import DualSolverError, _exponents, _row_means, _variance_bracket, kl_value_upper_bound, solve_kl_dro_dual
 
 __all__ = [
     "EstimatorConfig",
@@ -248,10 +248,7 @@ def estimate(cfg: EstimatorConfig, s: Sample) -> EstimateResult:
         return EstimateResult(sol.value, "kl", diag)
     X = s.values[None, :]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite estimate, which raises
-        means = X.mean(axis=1)
-        if np.isfinite(means[0]):  # rounding can carry the mean of equal values past them
-            means = np.clip(means, s.values[0], s.values[-1])
-        value = float(_closed_form(cfg, X, means)[0])
+        value = float(_closed_form(cfg, X, _row_means(X, X[:, -1]))[0])
     if not math.isfinite(value):
         raise DualSolverError(f"non-finite {cfg.kind} estimate in the sample")
     diag = {"alpha_star": math.inf, "nu": value, "atom": 0.0} if cfg.kind == "kl" else {}

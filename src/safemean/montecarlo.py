@@ -23,9 +23,10 @@ np.vecdot, decides the rows it puts clear of the threshold by the solver's
 margin, and only the rest reach a kernel: the KL batch solver at a positive
 radius, estimators._closed_form otherwise. The KL rows left are solved with
 the threshold: a row stops once a certified bracket [g(a), U] on its value
-clears it, and only undecided rows get a converged value. A point mass's row
-mean is its value. Blocks run on as many worker threads as the process has
-usable cores unless threads (at least 1) says otherwise. A draw or estimate
+clears it, and only undecided rows get a converged value. Every row mean is
+held within its row's [min, max] (dual._row_means), so n copies of v average
+to v unless their sum overflows. Blocks run on as many worker threads as the
+process has usable cores unless threads (at least 1) says otherwise. A draw or estimate
 that is not finite raises DualSolverError, so it is never counted as a safe
 trial.
 
@@ -52,13 +53,12 @@ from .core import (
     DistributionSpec,
     LogNormal,
     Pareto,
-    PointMass,
     Sample,
     ScaledBernoulli,
     UniformBounded,
     true_mean,
 )
-from .dual import DualSolverError, _side_margin, _tile_rows, solve_kl_dro_dual_batch
+from .dual import DualSolverError, _row_means, _side_margin, _tile_rows, solve_kl_dro_dual_batch
 from .estimators import (
     EstimatorConfig,
     _brackets,
@@ -210,31 +210,25 @@ def _draw_tiles(spec: DistributionSpec, seed: int, start: int, rows: int, n: int
         index = [np.arange(start, start + rows, dtype=np.uint32)]
     else:
         raise ValueError("trial indices must stay below 2**32")
-    entropy = _words(seed) + index
-    seeded = not isinstance(spec, PointMass)
-    if seeded:
-        w = np.empty((8, rows), dtype=np.uint64)
-        for k, word in enumerate(_seed_state(entropy)):
-            w[k] = word
-        # generate_state(4, np.uint64) is (w0 | w1 << 32, ..., w6 | w7 << 32): one row per trial
-        words = iter((w[0::2] | w[1::2] << 32).T.copy())
-        row_seed, pcg64, generator = _row_seed(), np.random.PCG64, np.random.Generator
+    w = np.empty((8, rows), dtype=np.uint64)
+    for k, word in enumerate(_seed_state(_words(seed) + index)):
+        w[k] = word
+    # generate_state(4, np.uint64) is (w0 | w1 << 32, ..., w6 | w7 << 32): one row per trial
+    words = iter((w[0::2] | w[1::2] << 32).T.copy())
+    row_seed, pcg64, generator = _row_seed(), np.random.PCG64, np.random.Generator
     tile = _tile_rows(n)
     buf = np.empty((min(tile, rows), n))
     for i in range(0, rows, tile):
         T = buf[: min(tile, rows - i)]
-        if seeded:
-            for row, state in zip(T, words):
-                generator(pcg64(row_seed(state))).random(out=row)
-        # overflowing draws are checked below; an overflowing row mean is inf,
-        # which no screen decides, and raises
-        with np.errstate(over="ignore"):
+        for row, state in zip(T, words):
+            generator(pcg64(row_seed(state))).random(out=row)
+        with np.errstate(over="ignore"):  # an overflowing draw is inf, which raises below
             _transform(spec, T)
-            means = T.mean(axis=1) if seeded else np.full(len(T), spec.value)  # n copies of v need not average to v
         tops = T.max(axis=1)
         if not np.isfinite(tops).all():
             raise DualSolverError(f"{spec!r} draws a value that overflows a float")
-        yield T, means, tops
+        # an overflowing row mean is inf, which no screen decides, and raises
+        yield T, _row_means(T, tops), tops
 
 
 def _draw_block(spec: DistributionSpec, seed: int, start: int, X: np.ndarray) -> np.ndarray:
@@ -248,10 +242,8 @@ def _draw_block(spec: DistributionSpec, seed: int, start: int, X: np.ndarray) ->
 
 
 def _transform(spec: DistributionSpec, T: np.ndarray) -> None:
-    """The inverse-CDF transform of uniform draws, in place; a point mass fills T."""
-    if isinstance(spec, PointMass):
-        T.fill(spec.value)
-    elif isinstance(spec, Pareto):
+    """The inverse-CDF transform of uniform draws, in place."""
+    if isinstance(spec, Pareto):
         np.subtract(1.0, T, out=T)
         T **= -1.0 / spec.shape
         T *= spec.scale
@@ -302,7 +294,11 @@ def _finite_estimates(cfg: EstimatorConfig, X: np.ndarray, means: np.ndarray, wh
 
 
 def _event_threshold(spec: DistributionSpec, event: str, b: float) -> float:
-    """The threshold whose side of it is all an event reads: mu, or mu - b for conservatism."""
+    """The threshold whose side of it is all an event reads: mu, or mu - b for conservatism, where b > 0."""
+    if event not in ("disappointment", "conservatism"):
+        raise ValueError(f"unknown event {event!r}")
+    if event == "conservatism" and b <= 0:
+        raise ValueError("b must be positive")
     return true_mean(spec) - (b if event == "conservatism" else 0.0)
 
 
@@ -419,8 +415,6 @@ def conservatism_probability(
 ) -> TrialReport:
     """Monte Carlo estimate of P[estimate < true mean - b]; threads as in
     disappointment_probability."""
-    if b <= 0:
-        raise ValueError("b must be positive")
     return _report(spec, cfg, n, trials, seed, "conservatism", b, threads)
 
 
@@ -464,10 +458,6 @@ def exact_bernoulli_event_probability(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if event not in ("disappointment", "conservatism"):
-        raise ValueError(f"unknown event {event!r}")
-    if event == "conservatism" and b <= 0:
-        raise ValueError("b must be positive")
     threshold = _event_threshold(spec, event, b)
     pmf = _binomial_pmf(n, spec.p)
     rows = _tile_rows(n)
@@ -475,9 +465,8 @@ def exact_bernoulli_event_probability(
     for k0 in range(0, n + 1, rows):
         k = np.arange(k0, min(k0 + rows, n + 1))
         X = spec.high * (np.arange(n) >= n - k[:, None])  # n - k zeros, then k high values
-        with np.errstate(over="ignore"):  # an overflowing mean is a non-finite estimate, which raises
-            means = X.mean(axis=1)
-        values = _finite_estimates(cfg, X, means, f"count patterns {k[0]}..{k[-1]}", threshold)
+        # an overflowing mean is a non-finite estimate, which raises
+        values = _finite_estimates(cfg, X, _row_means(X, X[:, -1]), f"count patterns {k[0]}..{k[-1]}", threshold)
         for p in pmf[k[_event_hits(values, event, threshold)]]:
             total += float(p)
     return total

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DistributionSpec, LogNormal, Pareto, PointMass, ScaledBernoulli, UniformBounded, _golden_max, true_mean
+from .core import DistributionSpec, LogNormal, Pareto, ScaledBernoulli, UniformBounded, _golden_max, true_mean
 
 __all__ = [
     "RateFit",
@@ -65,8 +65,6 @@ def _expect(spec: DistributionSpec, c: float, g, epsabs: float) -> float:
     standard-normal space, with log|c| in the exponent, capped at 709. Where
     the weight has underflowed the integrand is 0, even if g overflows.
     """
-    if isinstance(spec, PointMass):
-        return g(c * spec.value)
     if isinstance(spec, ScaledBernoulli):
         return (1.0 - spec.p) * g(0.0) + spec.p * g(c * spec.high)
     if isinstance(spec, UniformBounded):
@@ -99,7 +97,7 @@ def _scaled(spec: DistributionSpec, c: float) -> DistributionSpec:
     """The law of z / c."""
     if isinstance(spec, LogNormal):
         return LogNormal(spec.mu - math.log(c), spec.sigma)
-    fields = {Pareto: ("scale",), ScaledBernoulli: ("high",), UniformBounded: ("lo", "hi"), PointMass: ("value",)}
+    fields = {Pareto: ("scale",), ScaledBernoulli: ("high",), UniformBounded: ("lo", "hi")}
     return replace(spec, **{name: getattr(spec, name) / c for name in fields[type(spec)]})
 
 
@@ -184,9 +182,7 @@ def _population_radius_limit(spec: DistributionSpec) -> float:
     """r(inf) = E log z + log E[1/z], the limit of r(atilde) as atilde grows,
     in closed form; it does not change when z is scaled, and it is infinite
     when z has mass at zero or a density there."""
-    if isinstance(spec, PointMass):
-        return 0.0
-    if isinstance(spec, ScaledBernoulli):
+    if isinstance(spec, ScaledBernoulli):  # a point mass at p = 1
         return 0.0 if spec.p == 1.0 else math.inf
     if isinstance(spec, Pareto):  # E log z = log scale + 1/rho, E[1/z] = rho / ((rho + 1) scale)
         return 1.0 / spec.shape + math.log(spec.shape / (spec.shape + 1.0))
@@ -238,13 +234,15 @@ def variance_ratio_curve(spec: DistributionSpec, r_grid: Sequence[float]):
 
     The log ratio is log((alpha + z)/nu), whose variance equals
     V[log(1 + z/alpha)], computed by quadrature at the population dual point
-    of the law scaled to mean 1; the ratio does not depend on the scale.
+    of the law scaled to mean 1; the ratio does not depend on the scale. A
+    law with r(inf) = 0, a point mass, has ratio 0 at every radius.
     """
+    constant = _population_radius_limit(spec) == 0.0
     out = []
     for r in r_grid:
         if r <= 0:
             raise ValueError("radii must be positive")
-        if isinstance(spec, PointMass):
+        if constant:
             out.append((float(r), 0.0))
             continue
         mu = true_mean(spec)

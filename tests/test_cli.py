@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from safemean.cli import main, parse_distribution, parse_schedule, UsageError
-from safemean.core import Pareto, PointMass, ScaledBernoulli
+from safemean.core import Pareto, ScaledBernoulli
 
 
 @pytest.fixture
@@ -18,7 +18,7 @@ def two_point(tmp_path):
 def test_parse_distribution():
     assert parse_distribution("pareto:2.5:1") == Pareto(2.5, 1.0)
     assert parse_distribution("bern:0.5:2") == ScaledBernoulli(0.5, 2.0)
-    assert parse_distribution("point:3") == PointMass(3.0)
+    assert parse_distribution("point:3") == ScaledBernoulli(1.0, 3.0)
     with pytest.raises(UsageError):
         parse_distribution("pareto:2.5")
     with pytest.raises(UsageError):
@@ -275,6 +275,13 @@ def test_rates_variance_ratio(tmp_path):
     assert 1.8 <= ratio <= 2.1
 
 
+@pytest.mark.parametrize("dist", ["point:2", "bern:1:2"])
+def test_rates_variance_ratio_of_a_point_mass_is_zero(tmp_path, dist):
+    out = tmp_path / "curve.csv"
+    assert main(["rates", "--variance-ratio", "--dist", dist, "--r-grid", "1e-2,1e-3", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-3:] == ["r,ratio", "0.01,0", "0.001,0"]
+
+
 def test_rates_requires_a_mode(capsys):
     assert main(["rates"]) == 2
 
@@ -323,14 +330,33 @@ def test_simulate_varreg_at_1e300_is_finite(tmp_path, event):
     assert out.read_text().splitlines()[-1].startswith("varreg,20,10,")
 
 
+@pytest.mark.parametrize("dist", ["point:1e300", "bern:1:1e300", "bern:1:0.1"])
 @pytest.mark.parametrize("estimator", [["mean"], ["varreg", "--lambda", "1"]], ids=lambda e: e[0])
-def test_simulate_point_mass_never_disappoints(tmp_path, estimator):
-    # twenty 1e300 values sum to a mean one ulp above 1e300; the row mean of a
-    # point mass is its value, so the estimate never exceeds mu
+def test_simulate_point_mass_never_disappoints(tmp_path, estimator, dist):
+    # twenty 1e300 or 0.1 values sum to a mean one ulp above them; a row mean is
+    # held within its row's min and max, so the estimate never exceeds mu
     out = tmp_path / "out.csv"
-    args = ["simulate", "--dist", "point:1e300", "--estimator", *estimator, "--n", "20", "--trials", "10"]
+    args = ["simulate", "--dist", dist, "--estimator", *estimator, "--n", "20", "--trials", "10"]
     assert main(args + ["--out", str(out)]) == 0
     assert out.read_text().splitlines()[-1].startswith(f"{estimator[0]},20,10,0,")
+
+
+@pytest.mark.parametrize("estimator", [["mean"], ["varreg", "--lambda", "1"]], ids=lambda e: e[0])
+def test_simulate_point_mass_is_never_conservative(tmp_path, estimator):
+    # three 0.7 values average to one ulp below 0.7 = mu - 1e-17 in floats; neither
+    # estimate moves below a constant sample's value (KL at r > 0 does: v exp(-r))
+    out = tmp_path / "out.csv"
+    args = ["simulate", "--dist", "bern:1:0.7", "--estimator", *estimator, "--event", "conservatism", "--b", "1e-17"]
+    assert main(args + ["--n", "3", "--trials", "10", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-1].startswith(f"{estimator[0]},3,10,0,")
+
+
+@pytest.mark.parametrize("dist", ["bern:0.5:inf", "point:inf", "bern:0.5:nan"])
+def test_simulate_non_finite_law_is_usage_error(tmp_path, capsys, dist):
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--dist", dist, "--estimator", "mean", "--n", "3", "--trials", "3", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "finite and non-negative" in capsys.readouterr().err
 
 
 def test_simulate_non_finite_estimate_is_numeric_failure(tmp_path, capsys):

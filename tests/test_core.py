@@ -8,7 +8,6 @@ from safemean import (
     EstimatorConfig,
     LogNormal,
     Pareto,
-    PointMass,
     RadiusSchedule,
     Sample,
     ScaledBernoulli,
@@ -98,7 +97,7 @@ def test_popoviciu_variance_bound():
 
 def test_true_mean_examples():
     assert true_mean(Pareto(2.0, 1.0)) == pytest.approx(2.0)
-    assert true_mean(PointMass(3.0)) == 3.0
+    assert true_mean(ScaledBernoulli(1.0, 3.0)) == 3.0
     assert true_mean(ScaledBernoulli(0.5, 2.0)) == 1.0
     assert true_mean(UniformBounded(0.0, 1.0)) == 0.5
 
@@ -121,10 +120,33 @@ def test_true_mean_matches_quadrature(spec):
 
 
 def test_true_variance_closed_forms():
-    assert true_variance(PointMass(2.0)) == 0.0
+    assert true_variance(ScaledBernoulli(1.0, 2.0)) == 0.0
     assert true_variance(ScaledBernoulli(0.5, 2.0)) == pytest.approx(1.0)
     assert true_variance(Pareto(2.5, 1.0)) == pytest.approx(5.0 - (5.0 / 3.0) ** 2)
     assert true_variance(Pareto(1.8, 1.0)) == math.inf
+    assert true_variance(LogNormal(0.0, 1.0)) == pytest.approx((math.e - 1.0) * math.e, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "spec, variance",
+    [
+        (ScaledBernoulli(0.5, 1e200), math.inf),
+        (Pareto(2.5, 1e200), math.inf),
+        (LogNormal(400.0, 1.0), math.inf),
+        (LogNormal(-800.0, 30.0), math.exp(200.0)),  # exp(2 mu + s2) expm1(s2): both factors overflow alone
+        (ScaledBernoulli(1.0, 1e300), 0.0),
+        (ScaledBernoulli(0.0, 1e300), 0.0),
+    ],
+    ids=repr,
+)
+def test_true_variance_overflows_to_inf_and_is_zero_for_a_point_mass(spec, variance):
+    assert true_variance(spec) == pytest.approx(variance, rel=1e-12)
+
+
+@pytest.mark.parametrize("high", [math.inf, math.nan, -1.0])
+def test_bernoulli_high_value_must_be_finite_and_non_negative(high):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        ScaledBernoulli(0.5, high)
 
 
 def test_survival_probability_pareto():

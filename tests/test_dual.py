@@ -14,7 +14,7 @@ from safemean import (
     solve_kl_dro_dual,
     solve_kl_dro_dual_batch,
 )
-from safemean.dual import _TILE_VALUES, DualSolverError, _solve_rows, witness_empirical_kl
+from safemean.dual import _TILE_VALUES, DualSolverError, _row_means, _solve_rows, witness_empirical_kl
 from safemean.montecarlo import _draw_block, _finite_estimates
 from safemean.oracle import random_instances, verify_certificate
 
@@ -46,6 +46,25 @@ def _two_point_min_mean(zeros: int, n: int, high: float, r: float) -> float:
         else:
             hi = mid
     return high * math.exp(0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 300, 3000])
+def test_row_means_read_the_minimum_on_every_row_that_needs_it(n):
+    # the mean clipped to [min, max] on every row, against the helper, which reads
+    # the minimum only where the maximum is within (n + 1)**2 eps of the mean
+    rng = np.random.default_rng(n)
+    rows = []
+    for v in (5e-324, 3e-320, 2.2250738585072014e-308, 1e-300, 0.1, 0.7, 1.0, 1e300, 1.7e308 / n):
+        rows += [np.full(n, v), np.nextafter(np.full(n, v), np.inf), v * (1.0 + 1e-15 * rng.random(n))]
+        rows.append(np.where(np.arange(n) == 0, np.nextafter(v, 0.0), v))  # one value an ulp lower
+    rows += list(rng.pareto(2.5, size=(20, n)) + 1.0)
+    X = np.array(rows)
+    tops = X.max(axis=1)
+    got = _row_means(X, tops)
+    assert np.array_equal(got, np.clip(X.mean(axis=1), X.min(axis=1), tops))
+    assert np.all((X.min(axis=1) <= got) & (got <= tops))
+    if n > 1:  # an overflowing mean stays inf, so it still raises where it is used
+        assert _row_means(np.full((1, n), 1.7e308), np.array([1.7e308]))[0] == np.inf
 
 
 def test_solve_two_point_closed_form():

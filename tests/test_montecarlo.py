@@ -10,7 +10,6 @@ from safemean import (
     EstimatorConfig,
     LogNormal,
     Pareto,
-    PointMass,
     RadiusSchedule,
     Sample,
     ScaledBernoulli,
@@ -40,7 +39,7 @@ BERN_RATE_HALF = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)  # 0.13081203594113
 
 
 def test_draw_point_mass():
-    s = draw_sample(PointMass(3.0), 5, seed=1)
+    s = draw_sample(ScaledBernoulli(1.0, 3.0), 5, seed=1)
     assert list(s.values) == [3.0] * 5
 
 
@@ -66,9 +65,19 @@ ALL_KINDS = (
     Pareto(2.5, 1.0),
     LogNormal(0.3, 2.0),
     ScaledBernoulli(0.3, 2.5),
-    PointMass(1.5),
+    ScaledBernoulli(1.0, 1.5),
     UniformBounded(0.5, 3.0),
 )
+
+
+def _kind(spec):
+    """A law's family, in test ids; a scaled Bernoulli at p = 1 is the point mass it draws."""
+    return "PointMass" if isinstance(spec, ScaledBernoulli) and spec.p == 1.0 else type(spec).__name__
+
+
+def _law(spec):
+    """A law's repr, in test ids; a scaled Bernoulli at p = 1 is named as the point mass it draws."""
+    return f"PointMass(value={spec.high!r})" if _kind(spec) == "PointMass" else repr(spec)
 
 
 def _reference_draw(spec, n, seed, index):
@@ -81,12 +90,10 @@ def _reference_draw(spec, n, seed, index):
         return np.exp(spec.mu + spec.sigma * ndtri(u))
     if isinstance(spec, ScaledBernoulli):
         return np.where(u < spec.p, spec.high, 0.0)
-    if isinstance(spec, PointMass):
-        return np.full(n, spec.value)
     return spec.lo + (spec.hi - spec.lo) * u
 
 
-@pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda spec: type(spec).__name__)
+@pytest.mark.parametrize("spec", ALL_KINDS, ids=_kind)
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5])
 def test_block_draw_matches_per_trial_generators(spec, seed):
     n = 9
@@ -130,8 +137,6 @@ def _whole_block_transform(spec, U):
     elif isinstance(spec, ScaledBernoulli):
         np.less(X, spec.p, out=X)
         X *= spec.high
-    elif isinstance(spec, PointMass):
-        X.fill(spec.value)
     else:
         X *= spec.hi - spec.lo
         X += spec.lo
@@ -152,7 +157,7 @@ def tile_grid_uniforms():
     return grid
 
 
-@pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda spec: type(spec).__name__)
+@pytest.mark.parametrize("spec", ALL_KINDS, ids=_kind)
 def test_tiled_draw_matches_whole_block_transform_mean_and_std(spec, tile_grid_uniforms):
     for n, U in tile_grid_uniforms.items():
         k = _TILE_VALUES // n
@@ -209,9 +214,9 @@ SCREEN_SPECS = (
     LogNormal(0.0, 1.0),
     ScaledBernoulli(0.5, 2.0),
     UniformBounded(0.0, 1.0),
-    PointMass(1e-300),
-    PointMass(1.0),
-    PointMass(1e300),
+    ScaledBernoulli(1.0, 1e-300),
+    ScaledBernoulli(1.0, 1.0),
+    ScaledBernoulli(1.0, 1e300),
 )
 
 
@@ -302,7 +307,7 @@ def test_block_screened_out_entirely_has_no_rows_and_no_hits(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_finite_estimates", spy)
     # every row's mean equals mu, so none can disappoint
-    assert _run_event_trials(PointMass(1.0), EstimatorConfig("kl", r=0.1), 20, 50, 3, "disappointment", 0.0, 1, 16) == 0
+    assert _run_event_trials(ScaledBernoulli(1.0, 1.0), EstimatorConfig("kl", r=0.1), 20, 50, 3, "disappointment", 0.0, 1, 16) == 0
     assert rows == [0, 0, 0, 0]
 
 
@@ -384,10 +389,10 @@ def test_wilson_coverage_on_synthetic_bernoulli():
 
 
 def test_disappointment_point_mass_zero():
-    rep = disappointment_probability(PointMass(3.0), EstimatorConfig("kl", r=0.2), 10, 500, seed=4)
+    rep = disappointment_probability(ScaledBernoulli(1.0, 3.0), EstimatorConfig("kl", r=0.2), 10, 500, seed=4)
     assert rep.hits == 0 and rep.p_hat == 0.0
     # tie is not a disappointment
-    rep_mean = disappointment_probability(PointMass(3.0), EstimatorConfig("mean", delta=0.0), 10, 500, seed=4)
+    rep_mean = disappointment_probability(ScaledBernoulli(1.0, 3.0), EstimatorConfig("mean", delta=0.0), 10, 500, seed=4)
     assert rep_mean.hits == 0
 
 
@@ -421,10 +426,10 @@ def test_disappointment_bound_column_filled():
 
 def test_conservatism_point_mass_zero():
     # compensator sqrt(2 r) sigma-hat = 0 for a constant sample: never b-conservative
-    rep = conservatism_probability(PointMass(2.0), EstimatorConfig("varreg", lam=1.0), 0.5, 10, 300, seed=7)
+    rep = conservatism_probability(ScaledBernoulli(1.0, 2.0), EstimatorConfig("varreg", lam=1.0), 0.5, 10, 300, seed=7)
     assert rep.hits == 0
-    with pytest.raises(ValueError):
-        conservatism_probability(PointMass(2.0), EstimatorConfig("varreg", lam=1.0), 0.0, 10, 10, seed=7)
+    with pytest.raises(ValueError, match="b must be positive"):
+        conservatism_probability(ScaledBernoulli(1.0, 2.0), EstimatorConfig("varreg", lam=1.0), 0.0, 10, 10, seed=7)
 
 
 def test_conservatism_varreg_bound_column():
@@ -515,6 +520,15 @@ def test_batched_enumeration_matches_scalar_loop(cfg, event):
         assert exact_bernoulli_event_probability(spec, cfg, n, event, b=0.5) == expected
 
 
+@pytest.mark.parametrize("p", [0.0, 1.0])
+@pytest.mark.parametrize("cfg", ENUM_CONFIGS, ids=lambda cfg: cfg.kind)
+def test_enumerated_point_mass_never_disappoints(cfg, p):
+    # every sample equals mu; n copies of 0.1 or 0.7 average to one ulp above or below them
+    for high in (1e-300, 0.1, 0.7, 1e300):
+        for n in (3, 20, 300):
+            assert exact_bernoulli_event_probability(ScaledBernoulli(p, high), cfg, n, "disappointment") == 0.0
+
+
 def test_enumeration_rejects_unknown_event_and_non_positive_b():
     cfg = EstimatorConfig("mean")
     with pytest.raises(ValueError, match="n must be >= 1"):
@@ -540,7 +554,7 @@ def test_exact_enumeration_agrees_with_monte_carlo():
 
 
 def test_laplace_transform_closed_forms():
-    assert laplace_transform(PointMass(2.0), 1.3) == pytest.approx(math.exp(-2.6), rel=1e-12)
+    assert laplace_transform(ScaledBernoulli(1.0, 2.0), 1.3) == pytest.approx(math.exp(-2.6), rel=1e-12)
     assert laplace_transform(BERN, 0.7) == pytest.approx(0.5 + 0.5 * math.exp(-1.4), rel=1e-12)
     s = 0.9
     expected_unif = (1.0 - math.exp(-s)) / s
@@ -633,7 +647,8 @@ def test_rate_fit_requires_three_positive_points():
 
 
 def test_variance_ratio_point_mass_zero():
-    curve = variance_ratio_curve(PointMass(2.0), [1e-2, 1e-3])
+    # r(inf) = 0: no population dual point exists, and the ratio is 0 at every radius
+    curve = variance_ratio_curve(ScaledBernoulli(1.0, 2.0), [1e-2, 1e-3])
     assert [ratio for _, ratio in curve] == [0.0, 0.0]
 
 
@@ -696,15 +711,15 @@ def test_population_dual_radius_too_large():
         (UniformBounded(1.0, 2.0), 2.0 * math.log(2.0) - 1.0 + math.log(math.log(2.0))),
         (UniformBounded(0.0, 1.0), math.inf),
         (ScaledBernoulli(0.5, 2.0), math.inf),
-        (PointMass(2.0), 0.0),
+        (ScaledBernoulli(1.0, 2.0), 0.0),
     ],
-    ids=repr,
+    ids=_law,
 )
 def test_population_dual_exists_only_below_the_radius_limit(spec, limit):
     # r(atilde) rises to E log z + log E[1/z]; at or above it there is no root
     # (LogNormal(0, 1) at r = 0.5 returned atilde = 2.58e10)
     assert _population_radius_limit(spec) == pytest.approx(limit, rel=1e-14)
-    if isinstance(spec, PointMass):
+    if limit == 0.0:
         with pytest.raises(ValueError, match="too large"):
             solve_population_dual(spec, 1e-6)
         return

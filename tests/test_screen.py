@@ -12,7 +12,6 @@ from safemean import (
     EstimatorConfig,
     LogNormal,
     Pareto,
-    PointMass,
     RadiusSchedule,
     Sample,
     ScaledBernoulli,
@@ -217,9 +216,14 @@ def test_overflowing_mean_is_kept_and_solved():
 
 
 # the varreg bracket and the screen on both events: tiles of every law and a point mass
-BRACKET_LAWS = LAWS + [PointMass(3.0)]
+BRACKET_LAWS = LAWS + [ScaledBernoulli(1.0, 3.0)]
 BRACKET_NS = (1, 2, 100, 1000)
 SCALES = (-1000, 0, 1000)
+
+
+def _law(law):
+    """A law's repr, in test ids; a scaled Bernoulli at p = 1 is named as the point mass it draws."""
+    return f"PointMass(value={law.high!r})" if isinstance(law, ScaledBernoulli) and law.p == 1.0 else repr(law)
 
 
 def _tile(law, n: int):
@@ -234,7 +238,7 @@ def _radii(n: int) -> list:
 
 
 @pytest.mark.parametrize("n", BRACKET_NS)
-@pytest.mark.parametrize("law", BRACKET_LAWS, ids=repr)
+@pytest.mark.parametrize("law", BRACKET_LAWS, ids=_law)
 def test_varreg_bracket_contains_the_computed_value(law, n):
     X, means = _tile(law, n)
     for k in SCALES:
@@ -257,7 +261,7 @@ def _screened_count(cfg, X, means, event, threshold) -> int:
 
 
 @pytest.mark.parametrize("n", BRACKET_NS)
-@pytest.mark.parametrize("law", BRACKET_LAWS, ids=repr)
+@pytest.mark.parametrize("law", BRACKET_LAWS, ids=_law)
 def test_screened_hits_equal_the_unscreened_count(law, n):
     X, means = _tile(law, n)
     for kind in ("varreg", "kl"):
@@ -274,7 +278,7 @@ def test_screened_hits_equal_the_unscreened_count(law, n):
                     assert _screened_count(cfg, Xk, mk, event, threshold) == np.count_nonzero(hits), (kind, k, event)
 
 
-@pytest.mark.parametrize("law", BRACKET_LAWS, ids=repr)
+@pytest.mark.parametrize("law", BRACKET_LAWS, ids=_law)
 def test_threshold_on_a_computed_value_leaves_the_row_undecided(law):
     X, means = _tile(law, 100)
     for k in SCALES:
