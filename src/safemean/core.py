@@ -192,11 +192,11 @@ class Pareto:
     shape: float
     scale: float = 1.0
 
-    def __post_init__(self):
-        if self.shape <= 1.0:
-            raise ValueError("Pareto shape must exceed 1 for a finite mean")
-        if self.scale <= 0.0:
-            raise ValueError("Pareto scale must be positive")
+    def __post_init__(self):  # NaN fails every check
+        if not (1.0 < self.shape < math.inf):
+            raise ValueError("Pareto shape must be finite and exceed 1 for a finite mean")
+        if not (0.0 < self.scale < math.inf):
+            raise ValueError("Pareto scale must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -204,10 +204,10 @@ class LogNormal:
     mu: float
     sigma: float
 
-    def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError("LogNormal sigma must be positive")
-        if self.mu + 0.5 * self.sigma**2 > math.log(np.finfo(float).max):
+    def __post_init__(self):  # NaN fails every check
+        if not (0.0 < self.sigma < math.inf and -math.inf < self.mu < math.inf):
+            raise ValueError("LogNormal mu and sigma must be finite, and sigma positive")
+        if self.mu + 0.5 * self.sigma * self.sigma > math.log(np.finfo(float).max):  # sigma**2 would raise
             raise ValueError("LogNormal mean exp(mu + sigma^2/2) overflows a float")
 
 
@@ -231,8 +231,8 @@ class UniformBounded:
     hi: float
 
     def __post_init__(self):
-        if self.lo < 0.0 or self.hi <= self.lo:
-            raise ValueError("uniform bounds require 0 <= lo < hi")
+        if not (0.0 <= self.lo < self.hi < math.inf):  # NaN fails too
+            raise ValueError("uniform bounds must be finite, with 0 <= lo < hi")
 
 
 DistributionSpec = Union[Pareto, LogNormal, ScaledBernoulli, UniformBounded]

@@ -219,7 +219,8 @@ def _closed_form(cfg: EstimatorConfig, X: np.ndarray, means: np.ndarray) -> np.n
         return np.maximum(means - r, 0.0)
     if kind == "trunc":
         _, c_a = truncation_constants(cfg.a, cfg.A)
-        return np.minimum(X, r ** (-1.0 / cfg.a)).mean(axis=1) - c_a * r ** ((cfg.a - 1.0) / cfg.a)
+        Y = np.minimum(X, r ** (-1.0 / cfg.a))
+        return _row_means(Y, Y.max(axis=1)) - c_a * r ** ((cfg.a - 1.0) / cfg.a)
     if kind == "varreg":
         return means - math.sqrt(2.0 * r) * row_std(X, means)
     if kind == "tv":  # mass sqrt(r/2) moves from the largest values to zero: whole atoms, then a fraction

@@ -9,10 +9,11 @@ of trials at a time: the SeedSequence hash runs in uint32 arithmetic over
 the whole block, and each row's PCG64 is seeded in C (pcg64_set_seed) from
 that row's hashed words. It is drawn, transformed, averaged, screened and
 estimated one tile of dual._TILE_VALUES values at a time, in L2, so a worker
-holds about three tiles, never a block. draw_sample is a block of one. The
-screen and the estimator kernels share that one mean per row. A KL estimate
-is bit-identical whichever rows share its solve (each row is reduced on its
-own), so estimates, like draws, do not depend on batching or worker threads;
+holds about three tiles, never a block. _draw_tiles is the one routine that
+draws a trial: draw_sample is one row of it. The screen and the estimator
+kernels share that one mean per row. A KL estimate is bit-identical
+whichever rows share its solve (each row is reduced on its own), so
+estimates, like draws, do not depend on batching or worker threads;
 undecided rows reach a kernel a full tile at a time only because larger
 solves run faster.
 
@@ -30,20 +31,20 @@ process has usable cores unless threads (at least 1) says otherwise. A draw or e
 that is not finite raises DualSolverError, so it is never counted as a safe
 trial.
 
-scipy is imported only by lognormal draws (ndtri), inside the transform, so
-importing the package loads numpy alone. The estimator kernels, the
-screen's bracket for every kind (estimators._brackets) and the bound each
-report carries are in estimators.py, the large-deviation rates and
-variance-ratio curves in rates.py.
+scipy is imported only by lognormal draws (ndtri), inside the transform,
+concurrent.futures only where a pool of worker threads starts, and decimal
+only by the enumeration's pmf, so importing the package loads none of them.
+The estimator kernels, the screen's bracket for every kind
+(estimators._brackets) and the bound each report carries are in
+estimators.py, the large-deviation rates and variance-ratio curves in
+rates.py.
 """
 
 from __future__ import annotations
 
-import decimal
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -231,16 +232,6 @@ def _draw_tiles(spec: DistributionSpec, seed: int, start: int, rows: int, n: int
         yield T, _row_means(T, tops), tops
 
 
-def _draw_block(spec: DistributionSpec, seed: int, start: int, X: np.ndarray) -> np.ndarray:
-    """Fill the (rows, n) block X with trials start, ... as _draw_tiles draws them; return the row means."""
-    means = np.empty(len(X))
-    i = 0
-    for T, tile_means, _ in _draw_tiles(spec, seed, start, *X.shape):
-        X[i : i + len(T)], means[i : i + len(T)] = T, tile_means
-        i += len(T)
-    return means
-
-
 def _transform(spec: DistributionSpec, T: np.ndarray) -> None:
     """The inverse-CDF transform of uniform draws, in place."""
     if isinstance(spec, Pareto):
@@ -266,12 +257,11 @@ def _transform(spec: DistributionSpec, T: np.ndarray) -> None:
 
 
 def draw_sample(spec: DistributionSpec, n: int, seed: int, stream: int = 0) -> Sample:
-    """n i.i.d. draws; deterministic in (spec, n, seed, stream)."""
+    """n i.i.d. draws, trial `stream` of seed `seed`: one row of _draw_tiles."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    X = np.empty((1, n))
-    _draw_block(spec, seed, stream, X)
-    return Sample(X[0])
+    T, _, _ = next(_draw_tiles(spec, seed, stream, 1, n))
+    return Sample(T[0])
 
 
 def _estimate_batch(cfg: EstimatorConfig, X: np.ndarray, means: np.ndarray, threshold=None) -> np.ndarray:
@@ -378,6 +368,8 @@ def _run_event_trials(
 
     if threads <= 1 or len(starts) == 1:
         return sum(run_chunk(s0) for s0 in starts)
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return sum(pool.map(run_chunk, starts))
 
@@ -418,10 +410,6 @@ def conservatism_probability(
     return _report(spec, cfg, n, trials, seed, "conservatism", b, threads)
 
 
-# 40 digits and an exponent range no binomial term can leave
-_PMF_CONTEXT = decimal.Context(prec=40, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
-
-
 def _binomial_pmf(n: int, p: float) -> np.ndarray:
     """Binom(n, p) pmf(k) for k = 0, ..., n, each term rounded to a float once.
 
@@ -434,7 +422,10 @@ def _binomial_pmf(n: int, p: float) -> np.ndarray:
     if p == 0.0 or p == 1.0:
         pmf[n if p == 1.0 else 0] = 1.0
         return pmf
-    with decimal.localcontext(_PMF_CONTEXT):
+    import decimal
+
+    # 40 digits and an exponent range no binomial term can leave
+    with decimal.localcontext(decimal.Context(prec=40, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)):
         p_dec = decimal.Decimal(p)
         q_dec = 1 - p_dec
         ratio = p_dec / q_dec

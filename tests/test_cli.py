@@ -351,12 +351,22 @@ def test_simulate_point_mass_is_never_conservative(tmp_path, estimator):
     assert out.read_text().splitlines()[-1].startswith(f"{estimator[0]},3,10,0,")
 
 
-@pytest.mark.parametrize("dist", ["bern:0.5:inf", "point:inf", "bern:0.5:nan"])
+NON_FINITE_LAWS = {
+    "bern:0.5:inf": "high value must be finite and non-negative",
+    "point:inf": "high value must be finite and non-negative",
+    "bern:0.5:nan": "high value must be finite and non-negative",
+    "pareto:2.5:inf": "scale must be finite and positive",
+    "uniform:0:inf": "bounds must be finite",
+    "lognormal:nan:1": "mu and sigma must be finite",
+}
+
+
+@pytest.mark.parametrize("dist", list(NON_FINITE_LAWS))
 def test_simulate_non_finite_law_is_usage_error(tmp_path, capsys, dist):
     out = tmp_path / "out.csv"
     assert main(["simulate", "--dist", dist, "--estimator", "mean", "--n", "3", "--trials", "3", "--out", str(out)]) == 2
     assert not out.exists()
-    assert "finite and non-negative" in capsys.readouterr().err
+    assert NON_FINITE_LAWS[dist] in capsys.readouterr().err
 
 
 def test_simulate_non_finite_estimate_is_numeric_failure(tmp_path, capsys):

@@ -149,6 +149,36 @@ def test_bernoulli_high_value_must_be_finite_and_non_negative(high):
         ScaledBernoulli(0.5, high)
 
 
+NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_pareto_parameters_must_be_finite(value):
+    for shape, scale in ((value, 1.0), (2.5, value)):
+        with pytest.raises(ValueError, match="must be finite"):
+            Pareto(shape, scale)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_lognormal_parameters_must_be_finite(value):
+    for mu, sigma in ((value, 1.0), (0.0, value)):
+        with pytest.raises(ValueError, match="must be finite"):
+            LogNormal(mu, sigma)
+
+
+def test_lognormal_mean_overflow_is_a_value_error():
+    # sigma**2 would raise OverflowError here
+    with pytest.raises(ValueError, match="overflows a float"):
+        LogNormal(0.0, 1e200)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_uniform_bounds_must_be_finite(value):
+    for lo, hi in ((0.0, value), (value, 1.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            UniformBounded(lo, hi)
+
+
 def test_survival_probability_pareto():
     spec = Pareto(2.5, 1.0)
     assert survival_probability(spec, 0.5) == 1.0

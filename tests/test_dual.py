@@ -15,8 +15,9 @@ from safemean import (
     solve_kl_dro_dual_batch,
 )
 from safemean.dual import _TILE_VALUES, DualSolverError, _row_means, _solve_rows, witness_empirical_kl
-from safemean.montecarlo import _draw_block, _finite_estimates
+from safemean.montecarlo import _finite_estimates
 from safemean.oracle import random_instances, verify_certificate
+from streams import reference_block
 
 # closed form for the two-point sample {0, 2} at radius log 2:
 # stationarity 3 a^2 + 6 a = 1 gives a = (2 sqrt(3) - 3)/3 and value 1/(2 sqrt 3) - a
@@ -80,6 +81,19 @@ def test_solve_two_point_closed_form():
         expected = _two_point_min_mean(zeros, 1000, high, r)
         assert solve_kl_dro_dual(Sample(values), r).value == pytest.approx(expected, rel=1e-9)
         assert solve_kl_dro_dual_batch(np.array([values]), r)[0] == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.xfail(strict=True, raises=DualSolverError, reason="ROADMAP item 7: a value below the float range finds no bracket")
+def test_value_below_the_float_range_is_zero():
+    # the exact value is about 1e-437, which rounds to 0.0
+    assert solve_kl_dro_dual_batch([[0.0] * 99 + [1.0]], 10.0).tolist() == [0.0]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: d is rounded to about 1e-15 absolute, so alpha* loses r-relative bits")
+def test_two_point_value_is_accurate_at_a_tiny_radius():
+    # on {0, 2} the value is 1 - sqrt(1 - exp(-2 r)); at r = 1e-12 it is 3.9e-11 off relative
+    r = 1e-12
+    assert solve_kl_dro_dual(Sample([0, 2]), r).value == pytest.approx(1.0 - math.sqrt(-math.expm1(-2.0 * r)), rel=1e-13)
 
 
 def test_solve_point_mass_boundary():
@@ -296,8 +310,7 @@ def test_dual_point_beyond_the_float_range_reads_inf_without_a_warning():
     # on one row it and nu pass the float range. Each row is solved in its own scale, so the scaled
     # results are the unscaled rows' bit for bit and only the exponents move; every value stays the
     # unscaled row's value times 2**1000, and a dual point past the float range reads inf
-    X = np.empty((4, 3000))
-    _draw_block(Pareto(1.5, 1.0), 11, 0, X)
+    X = reference_block(Pareto(1.5, 1.0), 11, 0, 4, 3000)
     e, *unscaled = _solve_rows(X, 1e-12)
     big = np.ldexp(X, 1000)
     with warnings.catch_warnings():

@@ -16,7 +16,8 @@ from safemean import (
 )
 from safemean.core import Pareto
 from safemean.estimators import ESTIMATOR_KINDS, row_std
-from safemean.montecarlo import _draw_block, _estimate_batch
+from safemean.montecarlo import _estimate_batch
+from streams import reference_block
 
 VALUE_TWO_POINT = 0.5 / math.sqrt(3.0) - (2.0 * math.sqrt(3.0) - 3.0) / 3.0
 
@@ -321,8 +322,7 @@ def test_scale_equivariance_of_estimators():
 def test_varreg_is_exactly_scale_equivariant_at_extreme_magnitudes(k):
     # deviations from a mean near 1e298 square past float max, and from a mean
     # near 1e-298 square to zero, unless they are scaled by a power of two first
-    X = np.empty((40, 20))
-    _draw_block(Pareto(2.5, 1.0), 3, 0, X)
+    X = reference_block(Pareto(2.5, 1.0), 3, 0, 40, 20)
     cfg, c = EstimatorConfig("varreg", lam=1.0), 2.0**k
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -334,8 +334,7 @@ def test_varreg_is_exactly_scale_equivariant_at_extreme_magnitudes(k):
 
 @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
 def test_varreg_scalar_is_a_batch_of_one(scale):
-    X = np.empty((40, 20))
-    _draw_block(Pareto(2.5, 1.0), 4, 0, X)
+    X = reference_block(Pareto(2.5, 1.0), 4, 0, 40, 20)
     X = np.sort(X * scale, axis=1)  # a Sample's values are sorted, and sums depend on order
     cfg = EstimatorConfig("varreg", lam=2.0)
     batch = _estimate_batch(cfg, X, X.mean(axis=1))

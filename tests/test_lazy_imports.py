@@ -1,6 +1,7 @@
 """scipy is imported only by the routines that use it: lognormal draws (ndtri),
 and in safemean.rates the rates and variance-ratio quadrature (quad) and
-pareto_variance_ratio_limit (digamma). Each check runs in a fresh
+pareto_variance_ratio_limit (digamma); concurrent.futures and decimal only
+by the harness's thread pool and the enumeration's pmf. Each check runs in a fresh
 interpreter, where nothing has loaded scipy yet. Every name a module exports
 resolves on it."""
 
@@ -34,6 +35,12 @@ def _child(code: str) -> list:
 
 def test_cli_import_loads_no_scipy():
     assert json.loads(_child("import safemean.cli\n" + SCIPY_MODULES)[-1]) == []
+
+
+def test_cli_import_loads_no_thread_pool_and_no_decimal():
+    # concurrent.futures is imported where a pool of worker threads starts, decimal by the enumeration's pmf
+    code = "import safemean.cli\nprint(json.dumps(sorted(m for m in ('concurrent.futures', 'decimal') if m in sys.modules)))"
+    assert json.loads(_child(code)[-1]) == []
 
 
 def test_rates_import_loads_no_scipy():

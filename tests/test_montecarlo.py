@@ -28,10 +28,11 @@ from safemean import (
 )
 from safemean import montecarlo, rates
 from safemean.cli import reports_to_csv
-from safemean.dual import _TILE_VALUES, DualSolverError, kl_value_upper_bound, solve_kl_dro_dual_batch
+from safemean.dual import _TILE_VALUES, DualSolverError, _row_means, kl_value_upper_bound, solve_kl_dro_dual_batch
 from safemean.estimators import estimate, row_std
-from safemean.montecarlo import TrialReport, _draw_block, _draw_tiles, _estimate_batch, _run_event_trials
+from safemean.montecarlo import TrialReport, _draw_tiles, _estimate_batch, _run_event_trials
 from safemean.rates import _population_radius, _population_radius_limit, solve_population_dual
+from streams import reference_block, reference_draw
 
 BERN = ScaledBernoulli(0.5, 2.0)
 # left-tail rate of the scaled Bernoulli at b = 0.5: KL(1/4 || 1/2)
@@ -80,17 +81,10 @@ def _law(spec):
     return f"PointMass(value={spec.high!r})" if _kind(spec) == "PointMass" else repr(spec)
 
 
-def _reference_draw(spec, n, seed, index):
-    """One trial as drawn before trial blocks: a generator per (seed, index)."""
-    u = np.random.default_rng(np.random.SeedSequence((seed, index))).random(n)
-    if isinstance(spec, Pareto):
-        return spec.scale * (1.0 - u) ** (-1.0 / spec.shape)
-    if isinstance(spec, LogNormal):
-        u = np.clip(u, 1e-16, 1.0 - 1e-16)
-        return np.exp(spec.mu + spec.sigma * ndtri(u))
-    if isinstance(spec, ScaledBernoulli):
-        return np.where(u < spec.p, spec.high, 0.0)
-    return spec.lo + (spec.hi - spec.lo) * u
+def _drawn(spec, seed, start, rows, n):
+    """Trials start, ..., start + rows - 1 and their row means, as _draw_tiles yields them, tiles stacked."""
+    tiles = [(T.copy(), means) for T, means, _ in _draw_tiles(spec, seed, start, rows, n)]
+    return np.concatenate([T for T, _ in tiles]), np.concatenate([means for _, means in tiles])
 
 
 @pytest.mark.parametrize("spec", ALL_KINDS, ids=_kind)
@@ -99,13 +93,13 @@ def test_block_draw_matches_per_trial_generators(spec, seed):
     n = 9
     # blocks covering trial indices 0, 1, 4095 and 2**32 - 1
     for start, rows in ((0, 2), (4094, 3), (2**32 - 2, 2)):
-        X = np.empty((rows, n))
-        _draw_block(spec, seed, start, X)
-        expected = np.array([_reference_draw(spec, n, seed, start + j) for j in range(rows)])
+        X, means = _drawn(spec, seed, start, rows, n)
+        expected = reference_block(spec, seed, start, rows, n)
         assert np.array_equal(X, expected)
+        assert np.array_equal(means, _row_means(expected, expected.max(axis=1)))
     for stream in (0, 1, 4095, 2**32 - 1, 2**32):
         got = draw_sample(spec, n, seed, stream=stream).values
-        assert np.array_equal(got, np.sort(_reference_draw(spec, n, seed, stream)))
+        assert np.array_equal(got, np.sort(reference_draw(spec, n, seed, stream)))
 
 
 def test_row_seed_gives_pcg64_only_the_words_it_was_built_for():
@@ -148,13 +142,17 @@ TILE_GRID_N = (1, 2, 7, 8, 9, 100, 1000, 3000, 20000)
 
 @pytest.fixture(scope="module")
 def tile_grid_uniforms():
-    """Trials 0, ..., 3k + 4 of seed 5 as uniforms, k = _TILE_VALUES // n rows per tile."""
-    grid = {}
-    for n in TILE_GRID_N:
-        U = np.empty((3 * (_TILE_VALUES // n) + 5, n))
-        _draw_block(UniformBounded(0.0, 1.0), 5, 0, U)  # the identity transform
-        grid[n] = U
-    return grid
+    """Trials 0, ..., 3k + 4 of seed 5 as uniforms, k = _TILE_VALUES // n rows per tile.
+
+    Each trial is drawn once, at the largest n that reads it: a generator's
+    first n uniforms do not depend on how many it is asked for. UniformBounded(0, 1)
+    is the identity transform."""
+    rows = {n: 3 * (_TILE_VALUES // n) + 5 for n in TILE_GRID_N}
+    longest = [
+        reference_draw(UniformBounded(0.0, 1.0), max(n for n in TILE_GRID_N if rows[n] > i), 5, i)
+        for i in range(max(rows.values()))
+    ]
+    return {n: np.array([u[:n] for u in longest[: rows[n]]]) for n in TILE_GRID_N}
 
 
 @pytest.mark.parametrize("spec", ALL_KINDS, ids=_kind)
@@ -162,8 +160,7 @@ def test_tiled_draw_matches_whole_block_transform_mean_and_std(spec, tile_grid_u
     for n, U in tile_grid_uniforms.items():
         k = _TILE_VALUES // n
         for rows in (k - 1, k, k + 1, 3 * k + 5):
-            X = np.empty((rows, n))
-            means = _draw_block(spec, 5, 0, X)
+            X, means = _drawn(spec, 5, 0, rows, n)
             expected = _whole_block_transform(spec, U[:rows])
             assert np.array_equal(X, expected), (n, rows)
             assert np.array_equal(means, expected.mean(axis=1)), (n, rows)
@@ -186,7 +183,7 @@ def test_draw_rejects_negative_seeds_and_out_of_range_blocks():
     with pytest.raises(ValueError):
         disappointment_probability(Pareto(2.5, 1.0), EstimatorConfig("mean"), 5, 10, seed=-1)
     with pytest.raises(ValueError):
-        _draw_block(Pareto(2.5, 1.0), 1, 2**32 - 1, np.empty((2, 5)))
+        next(_draw_tiles(Pareto(2.5, 1.0), 1, 2**32 - 1, 2, 5))
 
 
 @pytest.mark.parametrize(
@@ -234,14 +231,14 @@ def test_estimates_never_exceed_the_sample_mean(schedule):
     checked = set()
     for spec in SCREEN_SPECS:
         for n in (1, 2, 20, 300):
-            X = np.empty((40, n))
-            _draw_block(spec, 3, 0, X)
+            X = reference_block(spec, 3, 0, 40, n)
+            means = _row_means(X, X.max(axis=1))  # the means the screen reads
             for cfg in configs:
                 try:
-                    values = _estimate_batch(cfg, X, X.mean(axis=1))
+                    values = _estimate_batch(cfg, X, means)
                 except ValueError:  # logn at n = 1, tv with sqrt(r/2) > 1
                     continue
-                assert np.all(values <= X.mean(axis=1)), (spec, n, cfg.kind)
+                assert np.all(values <= means), (spec, n, cfg.kind)
                 checked.add(cfg.kind)
     assert len(checked) == 6
 
@@ -259,8 +256,7 @@ SCREEN_CONFIGS = (
 @pytest.mark.parametrize("cfg", SCREEN_CONFIGS, ids=lambda cfg: cfg.kind)
 def test_screened_disappointment_hits_match_unscreened_count(cfg):
     spec, n, trials, seed = Pareto(2.5, 1.0), 20, 150, 13
-    X = np.empty((trials, n))
-    _draw_block(spec, seed, 0, X)
+    X = reference_block(spec, seed, 0, trials, n)
     expected = int(np.count_nonzero(_estimate_batch(cfg, X, X.mean(axis=1)) > true_mean(spec)))  # every row estimated
     assert 0 < expected < trials
     for batch_size in (1, 7, None):
@@ -273,8 +269,7 @@ def test_kl_conservatism_hits_with_threshold_match_unthresholded_count():
     # the harness stops each KL row once its bracket clears mu - b; the inline
     # count solves every row to convergence (disappointment: the screened test above)
     cfg, spec, n, trials, seed, b = EstimatorConfig("kl", r=0.02), Pareto(2.5, 1.0), 20, 150, 13, 0.2
-    X = np.empty((trials, n))
-    _draw_block(spec, seed, 0, X)
+    X = reference_block(spec, seed, 0, trials, n)
     expected = int(np.count_nonzero(_estimate_batch(cfg, X, X.mean(axis=1)) < true_mean(spec) - b))
     assert 0 < expected < trials
     for batch_size in (1, 7, None):
@@ -521,7 +516,12 @@ def test_batched_enumeration_matches_scalar_loop(cfg, event):
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0])
-@pytest.mark.parametrize("cfg", ENUM_CONFIGS, ids=lambda cfg: cfg.kind)
+@pytest.mark.parametrize(
+    "cfg",
+    # at r = 1e-40 the trunc compensator is below an ulp of 0.1, so only the held mean keeps it at mu
+    [*ENUM_CONFIGS, pytest.param(EstimatorConfig("trunc", r=1e-40, A=5.0), id="trunc_r1e-40")],
+    ids=lambda cfg: cfg.kind,
+)
 def test_enumerated_point_mass_never_disappoints(cfg, p):
     # every sample equals mu; n copies of 0.1 or 0.7 average to one ulp above or below them
     for high in (1e-300, 0.1, 0.7, 1e300):

@@ -15,7 +15,6 @@ from safemean import (
 )
 from safemean import oracle
 from safemean.dual import _zero_first, primal_witness
-from safemean.montecarlo import _draw_block
 from safemean.oracle import (
     PROBE_MARGIN,
     CertificateReport,
@@ -23,6 +22,7 @@ from safemean.oracle import (
     _probe_noise,
     random_instances,
 )
+from streams import reference_block
 
 
 @pytest.mark.parametrize("values", [[0.0, 1.0, 1.0, 4.0, 9.0], [0.5, 1.0, 4.0, 9.0]])
@@ -122,8 +122,7 @@ def _scaled_certificate_cases():
     values near 2**1000 at r = 1e-12, whose alpha* and nu pass the float range."""
     x = np.random.default_rng(6).pareto(2.5, 25) + 1.0
     cases = {k: (Sample(np.ldexp(x, k)), 0.05) for k in (-1060, -1040, -1000, 0, 1000, 1021)}
-    X = np.empty((4, 3000))
-    _draw_block(Pareto(1.5, 1.0), 11, 0, X)
+    X = reference_block(Pareto(1.5, 1.0), 11, 0, 4, 3000)
     cases["pareto1.5"] = (Sample(np.ldexp(X[2], 1000)), 1e-12)
     return cases
 
@@ -156,8 +155,7 @@ def test_radius_control_fails_at_tiny_radii(scale_exponent, r):
     # The KL tolerance is KL_GAP_TOL * r below r = 1, floored at the witness
     # KL's rounding bound, so a check radius off by half fails down to
     # r = 1e-12, where an absolute 1e-8 passed it; the true radius passes.
-    X = np.empty((4, 3000))
-    _draw_block(Pareto(1.5, 1.0), 11, 0, X)
+    X = reference_block(Pareto(1.5, 1.0), 11, 0, 4, 3000)
     s = Sample(np.ldexp(X[2], scale_exponent))
     assert verify_certificate(s, r, probes=500).passed
     report = verify_certificate(s, r, probes=500, check_radius=1.5 * r)

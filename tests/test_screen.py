@@ -23,9 +23,10 @@ from safemean import (
     solve_kl_dro_dual,
     true_mean,
 )
-from safemean.dual import DualSolverError, kl_value_upper_bound
+from safemean.dual import DualSolverError, _row_means, kl_value_upper_bound
 from safemean.estimators import _brackets
-from safemean.montecarlo import _draw_block, _estimate_batch, _finite_estimates, _run_event_trials, _screen
+from safemean.montecarlo import _estimate_batch, _finite_estimates, _run_event_trials, _screen
+from streams import reference_block
 
 LAWS = [Pareto(2.5, 1.0), Pareto(1.5, 1.0), LogNormal(0.0, 1.5), ScaledBernoulli(0.5, 2.0)]
 ROWS = 4
@@ -74,8 +75,7 @@ def _reference_value(row: np.ndarray, r: float) -> float:
 @pytest.mark.parametrize("n", [1, 2, 30, 1000, 3000])
 @pytest.mark.parametrize("law", LAWS, ids=repr)
 def test_bound_is_at_least_the_dual_value(law, n):
-    X = np.empty((ROWS, n))
-    _draw_block(law, 11, 0, X)
+    X = reference_block(law, 11, 0, ROWS, n)
     radii = [1.0, 10.0] + ([math.log(n) / n] if n > 1 else [])
     for k in (-1000, 0, 1000):
         Xk = np.ldexp(X, k)
@@ -102,8 +102,7 @@ def test_bound_is_at_least_the_dual_value(law, n):
 
 
 def test_reference_value_matches_the_solver_where_it_converges():
-    X = np.empty((3, 300))
-    _draw_block(LogNormal(0.0, 1.5), 2, 0, X)
+    X = reference_block(LogNormal(0.0, 1.5), 2, 0, 3, 300)
     for row in X:
         for r in (1e-4, 0.02, 1.0):
             assert _reference_value(row, r) == pytest.approx(solve_kl_dro_dual(Sample(row), r).value, rel=1e-12)
@@ -112,8 +111,7 @@ def test_reference_value_matches_the_solver_where_it_converges():
 def test_bound_is_the_mean_of_a_tilt_in_the_ball():
     # U is the mean of the chi-square tilt whose KL bound equals r: that
     # tilt's own KL is at most r, and its weights are positive
-    X = np.empty((20, 50))
-    _draw_block(Pareto(1.5, 1.0), 3, 0, X)
+    X = reference_block(Pareto(1.5, 1.0), 3, 0, 20, 50)
     for r in (1e-6, 0.1, 1.0, 10.0):
         for row, upper in zip(X, _bound(X, r)):
             zbar, sigma = row.mean(), row.std()
@@ -141,9 +139,9 @@ def test_bound_certifies_nothing_on_rows_it_cannot_round():
 @pytest.mark.parametrize("r", [1e-12, 0.01, 1.0])
 def test_row_one_margin_above_mu_is_kept(r):
     # mu placed so that the row's exact value sits one screen margin above it
-    X = np.empty((40, 200))
-    means = _draw_block(Pareto(2.5, 1.0), 5, 0, X)
+    X = reference_block(Pareto(2.5, 1.0), 5, 0, 40, 200)
     tops = X.max(axis=1)
+    means = _row_means(X, tops)
     for row, mean, top in zip(X, means, tops):
         value = _reference_value(row, r)
         for mu in (value - 1e-9 * (value + mean), value, np.nextafter(value, 0.0)):
@@ -157,8 +155,8 @@ def test_screen_never_drops_a_row_the_solver_counts(law, n):
     # at r = 1e-12 the solver's value can sit above the bound (see the
     # reference above); the margin keeps a row whose value the solver puts
     # just above mu, so the harness counts what the solver would
-    X = np.empty((ROWS, n))
-    means = _draw_block(law, 11, 0, X)
+    X = reference_block(law, 11, 0, ROWS, n)
+    means = _row_means(X, X.max(axis=1))
     for r in (1e-12, math.log(n) / n):
         for row, mean in zip(X, means):
             value = solve_kl_dro_dual(Sample(row), r).value
@@ -167,8 +165,8 @@ def test_screen_never_drops_a_row_the_solver_counts(law, n):
 
 
 def test_screen_keeps_rows_the_bound_does_not_decide():
-    X = np.empty((300, 100))
-    means = _draw_block(Pareto(2.5, 1.0), 9, 0, X)
+    X = reference_block(Pareto(2.5, 1.0), 9, 0, 300, 100)
+    means = _row_means(X, X.max(axis=1))
     mu, r = true_mean(Pareto(2.5, 1.0)), 0.05
     keep = _disappointment_rows(X, means, X.max(axis=1), mu, r)
     values = np.array([solve_kl_dro_dual(Sample(row), r).value for row in X])
@@ -228,9 +226,8 @@ def _law(law):
 
 def _tile(law, n: int):
     """A drawn tile (rows, n) and its row means, as the harness draws them."""
-    X = np.empty((64 if n <= 100 else 16, n))
-    means = _draw_block(law, 11, 0, X)
-    return X, means
+    X = reference_block(law, 11, 0, 64 if n <= 100 else 16, n)
+    return X, _row_means(X, X.max(axis=1))
 
 
 def _radii(n: int) -> list:
