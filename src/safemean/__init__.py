@@ -28,7 +28,6 @@ from .core import (
 from .dual import (
     DualSolution,
     DualSolverError,
-    kl_inf,
     primal_witness,
     solve_kl_dro_dual,
     solve_kl_dro_dual_batch,

@@ -197,6 +197,8 @@ class Pareto:
             raise ValueError("Pareto shape must be finite and exceed 1 for a finite mean")
         if not (0.0 < self.scale < math.inf):
             raise ValueError("Pareto scale must be finite and positive")
+        if not math.isfinite(true_mean(self)):
+            raise ValueError("Pareto mean shape*scale/(shape-1) overflows a float")
 
 
 @dataclass(frozen=True)
@@ -247,7 +249,7 @@ def true_mean(spec: DistributionSpec) -> float:
     if isinstance(spec, ScaledBernoulli):
         return spec.p * spec.high
     if isinstance(spec, UniformBounded):
-        return 0.5 * (spec.lo + spec.hi)
+        return 0.5 * spec.lo + 0.5 * spec.hi  # lo + hi can overflow where the mean does not
     raise TypeError(f"unsupported distribution spec {spec!r}")
 
 
@@ -267,8 +269,8 @@ def true_variance(spec: DistributionSpec) -> float:
             return math.inf
     if isinstance(spec, ScaledBernoulli):
         return spec.p * (1.0 - spec.p) * spec.high * spec.high
-    if isinstance(spec, UniformBounded):
-        return (spec.hi - spec.lo) ** 2 / 12.0
+    if isinstance(spec, UniformBounded):  # d / 12 * d: d**2 raises OverflowError, and overflows before the variance
+        return (spec.hi - spec.lo) / 12.0 * (spec.hi - spec.lo)
     raise TypeError(f"unsupported distribution spec {spec!r}")
 
 

@@ -57,7 +57,6 @@ __all__ = [
     "solve_kl_dro_dual_batch",
     "kl_value_upper_bound",
     "primal_witness",
-    "kl_inf",
 ]
 
 # Constants in units of the row scale 2**e, where max z / 2**e lies in [0.5, 1).
@@ -66,7 +65,6 @@ _ZERO_BRACKET_FLOOR = 1e-300  # no root is sought below this
 _STEP_TOL = 1e-10  # Newton step relative to alpha; the error after it is of order its square
 _FLAT_TOL = 8 * np.finfo(float).eps
 _MAX_ITER = 200
-_KL_INF_TOL = 1e-13  # kl_inf's bisection stops at this width in t
 # Values per batch solve: a 1 MB tile and its work buffer stay in a 2 MB per-core L2 cache.
 _TILE_VALUES = 2**17
 
@@ -397,38 +395,3 @@ def witness_empirical_kl(s: Sample, sol: DualSolution) -> float:
     """Empirical KL divergence from the sample to the witness: mean log((alpha*+z_i)/nu)."""
     return _witness(s, sol)[4]
 
-
-def kl_inf(s: Sample, mu: float) -> float:
-    """Smallest empirical KL divergence to any distribution with mean <= mu.
-
-    Computed through its concave dual max over t in [0, 1] of
-    mean_i log(1 - t (mu - z_i)/mu); zero iff mu >= the sample mean. When a
-    zero observation is present the objective tends to -inf at t = 1, so the
-    search is restricted to [0, 1 - 1e-14].
-    """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    v, w = s.weighted_support()
-    x = v / mu
-
-    def dphi(t: float) -> float:
-        return float(np.dot(w, (x - 1.0) / (1.0 - t + t * x)))
-
-    if dphi(0.0) <= 0.0:
-        return 0.0
-    hi = 1.0 - 1e-14 if x[0] == 0.0 else 1.0
-    lo = 0.0
-    if dphi(hi) < 0.0:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if dphi(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= _KL_INF_TOL:
-                break
-    else:
-        lo = hi
-    t = 0.5 * (lo + hi) if lo < hi else hi
-    phi = float(np.dot(w, np.log(1.0 - t + t * x)))
-    return max(phi, 0.0)

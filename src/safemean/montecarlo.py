@@ -309,7 +309,8 @@ def _screen(cfg: EstimatorConfig, T: np.ndarray, means: np.ndarray, tops: np.nda
     raises in the kernel.
     """
     lo, hi = _brackets(cfg, T, means, tops)
-    margin = _side_margin(threshold, means)
+    with np.errstate(over="ignore"):  # past the float range the margin is inf, which decides nothing
+        margin = _side_margin(threshold, means)
     above, below = lo > threshold + margin, hi < threshold - margin
     if event == "disappointment":
         below |= ~(means > threshold)

@@ -358,6 +358,7 @@ NON_FINITE_LAWS = {
     "pareto:2.5:inf": "scale must be finite and positive",
     "uniform:0:inf": "bounds must be finite",
     "lognormal:nan:1": "mu and sigma must be finite",
+    "pareto:1.0000000000000002:1e300": "mean shape*scale/(shape-1) overflows a float",
 }
 
 

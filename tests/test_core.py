@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -136,6 +137,8 @@ def test_true_variance_closed_forms():
         (LogNormal(-800.0, 30.0), math.exp(200.0)),  # exp(2 mu + s2) expm1(s2): both factors overflow alone
         (ScaledBernoulli(1.0, 1e300), 0.0),
         (ScaledBernoulli(0.0, 1e300), 0.0),
+        (UniformBounded(0.0, 1e160), math.inf),
+        (UniformBounded(0.0, 2.0**512), math.ldexp(1.0 / 3.0, 1022)),  # the square overflows, the variance does not
     ],
     ids=repr,
 )
@@ -170,6 +173,18 @@ def test_lognormal_mean_overflow_is_a_value_error():
     # sigma**2 would raise OverflowError here
     with pytest.raises(ValueError, match="overflows a float"):
         LogNormal(0.0, 1e200)
+
+
+def test_pareto_mean_overflow_is_a_value_error():
+    # shape * scale / (shape - 1) is inf, though both parameters are finite
+    with pytest.raises(ValueError, match="overflows a float"):
+        Pareto(1.0000000000000002, 1e300)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.5, 4.0), (1e308, 1.7e308), (1.7e308, np.finfo(float).max), (1e-300, 3e-300)])
+def test_uniform_mean_is_the_rounded_midpoint(lo, hi):
+    # lo + hi overflows in the second and third; halves of normal floats are exact
+    assert true_mean(UniformBounded(lo, hi)) == float((Fraction(lo) + Fraction(hi)) / 2)
 
 
 @pytest.mark.parametrize("value", NON_FINITE)

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,7 +10,6 @@ from safemean import (
     Pareto,
     Sample,
     estimate,
-    kl_inf,
     primal_witness,
     solve_kl_dro_dual,
     solve_kl_dro_dual_batch,
@@ -17,6 +17,7 @@ from safemean import (
 from safemean.dual import _TILE_VALUES, DualSolverError, _row_means, _solve_rows, witness_empirical_kl
 from safemean.montecarlo import _finite_estimates
 from safemean.oracle import random_instances, verify_certificate
+from reference import DPS, kl_inf, kl_value
 from streams import reference_block
 
 # closed form for the two-point sample {0, 2} at radius log 2:
@@ -85,15 +86,17 @@ def test_solve_two_point_closed_form():
 
 @pytest.mark.xfail(strict=True, raises=DualSolverError, reason="ROADMAP item 7: a value below the float range finds no bracket")
 def test_value_below_the_float_range_is_zero():
-    # the exact value is about 1e-437, which rounds to 0.0
-    assert solve_kl_dro_dual_batch([[0.0] * 99 + [1.0]], 10.0).tolist() == [0.0]
+    row = [0.0] * 99 + [1.0]
+    exact = kl_value(row, 10.0)
+    assert mpmath.mpf("1.8767e-437") < exact < mpmath.mpf("1.8768e-437")  # which rounds to 0.0
+    assert solve_kl_dro_dual_batch([row], 10.0).tolist() == [float(exact)]
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 7: d is rounded to about 1e-15 absolute, so alpha* loses r-relative bits")
 def test_two_point_value_is_accurate_at_a_tiny_radius():
     # on {0, 2} the value is 1 - sqrt(1 - exp(-2 r)); at r = 1e-12 it is 3.9e-11 off relative
     r = 1e-12
-    assert solve_kl_dro_dual(Sample([0, 2]), r).value == pytest.approx(1.0 - math.sqrt(-math.expm1(-2.0 * r)), rel=1e-13)
+    assert solve_kl_dro_dual(Sample([0, 2]), r).value == pytest.approx(float(kl_value([0.0, 2.0], r)), rel=1e-13)
 
 
 def test_solve_point_mass_boundary():
@@ -254,43 +257,43 @@ def test_scale_equivariance():
 
 
 def test_kl_inf_examples():
-    assert kl_inf(Sample([0, 2]), 1.0) == 0.0
-    # stationarity 3(1 - t) = 1 + 3t at t = 1/3
-    assert kl_inf(Sample([0, 2]), 0.5) == pytest.approx(0.5 * math.log(4.0 / 3.0), abs=1e-10)
-    # all observations above mu: boundary maximizer at t = 1
-    assert kl_inf(Sample([3.0]), 1.5) == pytest.approx(math.log(3.0 / 1.5), abs=1e-10)
+    # the 50-digit reference against closed forms, at its own precision
+    assert kl_inf([0.0, 2.0], 1.0) == 0
+    with mpmath.workdps(DPS):
+        # stationarity 3(1 - t) = 1 + 3t at t = 1/3
+        assert abs(kl_inf([0.0, 2.0], 0.5) - mpmath.log(mpmath.mpf(4) / 3) / 2) < 1e-40
+        # all observations above mu: boundary maximizer at t = 1
+        assert abs(kl_inf([3.0], 1.5) - mpmath.log(2)) < 1e-40
 
 
 def test_kl_inf_domain_and_zero_iff_mean():
     with pytest.raises(ValueError):
-        kl_inf(Sample([1.0]), 0.0)
+        kl_inf([1.0], 0.0)
     rng = np.random.default_rng(6)
     for _ in range(20):
-        s = Sample(rng.exponential(1.0, 12))
-        mu_hat = float(np.mean(s.values))
-        assert kl_inf(s, mu_hat * 1.0001) == 0.0
-        assert kl_inf(s, mu_hat * 0.98) > 0.0
+        values = rng.exponential(1.0, 12)
+        mu_hat = float(np.mean(values))
+        assert kl_inf(values, mu_hat * 1.0001) == 0
+        assert kl_inf(values, mu_hat * 0.98) > 0
 
 
 def test_kl_inf_nonincreasing_in_mu():
     rng = np.random.default_rng(7)
-    s = Sample(rng.pareto(2.5, 18) + 1.0)
-    grid = np.linspace(0.2, 3.0, 24)
-    vals = [kl_inf(s, m) for m in grid]
-    assert all(v1 >= v2 - 1e-12 for v1, v2 in zip(vals, vals[1:]))
+    values = rng.pareto(2.5, 18) + 1.0
+    vals = [kl_inf(values, m) for m in np.linspace(0.2, 3.0, 24)]
+    assert all(v1 > v2 for v1, v2 in zip(vals, vals[1:]) if v1 > 0)
 
 
 def test_radius_statistic_duality():
-    # the estimator is the smallest mu whose divergence-to-mean exceeds r
+    # the estimator is the smallest mu whose divergence-to-mean exceeds r:
+    # the 50-digit kl_inf brackets r within 1e-9 of the value either side
     for s, r in random_instances(25, seed=21):
-        if s.max() == 0.0:
-            continue
         value = solve_kl_dro_dual(s, r).value
-        eps = 1e-6 * max(1.0, value)
-        if value - eps <= 0:
+        if value == 0.0:
             continue
-        assert kl_inf(s, value + eps) <= r + 1e-9
-        assert kl_inf(s, value - eps) >= r - 1e-9
+        eps = 1e-9 * value
+        assert kl_inf(s.values, value + eps) <= r
+        assert kl_inf(s.values, value - eps) >= r
 
 
 def test_batch_solver_matches_scalar():

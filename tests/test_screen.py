@@ -26,7 +26,8 @@ from safemean import (
 from safemean.dual import DualSolverError, _row_means, kl_value_upper_bound
 from safemean.estimators import _brackets
 from safemean.montecarlo import _estimate_batch, _finite_estimates, _run_event_trials, _screen
-from streams import reference_block
+from reference import float_kl_value
+from streams import reference_block, reference_draw
 
 LAWS = [Pareto(2.5, 1.0), Pareto(1.5, 1.0), LogNormal(0.0, 1.5), ScaledBernoulli(0.5, 2.0)]
 ROWS = 4
@@ -42,34 +43,6 @@ def _disappointment_rows(T, means, tops, mu, r=None):
 def _bound(X: np.ndarray, r: float) -> np.ndarray:
     """The bound on each row from the reductions the harness makes of a drawn tile."""
     return kl_value_upper_bound(X.mean(axis=1), np.vecdot(X, X), X.max(axis=1), X.shape[1], r)
-
-
-def _reference_value(row: np.ndarray, r: float) -> float:
-    """The KL value by bisection in log a on f(a) = log mean u - mean log u,
-    u = (a + min z) / (a + z), with each log u a log1p of -(z - min z) / (a +
-    z): f is accurate relative to its own size even where the solver's stop
-    test is not (r = 1e-12). The row is scaled by a power of two first."""
-    if row.max() == 0.0:
-        return 0.0
-    e = int(np.frexp(row.max())[1])
-    z = np.ldexp(np.sort(row), -e)
-
-    def log_u(a):
-        return np.log1p(-(z - z[0]) / (a + z))
-
-    def f(a):
-        return np.log1p(-np.mean((z - z[0]) / (a + z))) - np.mean(log_u(a))
-
-    if z[0] > 0.0 and f(0.0) <= r:  # with a zero, f(0) is infinite
-        a = 0.0
-    else:
-        lo, hi = -700.0, 700.0
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if f(math.exp(mid)) > r else (lo, mid)
-        a = math.exp(hi)
-    nu = math.exp(math.log(a + z[0]) - np.mean(log_u(a)) - r)
-    return math.ldexp(nu * np.mean(z / (a + z)), e)
 
 
 @pytest.mark.parametrize("n", [1, 2, 30, 1000, 3000])
@@ -88,7 +61,7 @@ def test_bound_is_at_least_the_dual_value(law, n):
         # at r = 1e-12 the solver's value can sit 1e-9 of itself above the
         # exact one, more than the bound's own gap of about r D
         upper = kl_value_upper_bound(Xk.mean(axis=1), sumsq, Xk.max(axis=1), n, 1e-12)
-        values = np.array([_reference_value(row, 1e-12) for row in Xk])
+        values = np.array([float_kl_value(row, 1e-12) for row in Xk])
         assert not np.any(upper < values), (k, upper, values)
         if k == 0:
             # the bound certifies every row with a spread, and only its slack lifts it above the mean
@@ -105,7 +78,7 @@ def test_reference_value_matches_the_solver_where_it_converges():
     X = reference_block(LogNormal(0.0, 1.5), 2, 0, 3, 300)
     for row in X:
         for r in (1e-4, 0.02, 1.0):
-            assert _reference_value(row, r) == pytest.approx(solve_kl_dro_dual(Sample(row), r).value, rel=1e-12)
+            assert float_kl_value(row, r) == pytest.approx(solve_kl_dro_dual(Sample(row), r).value, rel=1e-12)
 
 
 def test_bound_is_the_mean_of_a_tilt_in_the_ball():
@@ -143,7 +116,7 @@ def test_row_one_margin_above_mu_is_kept(r):
     tops = X.max(axis=1)
     means = _row_means(X, tops)
     for row, mean, top in zip(X, means, tops):
-        value = _reference_value(row, r)
+        value = float_kl_value(row, r)
         for mu in (value - 1e-9 * (value + mean), value, np.nextafter(value, 0.0)):
             assert mu < mean
             kept = _disappointment_rows(row[None, :], np.array([mean]), np.array([top]), mu, r)
@@ -152,8 +125,8 @@ def test_row_one_margin_above_mu_is_kept(r):
 
 @pytest.mark.parametrize("law, n", [(ScaledBernoulli(0.5, 2.0), 3000), (Pareto(1.5, 1.0), 1000)], ids=repr)
 def test_screen_never_drops_a_row_the_solver_counts(law, n):
-    # at r = 1e-12 the solver's value can sit above the bound (see the
-    # reference above); the margin keeps a row whose value the solver puts
+    # at r = 1e-12 the solver's value can sit above the bound (see
+    # test_bound_is_at_least_the_dual_value); the margin keeps a row whose value the solver puts
     # just above mu, so the harness counts what the solver would
     X = reference_block(law, 11, 0, ROWS, n)
     means = _row_means(X, X.max(axis=1))
@@ -211,6 +184,16 @@ def test_overflowing_mean_is_kept_and_solved():
     with np.errstate(over="ignore"):
         expected = sum(estimate(cfg, draw_sample(spec, n, seed, stream=i)).value > mu for i in range(trials))
     assert disappointment_probability(spec, cfg, n, trials, seed, threads=1).hits == expected > 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mean_near_the_float_range_counts_every_draw_above_it():
+    # mu = 1.35e308 is a float though lo + hi is not, and the screen's margin
+    # 1e-9 (mu + mean) is inf, which decides nothing
+    spec, n, trials, seed = UniformBounded(1e308, 1.7e308), 1, 40, 7
+    mu = true_mean(spec)
+    expected = sum(reference_draw(spec, n, seed, i)[0] > mu for i in range(trials))
+    assert disappointment_probability(spec, EstimatorConfig("mean"), n, trials, seed, threads=1).hits == expected > 0
 
 
 # the varreg bracket and the screen on both events: tiles of every law and a point mass
