@@ -175,6 +175,7 @@ def _solve_rows(X: np.ndarray, r: float, threshold=None):
     e = _exponents(top)
     Z = X * np.ldexp(1.0, -e)[:, None]
     zmin = Z.min(axis=1)
+    mean = _row_means(Z, np.ldexp(top, -e))  # the brackets' mean; the value's cap, which rounding passes at r ~ 1e-100
     w = np.full(n, 1.0 / n)
     alpha, iterations = np.zeros(B), np.zeros(B, dtype=int)
     rows = np.flatnonzero(top)
@@ -186,7 +187,6 @@ def _solve_rows(X: np.ndarray, r: float, threshold=None):
     a_hi = a_lo + np.inf
     T = np.empty_like(Z)
     value = np.full(B, np.nan)
-    zbar = None if threshold is None else np.vecdot(Z, w)
     # Non-finite steps, from a = 0 or a vanishing slope, fail the bracket test.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(1, _MAX_ITER + 1):
@@ -231,8 +231,8 @@ def _solve_rows(X: np.ndarray, r: float, threshold=None):
                 # after a rejected step only a flat d or a closed bracket ends
                 # a row, as at a = 0 when d(0) <= 0
                 done = (done & ok) | (abs_d <= flat) | (a_hi - a_lo <= _FLAT_TOL * a_lo)
-            if zbar is not None:  # a NaN bound or margin decides nothing
-                ex, mean_z = e[rows], zbar[rows]
+            if threshold is not None:  # a NaN bound or margin decides nothing
+                ex, mean_z = e[rows], mean[rows]
                 lower = np.exp(np.log(p) - mean_log_u - r) - a
                 upper = mean_z - np.clip(r / f, 0.0, 1.0) * (mean_z - p / v1 + a)
                 margin = _side_margin(threshold, np.ldexp(a + mean_z, ex))
@@ -251,10 +251,8 @@ def _solve_rows(X: np.ndarray, r: float, threshold=None):
         raise DualSolverError(f"no convergence in {_MAX_ITER} iterations", bracket)
 
     # nu, value and atom at alpha* on undecided rows; all-zero rows are evaluated at alpha = 1.
-    k = slice(None) if zbar is None else np.flatnonzero(np.isnan(value))
+    k = slice(None) if threshold is None else np.flatnonzero(np.isnan(value))
     Z, solved = Z[k], top[k] > 0.0
-    # the value's cap, the row mean as estimate(mean) takes it, which at r ~ 1e-100 its rounding can pass
-    mean = _row_means(Z, np.ldexp(top[k], -e[k]))
     a, T = alpha[k] + ~solved, T[: len(Z)]
     p = a + zmin[k]
     np.add(Z, a[:, None], out=T)
@@ -263,7 +261,7 @@ def _solve_rows(X: np.ndarray, r: float, threshold=None):
     nu, atom = np.full(B, np.nan), np.full(B, np.nan)
     nu[k] = np.exp(np.log(p) - np.vecdot(np.log(T, out=T), w) - r) * solved
     atom[k] = np.maximum(0.0, 1.0 - nu[k] * v1 / p) * solved
-    value[k] = np.minimum(nu[k] * witness_mass, mean)
+    value[k] = np.minimum(nu[k] * witness_mass, mean[k])
     if not np.isfinite(nu[k]).all():  # value <= nu and alpha <= nu
         raise DualSolverError("non-finite dual solution")
     return e, alpha, nu, value, atom, iterations

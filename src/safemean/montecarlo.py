@@ -18,18 +18,20 @@ undecided rows reach a kernel a full tile at a time only because larger
 solves run faster.
 
 A count reads only each estimate's side of its threshold, mu or mu - b, so
-one screen serves both events (_screen): a certified bracket [lo, hi] on
-each row's estimate (estimators._brackets), from its mean, maximum and one
-np.vecdot, decides the rows it puts clear of the threshold by the solver's
-margin, and only the rest reach a kernel: the KL batch solver at a positive
-radius, estimators._closed_form otherwise. The KL rows left are solved with
-the threshold: a row stops once a certified bracket [g(a), U] on its value
+one screen (_screen) serves both events and both counters, the harness's
+drawn tiles and the enumeration's count patterns: a certified bracket
+[lo, hi] on each row's estimate (estimators._brackets), from its mean,
+maximum and one np.vecdot, decides the rows it puts clear of the threshold
+by the solver's margin, and only the rest reach a kernel, through
+_finite_estimates: the KL batch solver at a positive radius,
+estimators._closed_form otherwise. The KL rows left are solved with the
+threshold: a row stops once a certified bracket [g(a), U] on its value
 clears it, and only undecided rows get a converged value. Every row mean is
 held within its row's [min, max] (dual._row_means), so n copies of v average
 to v unless their sum overflows. Blocks run on as many worker threads as the
-process has usable cores unless threads (at least 1) says otherwise. A draw or estimate
-that is not finite raises DualSolverError, so it is never counted as a safe
-trial.
+process has usable cores unless threads (at least 1) says otherwise. A draw
+or estimate that is not finite raises DualSolverError, so it is never
+counted as a safe trial.
 
 scipy is imported only by lognormal draws (ndtri), inside the transform,
 concurrent.futures only where a pool of worker threads starts, and decimal
@@ -264,20 +266,14 @@ def draw_sample(spec: DistributionSpec, n: int, seed: int, stream: int = 0) -> S
     return Sample(T[0])
 
 
-def _estimate_batch(cfg: EstimatorConfig, X: np.ndarray, means: np.ndarray, threshold=None) -> np.ndarray:
-    """Row-wise estimator values for a (batch, n) matrix of samples whose row means are given: KL at
-    r > 0 by solve_kl_dro_dual_batch, looked up here so that a wrapper of this name sees every solve
-    (with a threshold, a value is exact only in its side of it), every other kind by estimators._closed_form."""
-    r = cfg.resolve_radius(X.shape[1]) if cfg.kind == "kl" else 0.0
-    if r > 0.0:
-        return solve_kl_dro_dual_batch(X, r, threshold=threshold)
-    return _closed_form(cfg, X, means)
-
-
 def _finite_estimates(cfg: EstimatorConfig, X: np.ndarray, means: np.ndarray, where: str, threshold=None) -> np.ndarray:
-    """_estimate_batch; an overflow shows up as a non-finite estimate, which raises."""
+    """Row-wise estimator values for a (batch, n) matrix of samples whose row means are given, the one
+    kernel entry point of both counters: KL at r > 0 by solve_kl_dro_dual_batch, looked up here so that a
+    wrapper of this name sees every solve (with a threshold, a value is exact only in its side of it),
+    every other kind by estimators._closed_form. An overflow is a non-finite estimate, which raises."""
+    r = cfg.resolve_radius(X.shape[1]) if cfg.kind == "kl" else 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _estimate_batch(cfg, X, means, threshold)
+        values = solve_kl_dro_dual_batch(X, r, threshold=threshold) if r > 0.0 else _closed_form(cfg, X, means)
     if not np.all(np.isfinite(values)):
         raise DualSolverError(f"non-finite {cfg.kind} estimate in {where}")
     return values
@@ -298,8 +294,8 @@ def _event_hits(values: np.ndarray, event: str, threshold: float) -> np.ndarray:
 
 
 def _screen(cfg: EstimatorConfig, T: np.ndarray, means: np.ndarray, tops: np.ndarray, event: str, threshold: float):
-    """The hits among a drawn tile's rows that the screen decides, and the
-    indices of the rows it leaves undecided, for an event at its threshold.
+    """The mask of a tile's rows the screen decides are hits, and the indices
+    of the rows it leaves undecided, for an event at its threshold.
 
     A row is decided when its bracket (estimators._brackets) clears the
     threshold by the margin the solver's own brackets clear,
@@ -314,8 +310,7 @@ def _screen(cfg: EstimatorConfig, T: np.ndarray, means: np.ndarray, tops: np.nda
     above, below = lo > threshold + margin, hi < threshold - margin
     if event == "disappointment":
         below |= ~(means > threshold)
-    hits = above if event == "disappointment" else below
-    return int(np.count_nonzero(hits)), np.flatnonzero(~(above | below))
+    return (above if event == "disappointment" else below), np.flatnonzero(~(above | below))
 
 
 def _run_event_trials(
@@ -357,7 +352,7 @@ def _run_event_trials(
         hits = pending = 0
         for T, tile_means, tops in _draw_tiles(spec, seed, start, rows, n):
             decided, keep = _screen(cfg, T, tile_means, tops, event, threshold)
-            hits += decided
+            hits += int(np.count_nonzero(decided))
             end = pending + keep.size  # < 2 * tile
             np.take(T, keep, axis=0, out=X[pending:end], mode="clip")  # "raise" buffers out
             means[pending:end] = tile_means[keep]
@@ -444,9 +439,10 @@ def exact_bernoulli_event_probability(
 
     A size-n sample from a scaled Bernoulli is determined by its count of
     high values, so P[event] = sum over k of Binom(n, p) pmf(k) * 1{event at k},
-    the patterns estimated by the batch kernels, dual._TILE_VALUES values at a time.
-    The pmf is computed in 40-digit decimal and rounded to a float once per
-    term (_binomial_pmf). Useful where the event is far too rare for Monte Carlo.
+    the patterns screened and estimated dual._TILE_VALUES values at a time, as
+    the harness does a drawn tile. The pmf is computed in 40-digit decimal and
+    rounded to a float once per term (_binomial_pmf). Useful where the event
+    is far too rare for Monte Carlo.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -457,8 +453,11 @@ def exact_bernoulli_event_probability(
     for k0 in range(0, n + 1, rows):
         k = np.arange(k0, min(k0 + rows, n + 1))
         X = spec.high * (np.arange(n) >= n - k[:, None])  # n - k zeros, then k high values
-        # an overflowing mean is a non-finite estimate, which raises
-        values = _finite_estimates(cfg, X, _row_means(X, X[:, -1]), f"count patterns {k[0]}..{k[-1]}", threshold)
-        for p in pmf[k[_event_hits(values, event, threshold)]]:
+        means = _row_means(X, X[:, -1])
+        hits, keep = _screen(cfg, X, means, X[:, -1], event, threshold)
+        if keep.size:  # an overflowing mean is never decided, and its non-finite estimate raises here
+            values = _finite_estimates(cfg, X[keep], means[keep], f"count patterns {k[0]}..{k[-1]}", threshold)
+            hits[keep] = _event_hits(values, event, threshold)
+        for p in pmf[k[hits]]:
             total += float(p)
     return total

@@ -2,8 +2,9 @@
 
 kl_value, kl_inf and binomial_pmf are computed in mpmath at DPS = 50
 significant digits from the sample's distinct values and their
-frequencies, by plain bisection, and take float inputs exactly. They return
-mpmath numbers, which compare with floats exactly; float() rounds them once.
+frequencies, by plain bisection, and take float inputs exactly; cramer_rate
+from closed-form Laplace transforms. They return mpmath numbers, which
+compare with floats exactly; float() rounds them once.
 float_kl_value is a fast float bisection for rows too long for mpmath,
 checked against kl_value in tests/test_reference.py.
 """
@@ -12,6 +13,8 @@ import math
 
 import mpmath
 import numpy as np
+
+from safemean import Pareto, ScaledBernoulli, UniformBounded
 
 DPS = 50
 
@@ -97,6 +100,50 @@ def binomial_pmf(n: int, p: float) -> list:
     with mpmath.workdps(DPS):
         q = mpmath.mpf(p)
         return [float(mpmath.binomial(n, k) * q**k * (1 - q) ** (n - k)) for k in range(n + 1)]
+
+
+def _laplace(spec, s):
+    """(E exp(-s z), E z exp(-s z), E z) in closed form."""
+    if isinstance(spec, UniformBounded) and (spec.lo, spec.hi) == (0.0, 1.0):
+        return -mpmath.expm1(-s) / s, (-mpmath.expm1(-s) - s * mpmath.exp(-s)) / s**2, mpmath.mpf(1) / 2
+    if isinstance(spec, ScaledBernoulli):
+        p, h = mpmath.mpf(spec.p), mpmath.mpf(spec.high)
+        return 1 - p + p * mpmath.exp(-s * h), p * h * mpmath.exp(-s * h), p * h
+    if isinstance(spec, Pareto) and spec.scale == 1.0:
+        rho = mpmath.mpf(spec.shape)
+        return rho * s**rho * mpmath.gammainc(-rho, s), rho * s ** (rho - 1) * mpmath.gammainc(1 - rho, s), rho / (rho - 1)
+    raise ValueError(f"no closed-form Laplace transform for {spec!r}")
+
+
+def cramer_rate(spec, b) -> mpmath.mpf:
+    """The left-tail rate sup over s > 0 of (b - mu) s - log E exp(-s z), for
+    UniformBounded(0, 1), ScaledBernoulli(p, h) and Pareto(rho, 1), whose
+    transforms are (1 - e**-s) / s, 1 - p + p e**(-s h) and rho s**rho
+    Gamma(-rho, s).
+
+    The objective is concave, and its derivative b - mu + m(s), where m(s) =
+    E z e**(-s z) / E e**(-s z) is the tilted mean, falls from b at s = 0. Its
+    root is found by mpmath.findroot on a bracket found by halving and
+    doubling s from 1. The work runs at DPS + 40 digits, so the cancellation
+    in m(s) - (mu - b) and in the rate at small b still leaves DPS.
+    """
+    with mpmath.workdps(DPS + 40):
+        b = mpmath.mpf(b)
+        mu = _laplace(spec, mpmath.mpf(1))[2]
+
+        def slope(s):
+            transform, tilted, _ = _laplace(spec, s)
+            return b - mu + tilted / transform
+
+        lo = hi = mpmath.mpf(1)
+        while slope(lo) <= 0:
+            lo /= 2
+        while slope(hi) > 0:  # the tilted mean falls to the law's minimum
+            if hi > 1e100:
+                raise ValueError(f"b = {b} is beyond mu minus the minimum of {spec!r}: the rate is infinite")
+            hi *= 2
+        s = mpmath.findroot(slope, (lo, hi), solver="anderson")
+        return +((b - mu) * s - mpmath.log(_laplace(spec, s)[0]))
 
 
 def float_kl_value(row: np.ndarray, r: float) -> float:

@@ -453,3 +453,27 @@ def test_simulate_varreg_at_zero_lambda_has_no_conservatism_bound(tmp_path):
     assert main(args) == 0
     row = out.read_text().splitlines()[-1].split(",")
     assert row[0] == "varreg" and row[7] == ""
+
+
+def test_loglogn_schedule_with_a_coefficient_runs(tmp_path):
+    argv = ["simulate", "--dist", "pareto:2.5:1", "--estimator", "kl", "--lambda-schedule", "loglogn:2"]
+    assert main(argv + ["--n", "20", "--trials", "5", "--seed", "1", "--out", str(tmp_path / "s.csv")]) == 0
+
+
+SIMULATE = ["simulate", "--dist", "point:1", "--trials", "3", "--estimator"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([*SIMULATE, "kl", "--lambda-schedule", "power:1:2", "--n", "5"], "beta in (0, 1)"),
+        ([*SIMULATE, "mean", "--n", "0"], "--n must be"),
+        (["rates", "--variance-ratio", "--dist", "bern:0.5:2"], "--variance-ratio requires"),
+        (["rates", "--cramer", "--dist", "bern:0.5:2"], "--cramer requires"),
+        (["simulate", "--dist", "point:1", "--estimator", "mean", "--n", "5"], "required: --trials"),
+    ],
+    ids=["power-beta", "n-zero", "variance-ratio-no-grid", "cramer-no-b", "argparse-missing-trials"],
+)
+def test_missing_or_invalid_flag_is_usage_error(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err

@@ -75,6 +75,8 @@ def test_sample_rejects_bad_values():
         Sample([1.0, math.nan])
     with pytest.raises(ValueError):
         Sample([1.0, math.inf])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        Sample([[1.0]])
 
 
 def test_mean_variance_permutation_invariant():
@@ -146,6 +148,21 @@ def test_true_variance_overflows_to_inf_and_is_zero_for_a_point_mass(spec, varia
     assert true_variance(spec) == pytest.approx(variance, rel=1e-12)
 
 
+def test_bernoulli_probability_must_lie_in_the_unit_interval():
+    with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+        ScaledBernoulli(1.5, 1.0)
+
+
+@pytest.mark.parametrize(
+    "dispatch",
+    [true_mean, true_variance, lambda spec: survival_probability(spec, 1.0)],
+    ids=["true_mean", "true_variance", "survival_probability"],
+)
+def test_every_spec_dispatcher_rejects_a_non_spec(dispatch):
+    with pytest.raises(TypeError, match="unsupported distribution spec"):
+        dispatch(object())
+
+
 @pytest.mark.parametrize("high", [math.inf, math.nan, -1.0])
 def test_bernoulli_high_value_must_be_finite_and_non_negative(high):
     with pytest.raises(ValueError, match="finite and non-negative"):
@@ -198,6 +215,8 @@ def test_survival_probability_pareto():
     spec = Pareto(2.5, 1.0)
     assert survival_probability(spec, 0.5) == 1.0
     assert survival_probability(spec, 2.0) == pytest.approx(2.0**-2.5)
+    assert survival_probability(spec, -1.0) == 1.0
+    assert survival_probability(LogNormal(0.0, 1.0), 0.0) == 1.0
 
 
 def test_radius_schedule_kinds():
@@ -224,6 +243,8 @@ def test_radius_schedule_validation():
         RadiusSchedule.log_log_n().lam(2)  # log log 2 < 0
     with pytest.raises(ValueError):
         RadiusSchedule("nope", 1.0)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        RadiusSchedule.log_n().lam(0)
 
 
 def test_read_sample_file(tmp_path):
@@ -235,7 +256,7 @@ def test_read_sample_file(tmp_path):
 
 @pytest.mark.parametrize(
     "content,line",
-    [("1\n-2\n", 2), ("nan\n", 1), ("1\n2\ninf\n", 3), ("1\nabc\n", 2)],
+    [("1\n-2\n", 2), ("nan\n", 1), ("1\n2\ninf\n", 3), ("1\nabc\n", 2), ("\n  \n", 0)],
 )
 def test_read_sample_file_rejects_with_line_number(tmp_path, content, line):
     path = tmp_path / "bad.txt"
@@ -258,3 +279,7 @@ def test_discrete_distribution_invariants():
         DiscreteDistribution([0.0, 1.0], [0.6, 0.6])  # sum != 1
     with pytest.raises(ValueError):
         DiscreteDistribution([0.0, 1.0], [-0.1, 1.1])
+    with pytest.raises(ValueError, match="matching"):
+        DiscreteDistribution([0.0, 1.0], [1.0])
+    with pytest.raises(ValueError, match="non-negative"):
+        DiscreteDistribution([-1.0, 1.0], [0.5, 0.5])

@@ -14,7 +14,7 @@ from safemean import (
     solve_kl_dro_dual,
     solve_kl_dro_dual_batch,
 )
-from safemean.dual import _TILE_VALUES, DualSolverError, _row_means, _solve_rows, witness_empirical_kl
+from safemean.dual import _TILE_VALUES, DualSolution, DualSolverError, _row_means, _solve_rows, witness_empirical_kl
 from safemean.montecarlo import _finite_estimates
 from safemean.oracle import random_instances, verify_certificate
 from reference import DPS, kl_inf, kl_value
@@ -455,3 +455,15 @@ def test_threshold_that_no_bound_clears_changes_nothing(threshold):
     rng = np.random.default_rng(5)
     X = (1.0 - rng.random((50, 300))) ** (-1.0 / 2.5)
     assert np.array_equal(solve_kl_dro_dual_batch(X, 0.02, threshold=threshold), solve_kl_dro_dual_batch(X, 0.02))
+
+
+def test_batch_solver_rejects_a_single_row_vector():
+    with pytest.raises(ValueError, match=r"\(batch, n\) array"):
+        solve_kl_dro_dual_batch(np.ones(3), 0.1)
+
+
+def test_witness_of_a_zero_alpha_with_a_zero_observation_raises():
+    # alpha* = 0 puts infinite weight on a zero observation: no solve returns it
+    sol = DualSolution(exponent=1, scaled_alpha=0.0, scaled_nu=0.5, scaled_value=0.5, atom=0.0, iterations=1)
+    with pytest.raises(DualSolverError, match="alpha = 0 with a zero observation"):
+        primal_witness(Sample([0.0, 1.0]), sol)

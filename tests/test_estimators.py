@@ -15,8 +15,8 @@ from safemean import (
     truncation_constants,
 )
 from safemean.core import Pareto
-from safemean.estimators import ESTIMATOR_KINDS, row_std
-from safemean.montecarlo import _estimate_batch
+from safemean.estimators import ESTIMATOR_KINDS, _closed_form, row_std
+from safemean.montecarlo import _finite_estimates
 from streams import reference_block
 
 VALUE_TWO_POINT = 0.5 / math.sqrt(3.0) - (2.0 * math.sqrt(3.0) - 3.0) / 3.0
@@ -326,9 +326,9 @@ def test_varreg_is_exactly_scale_equivariant_at_extreme_magnitudes(k):
     cfg, c = EstimatorConfig("varreg", lam=1.0), 2.0**k
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        scaled = _estimate_batch(cfg, X * c, (X * c).mean(axis=1))
+        scaled = _closed_form(cfg, X * c, (X * c).mean(axis=1))
         scalar = [estimate(cfg, Sample(row * c)).value for row in X[:5]]
-    assert np.array_equal(scaled, c * _estimate_batch(cfg, X, X.mean(axis=1)))
+    assert np.array_equal(scaled, c * _closed_form(cfg, X, X.mean(axis=1)))
     assert scalar == [c * estimate(cfg, Sample(row)).value for row in X[:5]]
 
 
@@ -337,7 +337,7 @@ def test_varreg_scalar_is_a_batch_of_one(scale):
     X = reference_block(Pareto(2.5, 1.0), 4, 0, 40, 20)
     X = np.sort(X * scale, axis=1)  # a Sample's values are sorted, and sums depend on order
     cfg = EstimatorConfig("varreg", lam=2.0)
-    batch = _estimate_batch(cfg, X, X.mean(axis=1))
+    batch = _finite_estimates(cfg, X, X.mean(axis=1), "the rows")
     assert np.all(np.isfinite(batch)) and np.all(batch < X.mean(axis=1))
     assert [estimate(cfg, Sample(row)).value for row in X] == list(batch)
 
@@ -350,3 +350,8 @@ def test_log1p_transform_shrinks_variance():
         vals = rng.pareto(1.5, int(rng.integers(2, 50)))
         transformed = Sample(np.log1p(vals))
         assert variance(transformed) <= variance(Sample(vals)) + 1e-12
+
+
+def test_a_kind_without_a_radius_has_no_lambda():
+    with pytest.raises(ValueError, match="has no radius"):
+        EstimatorConfig("mean").resolve_lambda(10)

@@ -30,8 +30,9 @@ from safemean import montecarlo, rates
 from safemean.cli import reports_to_csv
 from safemean.dual import _TILE_VALUES, DualSolverError, _row_means, kl_value_upper_bound, solve_kl_dro_dual_batch
 from safemean.estimators import estimate, row_std
-from safemean.montecarlo import TrialReport, _draw_tiles, _estimate_batch, _run_event_trials
+from safemean.montecarlo import TrialReport, _draw_tiles, _finite_estimates, _run_event_trials
 from safemean.rates import _population_radius, _population_radius_limit, solve_population_dual
+import reference
 from reference import binomial_pmf
 from streams import reference_block, reference_draw
 
@@ -236,7 +237,7 @@ def test_estimates_never_exceed_the_sample_mean(schedule):
             means = _row_means(X, X.max(axis=1))  # the means the screen reads
             for cfg in configs:
                 try:
-                    values = _estimate_batch(cfg, X, means)
+                    values = _finite_estimates(cfg, X, means, "the block")
                 except ValueError:  # logn at n = 1, tv with sqrt(r/2) > 1
                     continue
                 assert np.all(values <= means), (spec, n, cfg.kind)
@@ -258,7 +259,8 @@ SCREEN_CONFIGS = (
 def test_screened_disappointment_hits_match_unscreened_count(cfg):
     spec, n, trials, seed = Pareto(2.5, 1.0), 20, 150, 13
     X = reference_block(spec, seed, 0, trials, n)
-    expected = int(np.count_nonzero(_estimate_batch(cfg, X, X.mean(axis=1)) > true_mean(spec)))  # every row estimated
+    values = _finite_estimates(cfg, X, X.mean(axis=1), "the block")  # every row estimated
+    expected = int(np.count_nonzero(values > true_mean(spec)))
     assert 0 < expected < trials
     for batch_size in (1, 7, None):
         for threads in (1, 2):
@@ -271,7 +273,7 @@ def test_kl_conservatism_hits_with_threshold_match_unthresholded_count():
     # count solves every row to convergence (disappointment: the screened test above)
     cfg, spec, n, trials, seed, b = EstimatorConfig("kl", r=0.02), Pareto(2.5, 1.0), 20, 150, 13, 0.2
     X = reference_block(spec, seed, 0, trials, n)
-    expected = int(np.count_nonzero(_estimate_batch(cfg, X, X.mean(axis=1)) < true_mean(spec) - b))
+    expected = int(np.count_nonzero(_finite_estimates(cfg, X, X.mean(axis=1), "the block") < true_mean(spec) - b))
     assert 0 < expected < trials
     for batch_size in (1, 7, None):
         for threads in (1, 2):
@@ -294,14 +296,40 @@ def test_kl_enumeration_with_threshold_is_bit_identical_to_full_solves(event):
         assert exact_bernoulli_event_probability(spec, cfg, n, event, b) == total, n
 
 
-def test_block_screened_out_entirely_has_no_rows_and_no_hits(monkeypatch):
-    rows = []
+def _kernel_spy(monkeypatch) -> list:
+    """The row count of every call to the kernel entry point, in call order."""
+    rows, kernel = [], montecarlo._finite_estimates
 
     def spy(cfg, X, means, where, threshold=None):
         rows.append(X.shape[0])
-        return montecarlo._estimate_batch(cfg, X, means, threshold)
+        return kernel(cfg, X, means, where, threshold)
 
     monkeypatch.setattr(montecarlo, "_finite_estimates", spy)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "event,n,sent,probability",
+    [
+        ("conservatism", 50, 31, 0.16111816017877345),
+        ("conservatism", 200, 133, 1.3264377797634236e-05),
+        ("conservatism", 800, 558, 9.036895318507749e-29),
+        ("disappointment", 50, 17, 0.003300223983405459),
+    ],
+)
+def test_enumeration_sends_only_the_undecided_patterns_to_the_kernel(monkeypatch, event, n, sent, probability):
+    # the enumeration screens its count patterns as the harness screens a drawn tile
+    spec, cfg, b = ScaledBernoulli(0.5, 2.0), EstimatorConfig("kl", schedule=RadiusSchedule.log_n()), 0.5
+    X = spec.high * (np.arange(n) >= n - np.arange(n + 1)[:, None])  # every count pattern, in one block
+    means = _row_means(X, X[:, -1])
+    undecided = montecarlo._screen(cfg, X, means, X[:, -1], event, montecarlo._event_threshold(spec, event, b))[1]
+    rows = _kernel_spy(monkeypatch)
+    assert exact_bernoulli_event_probability(spec, cfg, n, event, b) == probability
+    assert sum(rows) == undecided.size == sent
+
+
+def test_block_screened_out_entirely_has_no_rows_and_no_hits(monkeypatch):
+    rows = _kernel_spy(monkeypatch)
     # every row's mean equals mu, so none can disappoint
     assert _run_event_trials(ScaledBernoulli(1.0, 1.0), EstimatorConfig("kl", r=0.1), 20, 50, 3, "disappointment", 0.0, 1, 16) == 0
     assert rows == [0, 0, 0, 0]
@@ -595,6 +623,23 @@ def test_cramer_rate_impossible_event_is_infinite():
     assert cramer_rate(Pareto(2.5, 1.0), 0.8) == math.inf
 
 
+@pytest.mark.parametrize(
+    "spec,b",
+    [
+        (UniformBounded(0.0, 1.0), 0.25),
+        (Pareto(2.5, 1.0), 0.5),
+        pytest.param(UniformBounded(0.0, 1.0), 1e-6, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 7: 3.3e-10 off")),
+        pytest.param(Pareto(2.5, 1.0), 1e-6, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 7: 3.8e-10 off")),
+        pytest.param(Pareto(2.5, 1.0), 1e-10, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 7: 6.9e-6 off")),
+    ],
+    ids=repr,
+)
+def test_cramer_rate_matches_the_50_digit_reference(spec, b):
+    # 1e-12 relative where the rate is of order one; item 7's bar is 1e-10 for every rate of at least 1e-30
+    rel = 1e-12 if b >= 0.25 else 1e-10
+    assert cramer_rate(spec, b) == pytest.approx(float(reference.cramer_rate(spec, b)), rel=rel, abs=0.0)
+
+
 # rates from a cancellation-free quadrature: b s - E[exp(-s z) - 1 + s z] + (x - log1p(x)),
 # x = E[exp(-s z) - 1 + s z] - s mu, with exp(-x) - 1 + x summed as a series near 0
 @pytest.mark.parametrize("sigma,expected", [(3.0, 3.040086074481525e-09), (5.0, 4.1731387039269806e-23)])
@@ -604,14 +649,14 @@ def test_cramer_rate_heavy_lognormal_is_above_its_quadratic_floor(sigma, expecte
     b = 0.5
     rate = cramer_rate(LogNormal(0.0, sigma), b)
     assert rate >= b * b / (2.0 * math.exp(2.0 * sigma**2))
-    assert rate == pytest.approx(expected, rel=1e-8)
+    assert rate == pytest.approx(expected, rel=1e-8, abs=0.0)  # the default abs=1e-12 would pass any rate this small
 
 
 def test_cramer_rate_infinite_variance_pareto_small_b():
     # for Pareto(1.5, 1), E[exp(-s z) - 1 + s z] ~ 1.5 Gamma(-1.5) s**1.5 = sqrt(4 pi) s**1.5
     # as s -> 0, so the rate tends to b**3 / (27 pi); the relative gap is about 0.64 b
     for b in (3e-6, 3e-4):
-        assert cramer_rate(Pareto(1.5, 1.0), b) == pytest.approx(b**3 / (27.0 * math.pi), rel=1e-3)
+        assert cramer_rate(Pareto(1.5, 1.0), b) == pytest.approx(b**3 / (27.0 * math.pi), rel=1e-3, abs=0.0)
 
 
 @pytest.mark.parametrize("c", [1e-200, 1e200])
@@ -741,3 +786,33 @@ def test_csv_and_json_serialization():
     assert lines[2] == "estimator,n,trials,hits,p_hat,ci_lo,ci_hi,bound,seed"
     assert lines[3].startswith("kl,100,1000,3,")
     assert lines[4].endswith(",7") and ",," in lines[4]  # empty bound cell
+
+
+def test_rates_of_a_law_at_zero_and_invalid_arguments():
+    zero = ScaledBernoulli(0.0, 2.0)  # z = 0 almost surely
+    assert cramer_rate(zero, 0.5) == math.inf
+    with pytest.raises(ValueError, match="z = 0 almost surely"):
+        solve_population_dual(zero, 0.1)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        solve_population_dual(BERN, 0.0)
+    with pytest.raises(ValueError, match="s must be non-negative"):
+        laplace_transform(BERN, -1.0)
+    with pytest.raises(ValueError, match="radii must be positive"):
+        variance_ratio_curve(Pareto(2.5, 1.0), [0.0])
+
+
+@pytest.mark.parametrize(
+    "dispatch",
+    [lambda spec: laplace_transform(spec, 1.0), _population_radius_limit, lambda spec: draw_sample(spec, 3, 0)],
+    ids=["laplace_transform", "population_radius_limit", "draw_sample"],
+)
+def test_every_spec_dispatcher_rejects_a_non_spec(dispatch):
+    with pytest.raises(TypeError, match="unsupported distribution spec"):
+        dispatch(object())
+
+
+def test_harness_rejects_an_empty_sample_or_no_trials():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        draw_sample(BERN, 0, 1)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        disappointment_probability(BERN, EstimatorConfig("mean"), 10, 0, 1)

@@ -476,3 +476,18 @@ def test_probe_boundary_candidate_matches_unfiltered_loop(scale_exponent):
             counts.append(random_feasible_probe(s, r, 2000, seed=0, reference=reference))
             assert counts[-1] == _unfiltered_probe(s, r, 2000, 0, reference), (j, bound)
         assert counts[0] == counts[1] < counts[2]
+
+
+def test_all_zero_sample_certifies_a_value_of_zero():
+    s = Sample([0.0, 0.0])
+    report = verify_certificate(s, 0.5)
+    assert report.passed and report.kl_gap == 0.0 and report.value == 0.0
+    assert random_feasible_probe(s, 0.5, 100) == 0
+    assert kl_projection_bruteforce(s, 0.5) == 0.0
+
+
+def test_oracle_rejects_an_empty_grid_or_a_zero_radius():
+    with pytest.raises(ValueError, match="grid_resolution must be positive"):
+        kl_projection_bruteforce(Sample([1.0, 2.0]), 0.5, grid_resolution=0)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        verify_certificate(Sample([1.0, 2.0]), 0.0)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from safemean import LogNormal, Pareto, ScaledBernoulli
-from reference import DPS, float_kl_value, kl_inf, kl_value
+from reference import DPS, cramer_rate, float_kl_value, kl_inf, kl_value
 from streams import reference_block
 
 
@@ -26,6 +26,15 @@ def test_kl_inf_inverts_kl_value(row):
     for r in (1e-12, 0.05, 3.0):
         with mpmath.workdps(DPS):
             assert abs(kl_inf(row, kl_value(row, r)) / r - 1) < 1e-30
+
+
+@pytest.mark.parametrize("b", [1e-10, 0.5, 0.9])
+def test_cramer_rate_matches_the_bernoulli_closed_form(b):
+    # the rate of ScaledBernoulli(p, h) is KL(Bern(q), Bern(p)) at q = (mu - b) / h
+    with mpmath.workdps(DPS):
+        p, q = mpmath.mpf(0.5), (1 - mpmath.mpf(b)) / 2
+        exact = q * mpmath.log(q / p) + (1 - q) * mpmath.log((1 - q) / (1 - p))
+        assert abs(cramer_rate(ScaledBernoulli(0.5, 2.0), b) / exact - 1) < 1e-40
 
 
 # rows of 60 values with and without zeros, and {0, 2}, at radii where a* is

@@ -25,7 +25,7 @@ from safemean import (
 )
 from safemean.dual import DualSolverError, _row_means, kl_value_upper_bound
 from safemean.estimators import _brackets
-from safemean.montecarlo import _estimate_batch, _finite_estimates, _run_event_trials, _screen
+from safemean.montecarlo import _finite_estimates, _run_event_trials, _screen
 from reference import float_kl_value
 from streams import reference_block, reference_draw
 
@@ -227,7 +227,7 @@ def test_varreg_bracket_contains_the_computed_value(law, n):
         for r in _radii(n):
             cfg = EstimatorConfig("varreg", r=r)
             lo, hi = _brackets(cfg, Xk, mk, Xk.max(axis=1))
-            values = _estimate_batch(cfg, Xk, mk)
+            values = _finite_estimates(cfg, Xk, mk, "the tile")
             assert np.isfinite(lo[bracketed]).all() and np.isfinite(hi[bracketed]).all(), (k, r)
             assert np.all(lo[bracketed] <= values[bracketed]) and np.all(values[bracketed] <= hi[bracketed]), (k, r)
             assert np.isnan(lo[~bracketed]).all() and np.isnan(hi[~bracketed]).all()
@@ -237,7 +237,8 @@ def _screened_count(cfg, X, means, event, threshold) -> int:
     """The event's hits on a tile as the harness counts them: the screen's, then the kernel's on the rest."""
     hits, keep = _screen(cfg, X, means, X.max(axis=1), event, threshold)
     values = _finite_estimates(cfg, X[keep], means[keep], "the undecided rows", threshold)
-    return hits + int(np.count_nonzero(values > threshold if event == "disappointment" else values < threshold))
+    kernel_hits = values > threshold if event == "disappointment" else values < threshold
+    return int(np.count_nonzero(hits)) + int(np.count_nonzero(kernel_hits))
 
 
 @pytest.mark.parametrize("n", BRACKET_NS)
@@ -265,13 +266,13 @@ def test_threshold_on_a_computed_value_leaves_the_row_undecided(law):
         Xk, mk = np.ldexp(X, k), np.ldexp(means, k)
         for r in _radii(100):
             cfg = EstimatorConfig("varreg", r=r)
-            values = _estimate_batch(cfg, Xk, mk)
+            values = _finite_estimates(cfg, Xk, mk, "the tile")
             for j, value in enumerate(values):
                 for event in ("disappointment", "conservatism"):
                     hits, keep = _screen(cfg, Xk[j : j + 1], mk[j : j + 1], Xk[j : j + 1].max(axis=1), event, value)
                     # a value equal to its row's mean (no spread) cannot exceed it: the exact mean rule decides
                     exact = event == "disappointment" and value >= mk[j]
-                    assert hits == 0 and keep.tolist() == ([] if exact else [0]), (k, r, j, event)
+                    assert not hits.any() and keep.tolist() == ([] if exact else [0]), (k, r, j, event)
 
 
 @pytest.mark.parametrize("kind", ["varreg", "kl"])
@@ -284,6 +285,7 @@ def test_screen_decides_the_same_rows_at_every_scale(kind):
         cfg = EstimatorConfig(kind, r=math.log(100) / 100)
         for event, threshold in (("disappointment", true_mean(law)), ("conservatism", true_mean(law) - 0.5)):
             hits, keep = _screen(cfg, X, means, X.max(axis=1), event, threshold)
+            assert hits.dtype == bool and hits.shape == (len(X),) and not hits[keep].any()  # a mask of decided hits
             if kind == "varreg" or event == "disappointment":  # a KL upper bound decides conservatism hits only
                 assert keep.size < len(X) // 2, (law, event)
             brackets = _brackets(cfg, X, means, X.max(axis=1))
@@ -292,7 +294,7 @@ def test_screen_decides_the_same_rows_at_every_scale(kind):
                 for got, want in zip(_brackets(cfg, Xk, mk, Xk.max(axis=1)), brackets):
                     assert np.array_equal(got, np.ldexp(want, k)), (law, k)
                 got = _screen(cfg, Xk, mk, Xk.max(axis=1), event, math.ldexp(threshold, k))
-                assert got[0] == hits and got[1].tolist() == keep.tolist(), (law, event, k)
+                assert np.array_equal(got[0], hits) and got[1].tolist() == keep.tolist(), (law, event, k)
 
 
 def test_overflowing_mean_raises_for_varreg():
