@@ -3,9 +3,11 @@ and their exact values for two-point samples by enumeration.
 
 Reproducibility contract: every trial draws from its own RNG substream keyed
 by (master seed, trial index), so draws and hit counts are the same
-regardless of batching or worker-thread count. Trial i of seed s is exactly
-what default_rng(SeedSequence((s, i))) draws, but streams are built a block
-of trials at a time: the SeedSequence hash runs in uint32 arithmetic over
+regardless of batching or worker-thread count. Trial i of seed s is the
+uniforms U that default_rng(SeedSequence((s, i))) draws, put through the
+inverse CDF; a Pareto value is exp(log(1 - U) * (-1/shape)) * scale
+(_transform bounds its error). Streams are built a block of trials at a
+time: the SeedSequence hash runs in uint32 arithmetic over
 the whole block, and each row's PCG64 is seeded in C (pcg64_set_seed) from
 that row's hashed words. It is drawn, transformed, averaged, screened and
 estimated one tile of dual._TILE_VALUES values at a time, in L2, so a worker
@@ -200,12 +202,13 @@ def _draw_tiles(spec: DistributionSpec, seed: int, start: int, rows: int, n: int
     the row means and maxima, one tile of dual._TILE_VALUES values at a time,
     each in one reused (tile, n) buffer.
 
-    Row j is what default_rng(SeedSequence((seed, start + j))) draws, then
-    the inverse-CDF transform, bit for bit: the seed sequence is hashed for
-    all rows at once, and each row's generator is a PCG64 seeded in C from
-    that row's hashed words (_RowSeed). T is transformed in place with the
-    same ufuncs in the same order and reduced while in L2; it holds its rows
-    until the next tile. A draw that overflows a float raises DualSolverError.
+    Row j is the uniforms default_rng(SeedSequence((seed, start + j))) draws,
+    bit for bit, put through _transform (a Pareto value is exp(log(1 - U) *
+    (-1/shape)) * scale): the seed sequence is hashed for all rows at once,
+    and each row's generator is a PCG64 seeded in C from that row's hashed
+    words (_RowSeed). T is transformed in place with the same ufuncs in the
+    same order and reduced while in L2; it holds its rows until the next
+    tile. A draw that overflows a float raises DualSolverError.
     """
     if rows == 1:
         index = _words(start)
@@ -235,11 +238,26 @@ def _draw_tiles(spec: DistributionSpec, seed: int, start: int, rows: int, n: int
 
 
 def _transform(spec: DistributionSpec, T: np.ndarray) -> None:
-    """The inverse-CDF transform of uniform draws, in place."""
+    """The inverse-CDF transform of uniform draws, in place.
+
+    A Pareto draw is exp(y) * scale, y = log(1 - U) * (-1/shape). 1 - U is
+    exact on numpy's 2**-53 grid of U, so log never sees 0, and 0 <= y <= 53
+    log 2 / shape < 37, so exp never overflows (only * scale can). It is
+    within 4y + 2 ulp of the correctly rounded (1 - U)**(-1/shape) * scale
+    when np.log and np.exp are each within 1 ulp. With u = 2**-53:
+    log(1 - U) is off by at most 2u of itself, and -1/shape and the product
+    by u each, so y is off by at most 4uy; exp turns that absolute error
+    into a relative one of at most 4uy, under 4y ulp. exp adds 1 ulp, and
+    rounding the reference and * scale half of one each; * scale is skipped
+    at scale 1.0, where it is exact.
+    """
     if isinstance(spec, Pareto):
         np.subtract(1.0, T, out=T)
-        T **= -1.0 / spec.shape
-        T *= spec.scale
+        np.log(T, out=T)
+        T *= -1.0 / spec.shape
+        np.exp(T, out=T)
+        if spec.scale != 1.0:
+            T *= spec.scale
     elif isinstance(spec, LogNormal):
         from scipy.special import ndtri
 

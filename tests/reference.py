@@ -3,7 +3,8 @@
 kl_value, kl_inf and binomial_pmf are computed in mpmath at DPS = 50
 significant digits from the sample's distinct values and their
 frequencies, by plain bisection, and take float inputs exactly; cramer_rate
-from closed-form Laplace transforms. They return mpmath numbers, which
+from closed-form Laplace transforms, and pareto_power, the Pareto quantile,
+as a power at DPS digits. They return mpmath numbers, which
 compare with floats exactly; float() rounds them once.
 float_kl_value is a fast float bisection for rows too long for mpmath,
 checked against kl_value in tests/test_reference.py.
@@ -100,6 +101,12 @@ def binomial_pmf(n: int, p: float) -> list:
     with mpmath.workdps(DPS):
         q = mpmath.mpf(p)
         return [float(mpmath.binomial(n, k) * q**k * (1 - q) ** (n - k)) for k in range(n + 1)]
+
+
+def pareto_power(x: float, shape: float) -> mpmath.mpf:
+    """x**(-1/shape), the Pareto quantile at 1 - U = x of shape `shape` and scale 1."""
+    with mpmath.workdps(DPS):
+        return mpmath.mpf(x) ** (-1 / mpmath.mpf(shape))
 
 
 def _laplace(spec, s):

@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 from scipy.stats import binom
 
 from safemean import (
@@ -34,7 +33,7 @@ from safemean.montecarlo import TrialReport, _draw_tiles, _finite_estimates, _ru
 from safemean.rates import _population_radius, _population_radius_limit, solve_population_dual
 import reference
 from reference import binomial_pmf
-from streams import reference_block, reference_draw
+from streams import reference_block, reference_draw, transform
 
 BERN = ScaledBernoulli(0.5, 2.0)
 # left-tail rate of the scaled Bernoulli at b = 0.5: KL(1/4 || 1/2)
@@ -92,16 +91,18 @@ def _drawn(spec, seed, start, rows, n):
 @pytest.mark.parametrize("spec", ALL_KINDS, ids=_kind)
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5])
 def test_block_draw_matches_per_trial_generators(spec, seed):
-    n = 9
-    # blocks covering trial indices 0, 1, 4095 and 2**32 - 1
-    for start, rows in ((0, 2), (4094, 3), (2**32 - 2, 2)):
-        X, means = _drawn(spec, seed, start, rows, n)
-        expected = reference_block(spec, seed, start, rows, n)
-        assert np.array_equal(X, expected)
-        assert np.array_equal(means, _row_means(expected, expected.max(axis=1)))
-    for stream in (0, 1, 4095, 2**32 - 1, 2**32):
-        got = draw_sample(spec, n, seed, stream=stream).values
-        assert np.array_equal(got, np.sort(reference_draw(spec, n, seed, stream)))
+    # blocks covering trial indices 0, 1, 4095 and 2**32 - 1; at each n a row
+    # drawn alone agrees bit for bit with the same row at another offset in a
+    # tile, which moves it across the lanes of numpy's SIMD log and exp
+    for n in (1, 9, 17):
+        for start, rows in ((0, 2), (4094, 3), (2**32 - 2, 2)):
+            X, means = _drawn(spec, seed, start, rows, n)
+            expected = reference_block(spec, seed, start, rows, n)
+            assert np.array_equal(X, expected), n
+            assert np.array_equal(means, _row_means(expected, expected.max(axis=1))), n
+        for stream in (0, 1, 4095, 2**32 - 1, 2**32):
+            got = draw_sample(spec, n, seed, stream=stream).values
+            assert np.array_equal(got, np.sort(reference_draw(spec, n, seed, stream))), n
 
 
 def test_row_seed_gives_pcg64_only_the_words_it_was_built_for():
@@ -115,28 +116,6 @@ def test_row_seed_gives_pcg64_only_the_words_it_was_built_for():
             row_seed.generate_state(n_words, dtype)
     got = np.random.Generator(np.random.PCG64(row_seed)).random(5)
     assert np.array_equal(got, np.random.default_rng(np.random.SeedSequence((7, 3))).random(5))
-
-
-def _whole_block_transform(spec, U):
-    """The inverse-CDF transform as it ran on a whole block before tiles."""
-    X = U.copy()
-    if isinstance(spec, Pareto):
-        np.subtract(1.0, X, out=X)
-        X **= -1.0 / spec.shape
-        X *= spec.scale
-    elif isinstance(spec, LogNormal):
-        np.clip(X, 1e-16, 1.0 - 1e-16, out=X)
-        ndtri(X, out=X)
-        X *= spec.sigma
-        X += spec.mu
-        np.exp(X, out=X)
-    elif isinstance(spec, ScaledBernoulli):
-        np.less(X, spec.p, out=X)
-        X *= spec.high
-    else:
-        X *= spec.hi - spec.lo
-        X += spec.lo
-    return X
 
 
 TILE_GRID_N = (1, 2, 7, 8, 9, 100, 1000, 3000, 20000)
@@ -163,10 +142,35 @@ def test_tiled_draw_matches_whole_block_transform_mean_and_std(spec, tile_grid_u
         k = _TILE_VALUES // n
         for rows in (k - 1, k, k + 1, 3 * k + 5):
             X, means = _drawn(spec, 5, 0, rows, n)
-            expected = _whole_block_transform(spec, U[:rows])
+            expected = transform(spec, U[:rows])
             assert np.array_equal(X, expected), (n, rows)
             assert np.array_equal(means, expected.mean(axis=1)), (n, rows)
             assert np.array_equal(row_std(X, means), expected.std(axis=1)), (n, rows)
+
+
+@pytest.fixture(scope="module")
+def grid_complements():
+    """1 - U for a few thousand U on numpy's 2**-53 grid: 1 - U of 2000 uniforms,
+    40 values in each binade from 2**-53 up, and 2**-53, 2**-52, 0.5 and 1."""
+    rng = np.random.default_rng(3)
+    binades = [rng.integers(2 ** (j - 1), 2**j, size=40) for j in range(1, 54)]
+    x = np.ldexp(np.concatenate(binades + [[1, 2, 2**52, 2**53]]).astype(float), -53)
+    return np.concatenate([1.0 - rng.random(2000), x])
+
+
+def _ulps(got, expected):
+    return np.abs(got - expected) / np.spacing(expected)
+
+
+@pytest.mark.parametrize("shape", [1.0000001, 1.5, 2.5, 10.0])
+def test_pareto_draw_is_within_its_bound_of_the_correctly_rounded_power(shape, grid_complements):
+    x = grid_complements
+    T = 1.0 - x  # the uniforms, exactly
+    montecarlo._transform(Pareto(shape, 1.0), T)
+    expected = np.array([float(reference.pareto_power(v, shape)) for v in x])
+    y = np.log(x) * (-1.0 / shape)
+    assert np.all(_ulps(T, expected) <= 4.0 * y + 2.0)
+    assert np.all(T[x == 1.0] == 1.0)  # U = 0 draws the minimum, scale, exactly
 
 
 def test_event_probabilities_reject_empty_samples():

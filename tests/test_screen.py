@@ -168,12 +168,14 @@ def test_hits_do_not_depend_on_threads():
 
 
 def test_overflowing_draw_still_raises():
-    cfg = EstimatorConfig("kl", r=0.1)
-    with pytest.raises(DualSolverError, match="overflows"):
-        disappointment_probability(LogNormal(709.0, 1.0), cfg, 100, 20, 7, threads=1)
-    for cfg in (EstimatorConfig("varreg", r=0.1), EstimatorConfig("kl", r=0.1)):
+    # Pareto(1.5, 5e307) has the finite mean 1.5e308; its draws above 3.6 * scale,
+    # about 15%, overflow in the transform's last step, * scale
+    for spec in (LogNormal(709.0, 1.0), Pareto(1.5, 5e307)):
         with pytest.raises(DualSolverError, match="overflows"):
-            conservatism_probability(LogNormal(709.0, 1.0), cfg, 0.5, 100, 20, 7, threads=1)
+            disappointment_probability(spec, EstimatorConfig("kl", r=0.1), 100, 20, 7, threads=1)
+        for cfg in (EstimatorConfig("varreg", r=0.1), EstimatorConfig("kl", r=0.1)):
+            with pytest.raises(DualSolverError, match="overflows"):
+                conservatism_probability(spec, cfg, 0.5, 100, 20, 7, threads=1)
 
 
 def test_overflowing_mean_is_kept_and_solved():
