@@ -23,7 +23,6 @@ from .core import (
     read_sample_file,
     survival_probability,
     true_mean,
-    true_variance,
 )
 from .dual import (
     DualSolution,
@@ -48,7 +47,6 @@ from .montecarlo import (
 )
 from .oracle import (
     CertificateReport,
-    kl_projection_bruteforce,
     random_feasible_probe,
     random_instances,
     verify_certificate,

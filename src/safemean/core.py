@@ -24,7 +24,6 @@ __all__ = [
     "DistributionSpec",
     "EstimateResult",
     "true_mean",
-    "true_variance",
     "survival_probability",
     "read_sample_file",
 ]
@@ -153,7 +152,7 @@ class RadiusSchedule:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.c <= 0:
+        if not self.c > 0:  # NaN fails too
             raise ValueError("schedule coefficient must be positive")
         if self.kind == "power" and not (0.0 < self.beta < 1.0):
             raise ValueError("power schedule requires beta in (0, 1)")
@@ -250,27 +249,6 @@ def true_mean(spec: DistributionSpec) -> float:
         return spec.p * spec.high
     if isinstance(spec, UniformBounded):
         return 0.5 * spec.lo + 0.5 * spec.hi  # lo + hi can overflow where the mean does not
-    raise TypeError(f"unsupported distribution spec {spec!r}")
-
-
-def true_variance(spec: DistributionSpec) -> float:
-    """Closed-form population variance; inf when the second moment diverges
-    or the variance overflows a float. Products are taken left to right with
-    the scale last, so a Bernoulli at p = 0 or 1 has variance 0.0 at any high."""
-    if isinstance(spec, Pareto):
-        if spec.shape <= 2.0:
-            return math.inf
-        return spec.shape / ((spec.shape - 1.0) ** 2 * (spec.shape - 2.0)) * spec.scale * spec.scale
-    if isinstance(spec, LogNormal):  # exp(2 mu + s2) expm1(s2), in logs so neither factor overflows alone
-        s2 = spec.sigma**2
-        try:
-            return math.exp(2.0 * (spec.mu + s2) + math.log(-math.expm1(-s2)))
-        except OverflowError:
-            return math.inf
-    if isinstance(spec, ScaledBernoulli):
-        return spec.p * (1.0 - spec.p) * spec.high * spec.high
-    if isinstance(spec, UniformBounded):  # d / 12 * d: d**2 raises OverflowError, and overflows before the variance
-        return (spec.hi - spec.lo) / 12.0 * (spec.hi - spec.lo)
     raise TypeError(f"unsupported distribution spec {spec!r}")
 
 

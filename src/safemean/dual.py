@@ -166,7 +166,7 @@ def _solve_rows(X: np.ndarray, r: float, threshold=None):
     With a threshold, a row whose bracket clears it reports the bound on
     that side as its value, and NaN as nu and atom.
     """
-    if r <= 0:
+    if not r > 0:  # NaN fails too
         raise ValueError("radius must be positive")
     B, n = X.shape
     top = X.max(axis=1)

@@ -100,7 +100,7 @@ def truncation_constants(a: float, A: float):
     """(C, c_a) for the truncated-mean compensator given a moment bound E[z^a] <= A."""
     if not (1.0 < a <= 2.0):
         raise ValueError("truncation exponent a must lie in (1, 2]")
-    if A <= 0:
+    if not A > 0:  # NaN fails too
         raise ValueError("moment bound A must be positive")
     C = min(1.0 / ((a - 1.0) * a**a), A * math.exp(a) * 2.0 / (2.0 + a))
     c_a = (a - 1.0) ** (-(a - 1.0) / a) * a * C ** (1.0 / a)
@@ -114,7 +114,7 @@ def kl_disappointment_bound(n: int, lam: float) -> float:
     """
     if n < 2:
         raise ValueError("bound requires n >= 2")
-    if lam <= 1.0:
+    if not lam > 1.0:  # NaN fails too
         raise ValueError("bound requires lambda > 1")
     raw = (math.e * lam * math.log(n) + math.e**2) * math.exp(-lam)
     return min(1.0, raw)

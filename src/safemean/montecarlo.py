@@ -301,7 +301,7 @@ def _event_threshold(spec: DistributionSpec, event: str, b: float) -> float:
     """The threshold whose side of it is all an event reads: mu, or mu - b for conservatism, where b > 0."""
     if event not in ("disappointment", "conservatism"):
         raise ValueError(f"unknown event {event!r}")
-    if event == "conservatism" and b <= 0:
+    if event == "conservatism" and not b > 0:  # NaN fails too
         raise ValueError("b must be positive")
     return true_mean(spec) - (b if event == "conservatism" else 0.0)
 

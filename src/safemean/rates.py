@@ -48,7 +48,7 @@ class RateFit:
 
 def laplace_transform(spec: DistributionSpec, s: float) -> float:
     """E[exp(-s z)] for s >= 0; adaptive quadrature for the continuous tails."""
-    if s < 0:
+    if not s >= 0:  # NaN fails too
         raise ValueError("s must be non-negative")
     if s == 0:
         return 1.0
@@ -114,7 +114,7 @@ def cramer_rate(spec: DistributionSpec, b: float) -> float:
     so it does not round away at small s. A saturating objective (e.g. an
     atom at zero as s -> inf) is detected and its limit value returned.
     """
-    if b < 0:
+    if not b >= 0:  # NaN fails too
         raise ValueError("b must be non-negative")
     if b == 0.0:
         return 0.0
@@ -205,7 +205,7 @@ def solve_population_dual(spec: DistributionSpec, r: float) -> float:
     by the mean. r(atilde) increases to r(inf) = E log z + log E[1/z], so a
     radius at or above r(inf) has no dual point and raises.
     """
-    if r <= 0:
+    if not r > 0:  # NaN fails too
         raise ValueError("radius must be positive")
     mu = true_mean(spec)
     if mu == 0.0:
@@ -240,7 +240,7 @@ def variance_ratio_curve(spec: DistributionSpec, r_grid: Sequence[float]):
     constant = _population_radius_limit(spec) == 0.0
     out = []
     for r in r_grid:
-        if r <= 0:
+        if not r > 0:  # NaN fails too
             raise ValueError("radii must be positive")
         if constant:
             out.append((float(r), 0.0))

@@ -7,7 +7,9 @@ from closed-form Laplace transforms, and pareto_power, the Pareto quantile,
 as a power at DPS digits. They return mpmath numbers, which
 compare with floats exactly; float() rounds them once.
 float_kl_value is a fast float bisection for rows too long for mpmath,
-checked against kl_value in tests/test_reference.py.
+checked against kl_value in tests/test_reference.py. true_variance is a
+law's closed-form population variance in floats, which criterion 4 reads for
+the truncated mean's moment bound.
 """
 
 import math
@@ -15,7 +17,7 @@ import math
 import mpmath
 import numpy as np
 
-from safemean import Pareto, ScaledBernoulli, UniformBounded
+from safemean import LogNormal, Pareto, ScaledBernoulli, UniformBounded
 
 DPS = 50
 
@@ -189,3 +191,24 @@ def float_kl_value(row: np.ndarray, r: float) -> float:
         a = math.exp(hi)
     nu = math.exp(math.log(a + z[0]) - np.mean(log_u(a)) - r)
     return math.ldexp(nu * np.mean(z / (a + z)), e)
+
+
+def true_variance(spec) -> float:
+    """Closed-form population variance; inf when the second moment diverges
+    or the variance overflows a float. Products are taken left to right with
+    the scale last, so a Bernoulli at p = 0 or 1 has variance 0.0 at any high."""
+    if isinstance(spec, Pareto):
+        if spec.shape <= 2.0:
+            return math.inf
+        return spec.shape / ((spec.shape - 1.0) ** 2 * (spec.shape - 2.0)) * spec.scale * spec.scale
+    if isinstance(spec, LogNormal):  # exp(2 mu + s2) expm1(s2), in logs so neither factor overflows alone
+        s2 = spec.sigma**2
+        try:
+            return math.exp(2.0 * (spec.mu + s2) + math.log(-math.expm1(-s2)))
+        except OverflowError:
+            return math.inf
+    if isinstance(spec, ScaledBernoulli):
+        return spec.p * (1.0 - spec.p) * spec.high * spec.high
+    if isinstance(spec, UniformBounded):  # d / 12 * d: d**2 raises OverflowError, and overflows before the variance
+        return (spec.hi - spec.lo) / 12.0 * (spec.hi - spec.lo)
+    raise TypeError(f"unsupported distribution spec {spec!r}")

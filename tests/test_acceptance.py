@@ -27,15 +27,15 @@ from safemean import (
     disappointment_probability,
     exact_bernoulli_event_probability,
     kl_disappointment_bound,
-    kl_projection_bruteforce,
     pareto_variance_ratio_limit,
     rate_fit,
     solve_kl_dro_dual,
-    true_variance,
     variance_ratio_curve,
     verify_certificate,
 )
 from safemean.oracle import random_instances
+from bruteforce import kl_projection_bruteforce
+from reference import true_variance
 
 MASTER_SEED = 20240901
 

@@ -471,8 +471,26 @@ SIMULATE = ["simulate", "--dist", "point:1", "--trials", "3", "--estimator"]
         (["rates", "--variance-ratio", "--dist", "bern:0.5:2"], "--variance-ratio requires"),
         (["rates", "--cramer", "--dist", "bern:0.5:2"], "--cramer requires"),
         (["simulate", "--dist", "point:1", "--estimator", "mean", "--n", "5"], "required: --trials"),
+        ([*SIMULATE, "kl", "--lambda-schedule", "logn:nan", "--n", "5"], "schedule coefficient must be positive"),
+        ([*SIMULATE, "kl", "--lambda-schedule", "power:nan:0.5", "--n", "5"], "schedule coefficient must be positive"),
+        ([*SIMULATE, "trunc", "--A", "nan", "--lambda", "3", "--n", "5"], "moment bound A must be positive"),
+        ([*SIMULATE, "mean", "--event", "conservatism", "--b", "nan", "--n", "5"], "b must be positive"),
+        (["rates", "--cramer", "--dist", "pareto:2.5:1", "--b", "nan"], "b must be non-negative"),
+        (["rates", "--variance-ratio", "--dist", "pareto:1.5:1", "--r-grid", "nan"], "radii must be positive"),
     ],
-    ids=["power-beta", "n-zero", "variance-ratio-no-grid", "cramer-no-b", "argparse-missing-trials"],
+    ids=[
+        "power-beta",
+        "n-zero",
+        "variance-ratio-no-grid",
+        "cramer-no-b",
+        "argparse-missing-trials",
+        "logn-schedule-nan",
+        "power-schedule-nan",
+        "trunc-A-nan",
+        "conservatism-b-nan",
+        "cramer-b-nan",
+        "variance-ratio-r-nan",
+    ],
 )
 def test_missing_or_invalid_flag_is_usage_error(capsys, argv, message):
     assert main(argv) == 2

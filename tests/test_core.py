@@ -17,10 +17,10 @@ from safemean import (
     read_sample_file,
     survival_probability,
     true_mean,
-    true_variance,
 )
 from safemean.core import SampleFileError
 from safemean.estimators import row_std
+from reference import true_variance
 
 
 def sample_mean(s):

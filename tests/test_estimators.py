@@ -10,11 +10,19 @@ from safemean import (
     EstimatorConfig,
     RadiusSchedule,
     Sample,
+    ScaledBernoulli,
+    conservatism_probability,
+    cramer_rate,
     estimate,
+    exact_bernoulli_event_probability,
     kl_disappointment_bound,
+    laplace_transform,
+    solve_kl_dro_dual,
     truncation_constants,
+    variance_ratio_curve,
 )
 from safemean.core import Pareto
+from safemean.rates import solve_population_dual
 from safemean.estimators import ESTIMATOR_KINDS, _closed_form, row_std
 from safemean.montecarlo import _finite_estimates
 from streams import reference_block
@@ -270,6 +278,46 @@ def test_estimator_config_validation():
 def test_estimator_config_rejects_negative_or_nan_radius_and_lambda(kind, field, bad):
     with pytest.raises(ValueError, match="must be non-negative"):
         EstimatorConfig(kind, **{field: bad})
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: RadiusSchedule.log_n(NAN), "schedule coefficient must be positive"),
+        (lambda: RadiusSchedule.power(NAN, 0.5), "schedule coefficient must be positive"),
+        (lambda: truncation_constants(2.0, NAN), "moment bound A must be positive"),
+        (lambda: kl_disappointment_bound(10, NAN), "requires lambda > 1"),
+        (lambda: conservatism_probability(Pareto(2.5, 1.0), EstimatorConfig("mean"), NAN, 10, 10, 7), "b must be positive"),
+        (
+            lambda: exact_bernoulli_event_probability(ScaledBernoulli(0.5, 2.0), EstimatorConfig("mean"), 10, "conservatism", NAN),
+            "b must be positive",
+        ),
+        (lambda: solve_kl_dro_dual(Sample([1.0, 2.0]), NAN), "radius must be positive"),
+        (lambda: cramer_rate(Pareto(2.5, 1.0), NAN), "b must be non-negative"),
+        (lambda: laplace_transform(Pareto(2.5, 1.0), NAN), "s must be non-negative"),
+        (lambda: solve_population_dual(Pareto(1.5, 1.0), NAN), "radius must be positive"),
+        (lambda: variance_ratio_curve(Pareto(1.5, 1.0), [NAN]), "radii must be positive"),
+    ],
+    ids=[
+        "logn-schedule-c",
+        "power-schedule-c",
+        "truncation-A",
+        "kl-bound-lambda",
+        "harness-conservatism-b",
+        "enumeration-conservatism-b",
+        "dual-radius",
+        "cramer-b",
+        "laplace-s",
+        "population-dual-radius",
+        "variance-ratio-radius",
+    ],
+)
+def test_every_numeric_parameter_check_rejects_nan(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("field", ["r", "lam"])
