@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict, astuple, fields
 from typing import Sequence
 
 from . import __version__
@@ -37,7 +38,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-CSV_HEADER = "estimator,n,trials,hits,p_hat,ci_lo,ci_hi,bound,seed"
+CSV_HEADER = ",".join(f.name.removesuffix("_id") for f in fields(TrialReport))
+# the flags each rates mode reads beside --out; the mode needs each of them but --axis, which rate_fit defaults
+_RATES_READS = {"from_csv": ("axis",), "variance_ratio": ("dist", "r_grid"), "cramer": ("dist", "b")}
 
 
 class UsageError(ValueError):
@@ -89,41 +92,38 @@ def _build_config(args) -> EstimatorConfig:
 
 
 def _fmt(x) -> str:
+    """A number or CSV cell as written: a float to 17 significant digits, None empty, anything else by str."""
     if x is None:
         return ""
-    return format(float(x), ".17g")
+    return format(x, ".17g") if isinstance(x, float) else str(x)
 
 
 def reports_to_csv(reports: Sequence[TrialReport], header_lines: Sequence[str] = ()) -> str:
-    """CSV document with optional '#' metadata lines; deterministic given inputs."""
+    """CSV document with optional '#' metadata lines, one row per report in TrialReport's field order;
+    deterministic given inputs."""
     lines = [f"# {text}" for text in header_lines]
     lines.append(CSV_HEADER)
-    for rep in reports:
-        lines.append(
-            ",".join(
-                [
-                    rep.estimator_id,
-                    str(rep.n),
-                    str(rep.trials),
-                    str(rep.hits),
-                    _fmt(rep.p_hat),
-                    _fmt(rep.ci_lo),
-                    _fmt(rep.ci_hi),
-                    _fmt(rep.bound),
-                    str(rep.seed),
-                ]
-            )
-        )
+    lines += [",".join(map(_fmt, astuple(rep))) for rep in reports]
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out) -> None:
-    """Write text to the file out, or to stdout when out is not given."""
+def _json(doc, indent=None) -> str:
+    """doc as strict JSON with sorted keys, the encoding of every JSON artifact: JSON has no inf or nan,
+    so a non-finite number (alpha_star at r = 0, the Cramer rate of an impossible event) is null."""
+    doc = json.loads(json.dumps(doc), parse_constant=lambda _: None)  # floats round-trip through their repr
+    return json.dumps(doc, indent=indent, sort_keys=True, allow_nan=False)
+
+
+def _emit(artifact, out=None, indent=None) -> None:
+    """Write an artifact to the file out, or to stdout when out is not given: text as it is, or a JSON
+    document with the tool version added, by _json."""
+    if isinstance(artifact, dict):
+        artifact = _json({**artifact, "version": __version__}, indent) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(artifact)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(artifact)
 
 
 def cmd_estimate(args) -> int:
@@ -136,15 +136,8 @@ def cmd_estimate(args) -> int:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     result = estimate(_build_config(args), sample)
-    doc = {
-        "estimator": result.estimator_id,
-        "value": float(result.value),
-        "n": sample.n,
-        # JSON has no inf or nan: such diagnostics (alpha_star at r = 0) are null
-        "diagnostics": {k: float(v) if math.isfinite(v) else None for k, v in result.diagnostics.items()},
-        "version": __version__,
-    }
-    print(json.dumps(doc, sort_keys=True))
+    diagnostics = {k: float(v) for k, v in result.diagnostics.items()}
+    _emit({"estimator": result.estimator_id, "value": float(result.value), "n": sample.n, "diagnostics": diagnostics})
     return EXIT_OK
 
 
@@ -156,29 +149,27 @@ def cmd_simulate(args) -> int:
         raise UsageError("--n must be a comma-separated list of positive integers")
     if args.event == "conservatism" and args.b is None:
         raise UsageError("--event conservatism requires --b")
+    if args.event == "disappointment" and args.b is not None:
+        raise UsageError("--event disappointment does not take --b")
     t0 = time.perf_counter()
-    reports = []
-    for n in n_grid:
-        if args.event == "disappointment":
-            rep = disappointment_probability(spec, cfg, n, args.trials, args.seed, threads=args.threads)
-        else:
-            rep = conservatism_probability(spec, cfg, args.b, n, args.trials, args.seed, threads=args.threads)
-        reports.append(rep)
+    reports = [
+        disappointment_probability(spec, cfg, n, args.trials, args.seed, threads=args.threads)
+        if args.event == "disappointment"
+        else conservatism_probability(spec, cfg, args.b, n, args.trials, args.seed, threads=args.threads)
+        for n in n_grid
+    ]
+    # every flag that shapes the rows: an EstimatorConfig field as the run resolved it (None where the
+    # kind reads none), --n as its list; --threads and --out change no row
+    resolved = asdict(cfg)
     config_doc = {
-        "dist": args.dist,
-        "estimator": args.estimator,
-        "event": args.event,
-        "b": args.b,
-        "n": n_grid,
-        "trials": args.trials,
-        "seed": args.seed,
-        "r": args.r,
-        "lambda": args.lam,
-        "lambda_schedule": args.lambda_schedule,
+        ("lambda" if name == "lam" else name): resolved.get(name, value)
+        for name, value in vars(args).items()
+        if name not in ("command", "func", "threads", "out")
     }
+    config_doc["n"] = n_grid
     header = [
         f"safemean {__version__}",
-        "config: " + json.dumps(config_doc, sort_keys=True),
+        "config: " + _json(config_doc),
         f"seed: {args.seed}",
     ]
     _emit(reports_to_csv(reports, header), args.out)
@@ -229,9 +220,12 @@ def _read_points_csv(path):
                     n_idx, p_idx = header.index("n"), header.index("p_hat")
                 continue
             try:
-                points.append((float(cells[n_idx]), float(cells[p_idx])))
+                point = float(cells[n_idx]), float(cells[p_idx])
             except (IndexError, ValueError):
                 raise UsageError(f"{path}: line {i}: needs numbers in columns {n_idx + 1} and {p_idx + 1}") from None
+            if not all(map(math.isfinite, point)):
+                raise UsageError(f"{path}: line {i}: needs finite numbers in columns {n_idx + 1} and {p_idx + 1}")
+            points.append(point)
     return points
 
 
@@ -243,36 +237,31 @@ def _is_float(text: str) -> bool:
         return False
 
 
+def _flag(dest: str) -> str:
+    """The flag whose value argparse stores under dest."""
+    return "--" + dest.replace("_", "-")
+
+
 def cmd_rates(args) -> int:
+    mode, reads = next((m, r) for m, r in _RATES_READS.items() if getattr(args, m) not in (None, False))
+    given = dict.fromkeys(name for flags in _RATES_READS.values() for name in flags if getattr(args, name) is not None)
+    unread = [_flag(name) for name in given if name not in reads]
+    if unread:
+        raise UsageError(f"rates {_flag(mode)} does not take {', '.join(unread)}")
+    if any(name not in given for name in reads if name != "axis"):
+        raise UsageError(f"{_flag(mode)} requires {' and '.join(map(_flag, reads))}")
     if args.variance_ratio:
-        if not args.dist or not args.r_grid:
-            raise UsageError("--variance-ratio requires --dist and --r-grid")
         spec = parse_distribution(args.dist)
         grid = [float(x) for x in args.r_grid.split(",") if x]
         curve = variance_ratio_curve(spec, grid)
         lines = [f"# safemean {__version__}", f"# dist: {args.dist}", "r,ratio"]
         lines += [f"{_fmt(r)},{_fmt(ratio)}" for r, ratio in curve]
         _emit("\n".join(lines) + "\n", args.out)
-        return EXIT_OK
-    if args.cramer:
-        if not args.dist or args.b is None:
-            raise UsageError("--cramer requires --dist and --b")
-        spec = parse_distribution(args.dist)
-        rate = cramer_rate(spec, args.b)
-        print(json.dumps({"b": args.b, "rate": rate, "dist": args.dist}, sort_keys=True))
-        return EXIT_OK
-    if not args.from_csv:
-        raise UsageError("rates needs --from-csv, --variance-ratio, or --cramer")
-    fit = rate_fit(_read_points_csv(args.from_csv), axis=args.axis)
-    doc = {
-        "axis": fit.axis,
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "points": [[n, p] for n, p in fit.points],
-        "version": __version__,
-    }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    elif args.cramer:
+        _emit({"b": args.b, "dist": args.dist, "rate": cramer_rate(parse_distribution(args.dist), args.b)}, args.out)
+    else:
+        fit = rate_fit(_read_points_csv(args.from_csv), **({"axis": args.axis} if args.axis else {}))
+        _emit(asdict(fit), args.out, indent=2)
     return EXIT_OK
 
 
@@ -320,10 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(func=cmd_validate)
 
     p_rat = sub.add_parser("rates", help="decay-rate fits, large-deviation rates, variance-ratio curves")
-    p_rat.add_argument("--from-csv", default=None)
-    p_rat.add_argument("--axis", choices=("log-log", "log-linear"), default="log-log")
-    p_rat.add_argument("--variance-ratio", action="store_true")
-    p_rat.add_argument("--cramer", action="store_true")
+    mode = p_rat.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--from-csv", default=None)
+    mode.add_argument("--variance-ratio", action="store_true")
+    mode.add_argument("--cramer", action="store_true")
+    p_rat.add_argument("--axis", choices=("log-log", "log-linear"), help="--from-csv only (default log-log)")
     p_rat.add_argument("--dist", default=None)
     p_rat.add_argument("--r-grid", default=None)
     p_rat.add_argument("--b", type=float, default=None)

@@ -152,8 +152,8 @@ class RadiusSchedule:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not self.c > 0:  # NaN fails too
-            raise ValueError("schedule coefficient must be positive")
+        if not 0 < self.c < math.inf:  # NaN fails too
+            raise ValueError("schedule coefficient must be positive and finite")
         if self.kind == "power" and not (0.0 < self.beta < 1.0):
             raise ValueError("power schedule requires beta in (0, 1)")
 

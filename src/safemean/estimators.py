@@ -63,8 +63,8 @@ class EstimatorConfig:
         if sources == 0 and self.kind != "mean":
             raise ValueError(f"estimator {self.kind!r} needs one of r, lam, schedule")
         for name, value in (("radius r", self.r), ("lambda", self.lam)):
-            if value is not None and not value >= 0:  # NaN fails too
-                raise ValueError(f"{name} must be non-negative, got {value!r}")
+            if value is not None and not 0 <= value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
             if value == 0 and self.kind == "trunc":
                 raise ValueError(f"{name} must be positive for trunc")
         reads = _FIELDS_READ.get(self.kind, ("r", "lam", "schedule"))
@@ -74,8 +74,8 @@ class EstimatorConfig:
             raise ValueError(f"estimator {self.kind!r} does not take {', '.join(unread)}")
         if self.kind == "mean":
             object.__setattr__(self, "delta", 0.0 if self.delta is None else self.delta)
-            if not self.delta >= 0:
-                raise ValueError(f"delta must be non-negative, got {self.delta!r}")
+            if not 0 <= self.delta < math.inf:
+                raise ValueError(f"delta must be non-negative and finite, got {self.delta!r}")
         if self.kind == "trunc":
             object.__setattr__(self, "a", 2.0 if self.a is None else self.a)
             object.__setattr__(self, "A", 1.0 if self.A is None else self.A)
@@ -100,8 +100,8 @@ def truncation_constants(a: float, A: float):
     """(C, c_a) for the truncated-mean compensator given a moment bound E[z^a] <= A."""
     if not (1.0 < a <= 2.0):
         raise ValueError("truncation exponent a must lie in (1, 2]")
-    if not A > 0:  # NaN fails too
-        raise ValueError("moment bound A must be positive")
+    if not 0 < A < math.inf:  # NaN fails too
+        raise ValueError("moment bound A must be positive and finite")
     C = min(1.0 / ((a - 1.0) * a**a), A * math.exp(a) * 2.0 / (2.0 + a))
     c_a = (a - 1.0) ** (-(a - 1.0) / a) * a * C ** (1.0 / a)
     return C, c_a
@@ -110,12 +110,12 @@ def truncation_constants(a: float, A: float):
 def kl_disappointment_bound(n: int, lam: float) -> float:
     """Non-asymptotic disappointment bound min(1, (e lam log n + e^2) e^{-lam}).
 
-    Requires n >= 2 and lam > 1.
+    Requires n >= 2 and 1 < lam < inf.
     """
     if n < 2:
         raise ValueError("bound requires n >= 2")
-    if not lam > 1.0:  # NaN fails too
-        raise ValueError("bound requires lambda > 1")
+    if not 1.0 < lam < math.inf:  # NaN fails too
+        raise ValueError("bound requires lambda > 1 and finite")
     raw = (math.e * lam * math.log(n) + math.e**2) * math.exp(-lam)
     return min(1.0, raw)
 

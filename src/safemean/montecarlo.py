@@ -298,11 +298,11 @@ def _finite_estimates(cfg: EstimatorConfig, X: np.ndarray, means: np.ndarray, wh
 
 
 def _event_threshold(spec: DistributionSpec, event: str, b: float) -> float:
-    """The threshold whose side of it is all an event reads: mu, or mu - b for conservatism, where b > 0."""
+    """The threshold whose side of it is all an event reads: mu, or mu - b for conservatism, where 0 < b < inf."""
     if event not in ("disappointment", "conservatism"):
         raise ValueError(f"unknown event {event!r}")
-    if event == "conservatism" and not b > 0:  # NaN fails too
-        raise ValueError("b must be positive")
+    if event == "conservatism" and not 0 < b < math.inf:  # NaN fails too
+        raise ValueError("b must be positive and finite")
     return true_mean(spec) - (b if event == "conservatism" else 0.0)
 
 

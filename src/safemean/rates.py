@@ -114,8 +114,8 @@ def cramer_rate(spec: DistributionSpec, b: float) -> float:
     so it does not round away at small s. A saturating objective (e.g. an
     atom at zero as s -> inf) is detected and its limit value returned.
     """
-    if not b >= 0:  # NaN fails too
-        raise ValueError("b must be non-negative")
+    if not 0 <= b < math.inf:  # NaN fails too
+        raise ValueError("b must be non-negative and finite")
     if b == 0.0:
         return 0.0
     mu = true_mean(spec)
@@ -155,10 +155,12 @@ def cramer_rate(spec: DistributionSpec, b: float) -> float:
 def rate_fit(points: Sequence, axis: str = "log-log") -> RateFit:
     """Least squares of log p against log n (axis="log-log") or n (axis="log-linear").
 
-    Points with p_hat <= 0 are dropped; at least 3 positive points required.
+    Every point must be finite; those with p_hat <= 0 are dropped, and at least 3 positive ones are required.
     """
     if axis not in ("log-log", "log-linear"):
         raise ValueError(f"unknown axis {axis!r}")
+    if not np.all(np.isfinite(np.asarray(points, dtype=float))):
+        raise ValueError("every point must be finite")
     kept = [(float(n), float(p)) for n, p in points if p > 0.0]
     if len(kept) < 3:
         raise ValueError(f"need at least 3 points with positive p_hat, got {len(kept)}")

@@ -180,6 +180,32 @@ def test_simulate_threads_do_not_change_output(tmp_path):
     assert out1.read_bytes() == out4.read_bytes()
 
 
+def _config_line(path):
+    (line,) = [line for line in path.read_text().splitlines() if line.startswith("# config: ")]
+    return json.loads(line.removeprefix("# config: "))
+
+
+def test_simulate_config_line_records_every_estimator_field(tmp_path):
+    # the moment bound changes the estimate, so two runs that differ only in --A write different config lines
+    argv = [
+        "simulate", "--dist", "pareto:2.5:1", "--estimator", "trunc", "--lambda", "1",
+        "--n", "50", "--trials", "200", "--seed", "1", "--threads", "1",
+    ]
+    docs = []
+    for bound in ("0.01", "1"):
+        out = tmp_path / f"A{bound}.csv"
+        assert main([*argv, "--A", bound, "--out", str(out)]) == 0
+        docs.append(_config_line(out))
+    keys = {"b": None, "dist": "pareto:2.5:1", "estimator": "trunc", "event": "disappointment", "lambda": 1.0,
+            "lambda_schedule": None, "n": [50], "r": None, "seed": 1, "trials": 200}
+    for doc, bound in zip(docs, (0.01, 1.0)):
+        assert doc == {**keys, "delta": None, "a": 2.0, "A": bound}  # a filled with its default
+    # a kind that reads none of delta, a and A records them as null; mean records its resolved delta
+    out = tmp_path / "mean.csv"
+    assert main(["simulate", "--dist", "point:1", "--estimator", "mean", "--n", "5", "--trials", "3", "--out", str(out)]) == 0
+    assert {k: _config_line(out)[k] for k in ("delta", "a", "A")} == {"delta": 0.0, "a": None, "A": None}
+
+
 def test_simulate_conservatism_requires_b(capsys):
     code = main(
         [
@@ -241,7 +267,15 @@ def test_rates_too_few_points(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text, line", [("100\n", 1), ("n,p_hat\n100,0.1\n200\n", 3), ("# run 7\nn,p_hat\n10,x\n", 3), ("10,0.5\n20,x\n", 2)]
+    "text, line",
+    [
+        ("100\n", 1),
+        ("n,p_hat\n100,0.1\n200\n", 3),
+        ("# run 7\nn,p_hat\n10,x\n", 3),
+        ("10,0.5\n20,x\n", 2),
+        ("n,p_hat\n10,0.1\n100,inf\n1000,0.001\n10000,1e-4\n", 3),
+        ("n,p_hat\nnan,0.1\n100,0.01\n1000,0.001\n", 2),
+    ],
 )
 def test_rates_short_or_non_numeric_row_is_usage_error(tmp_path, capsys, text, line):
     csv = tmp_path / "pts.csv"
@@ -257,10 +291,18 @@ def test_simulate_rejects_fewer_than_one_thread(capsys, threads):
     assert capsys.readouterr().err.strip() == "error: threads must be >= 1"
 
 
-def test_rates_cramer(capsys):
+def test_rates_cramer(tmp_path, capsys):
     assert main(["rates", "--cramer", "--dist", "bern:0.5:2", "--b", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["rate"] == pytest.approx(math.log(2.0), abs=1e-8)
+    # the artifact honours --out and carries the version; the rate of an impossible event is null, strict JSON
+    out = tmp_path / "rate.json"
+    assert main(["rates", "--cramer", "--dist", "bern:0.5:2", "--b", "0.5", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert set(doc) == {"b", "dist", "rate", "version"} and doc["b"] == 0.5 and doc["dist"] == "bern:0.5:2"
+    assert main(["rates", "--cramer", "--dist", "bern:0.5:2", "--b", "5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text(), parse_constant=_reject_constant)["rate"] is None
 
 
 def test_rates_variance_ratio(tmp_path):
@@ -477,6 +519,19 @@ SIMULATE = ["simulate", "--dist", "point:1", "--trials", "3", "--estimator"]
         ([*SIMULATE, "mean", "--event", "conservatism", "--b", "nan", "--n", "5"], "b must be positive"),
         (["rates", "--cramer", "--dist", "pareto:2.5:1", "--b", "nan"], "b must be non-negative"),
         (["rates", "--variance-ratio", "--dist", "pareto:1.5:1", "--r-grid", "nan"], "radii must be positive"),
+        ([*SIMULATE, "mean", "--event", "conservatism", "--b", "inf", "--n", "5"], "b must be positive and finite"),
+        ([*SIMULATE, "trunc", "--A", "inf", "--lambda", "3", "--n", "5"], "moment bound A must be positive and finite"),
+        ([*SIMULATE, "kl", "--r", "inf", "--n", "5"], "radius r must be non-negative and finite"),
+        ([*SIMULATE, "kl", "--lambda", "inf", "--n", "5"], "lambda must be non-negative and finite"),
+        ([*SIMULATE, "kl", "--lambda-schedule", "logn:inf", "--n", "5"], "coefficient must be positive and finite"),
+        ([*SIMULATE, "mean", "--delta", "inf", "--n", "5"], "delta must be non-negative and finite"),
+        (["rates", "--cramer", "--dist", "pareto:2.5:1", "--b", "inf"], "b must be non-negative and finite"),
+        (["rates", "--from-csv", "pts.csv", "--cramer", "--dist", "bern:0.5:2", "--b", "0.5"], "not allowed with"),
+        (["rates", "--cramer", "--variance-ratio", "--dist", "pareto:1.5:1", "--r-grid", "0.01", "--b", "0.5"],
+         "not allowed with"),
+        (["rates", "--from-csv", "pts.csv", "--dist", "pareto:2.5:1"], "rates --from-csv does not take --dist"),
+        (["rates", "--cramer", "--dist", "bern:0.5:2", "--b", "0.5", "--axis", "log-log"], "does not take --axis"),
+        ([*SIMULATE, "mean", "--b", "0.5", "--n", "5"], "--event disappointment does not take --b"),
     ],
     ids=[
         "power-beta",
@@ -490,6 +545,18 @@ SIMULATE = ["simulate", "--dist", "point:1", "--trials", "3", "--estimator"]
         "conservatism-b-nan",
         "cramer-b-nan",
         "variance-ratio-r-nan",
+        "conservatism-b-inf",
+        "trunc-A-inf",
+        "kl-r-inf",
+        "kl-lambda-inf",
+        "logn-schedule-inf",
+        "mean-delta-inf",
+        "cramer-b-inf",
+        "rates-from-csv-and-cramer",
+        "rates-cramer-and-variance-ratio",
+        "rates-from-csv-reads-no-dist",
+        "rates-cramer-reads-no-axis",
+        "disappointment-b",
     ],
 )
 def test_missing_or_invalid_flag_is_usage_error(capsys, argv, message):

@@ -280,7 +280,7 @@ def test_estimator_config_rejects_negative_or_nan_radius_and_lambda(kind, field,
         EstimatorConfig(kind, **{field: bad})
 
 
-NAN = math.nan
+NAN, INF = math.nan, math.inf
 
 
 @pytest.mark.parametrize(
@@ -300,6 +300,18 @@ NAN = math.nan
         (lambda: laplace_transform(Pareto(2.5, 1.0), NAN), "s must be non-negative"),
         (lambda: solve_population_dual(Pareto(1.5, 1.0), NAN), "radius must be positive"),
         (lambda: variance_ratio_curve(Pareto(1.5, 1.0), [NAN]), "radii must be positive"),
+        # an infinite parameter is rejected by the same checks
+        (lambda: RadiusSchedule.log_n(INF), "schedule coefficient must be positive and finite"),
+        (lambda: truncation_constants(2.0, INF), "moment bound A must be positive and finite"),
+        (lambda: kl_disappointment_bound(10, INF), "requires lambda > 1 and finite"),
+        (lambda: EstimatorConfig("kl", r=INF), "radius r must be non-negative and finite"),
+        (lambda: EstimatorConfig("kl", lam=INF), "lambda must be non-negative and finite"),
+        (lambda: EstimatorConfig("mean", delta=INF), "delta must be non-negative and finite"),
+        (
+            lambda: conservatism_probability(Pareto(2.5, 1.0), EstimatorConfig("mean"), INF, 10, 10, 7),
+            "b must be positive and finite",
+        ),
+        (lambda: cramer_rate(Pareto(2.5, 1.0), INF), "b must be non-negative and finite"),
     ],
     ids=[
         "logn-schedule-c",
@@ -313,6 +325,14 @@ NAN = math.nan
         "laplace-s",
         "population-dual-radius",
         "variance-ratio-radius",
+        "logn-schedule-c-inf",
+        "truncation-A-inf",
+        "kl-bound-lambda-inf",
+        "config-r-inf",
+        "config-lambda-inf",
+        "config-delta-inf",
+        "harness-conservatism-b-inf",
+        "cramer-b-inf",
     ],
 )
 def test_every_numeric_parameter_check_rejects_nan(call, message):

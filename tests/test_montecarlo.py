@@ -690,6 +690,10 @@ def test_rate_fit_requires_three_positive_points():
         rate_fit([(10, 0.1), (100, 0.0), (1000, 0.0)])
     with pytest.raises(ValueError):
         rate_fit([(10, 0.1), (100, 0.01)], axis="nope")
+    # a non-finite point is an error, not a NaN slope or an SVD failure
+    for bad in [(100, math.inf), (math.nan, 0.01), (100, math.nan)]:
+        with pytest.raises(ValueError, match="every point must be finite"):
+            rate_fit([(10, 0.1), bad, (1000, 0.001), (10000, 1e-4)])
 
 
 def test_variance_ratio_point_mass_zero():
