@@ -47,26 +47,23 @@ class UsageError(ValueError):
     pass
 
 
+# each spelling's law and parameter count; point:c, the point mass at c, is bern:1:c
+_DISTRIBUTIONS = {"pareto": (Pareto, 2), "lognormal": (LogNormal, 2), "bern": (ScaledBernoulli, 2),
+                  "bernoulli": (ScaledBernoulli, 2), "point": (lambda c: ScaledBernoulli(1.0, c), 1),
+                  "uniform": (UniformBounded, 2)}
+
+
 def parse_distribution(text: str):
-    """Grammar: pareto:rho:xm | lognormal:mu:sigma | bern:p:high | point:c | uniform:lo:hi,
-    where point:c, the point mass at c, is bern:1:c."""
+    """Grammar: pareto:rho:xm | lognormal:mu:sigma | bern:p:high | point:c | uniform:lo:hi (_DISTRIBUTIONS)."""
     parts = text.split(":")
-    name = parts[0].lower()
     args = [float(p) for p in parts[1:]]
+    law, arity = _DISTRIBUTIONS.get(parts[0].lower(), (None, None))
+    if len(args) != arity:
+        raise UsageError(f"cannot parse distribution {text!r}")
     try:
-        if name == "pareto" and len(args) == 2:
-            return Pareto(args[0], args[1])
-        if name == "lognormal" and len(args) == 2:
-            return LogNormal(args[0], args[1])
-        if name in ("bern", "bernoulli") and len(args) == 2:
-            return ScaledBernoulli(args[0], args[1])
-        if name == "point" and len(args) == 1:
-            return ScaledBernoulli(1.0, args[0])
-        if name == "uniform" and len(args) == 2:
-            return UniformBounded(args[0], args[1])
+        return law(*args)
     except ValueError as exc:
         raise UsageError(f"invalid distribution {text!r}: {exc}") from None
-    raise UsageError(f"cannot parse distribution {text!r}")
 
 
 def parse_schedule(text: str) -> RadiusSchedule:

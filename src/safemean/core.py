@@ -1,6 +1,9 @@
 """Core domain types: samples, discrete distributions, radius schedules,
 and parametric generative models.
 
+Each law holds its formulas as methods (mean, survival, inverse_cdf, scaled,
+radius_limit, expect), so no other module tests a law's type.
+
 Everything here is immutable after construction and safe to share across
 threads; all operations are pure.
 """
@@ -184,6 +187,13 @@ class RadiusSchedule:
         return RadiusSchedule("power", c, beta)
 
 
+def _integrate(integrand, cuts, epsabs: float) -> float:
+    """scipy's adaptive quad summed over the pieces between cuts; an integrand is 0 where its weight underflows."""
+    from scipy.integrate import quad
+
+    return sum(quad(integrand, lo, hi, epsabs=epsabs, epsrel=1e-11, limit=400)[0] for lo, hi in zip(cuts, cuts[1:]))
+
+
 @dataclass(frozen=True)
 class Pareto:
     """Pareto tail: P[z > u] = (scale/u)^shape for u >= scale; finite mean needs shape > 1."""
@@ -196,8 +206,50 @@ class Pareto:
             raise ValueError("Pareto shape must be finite and exceed 1 for a finite mean")
         if not (0.0 < self.scale < math.inf):
             raise ValueError("Pareto scale must be finite and positive")
-        if not math.isfinite(true_mean(self)):
+        if not math.isfinite(self.mean()):
             raise ValueError("Pareto mean shape*scale/(shape-1) overflows a float")
+
+    def mean(self) -> float:
+        return self.shape * self.scale / (self.shape - 1.0)
+
+    def survival(self, u: float) -> float:
+        return 1.0 if u < self.scale else (self.scale / u) ** self.shape
+
+    def inverse_cdf(self, T: np.ndarray) -> None:
+        """Uniforms T to draws, in place: exp(y) * scale, y = log(1 - U) * (-1/shape).
+
+        1 - U is exact on numpy's 2**-53 grid of U, so log never sees 0, and
+        0 <= y <= 53 log 2 / shape < 37, so exp never overflows (only * scale
+        can). It is within 4y + 2 ulp of the correctly rounded
+        (1 - U)**(-1/shape) * scale when np.log and np.exp are each within
+        1 ulp. With u = 2**-53: log(1 - U) is off by at most 2u of itself, and
+        -1/shape and the product by u each, so y is off by at most 4uy; exp
+        turns that absolute error into a relative one of at most 4uy, under
+        4y ulp. exp adds 1 ulp, and rounding the reference and * scale half of
+        one each; * scale is skipped at scale 1.0, where it is exact.
+        """
+        np.subtract(1.0, T, out=T)
+        np.log(T, out=T)
+        T *= -1.0 / self.shape
+        np.exp(T, out=T)
+        if self.scale != 1.0:
+            T *= self.scale
+
+    def scaled(self, c: float) -> "Pareto":
+        return Pareto(self.shape, self.scale / c)
+
+    def radius_limit(self) -> float:  # E log z = log scale + 1/shape, E[1/z] = shape / ((shape + 1) scale)
+        return 1.0 / self.shape + math.log(self.shape / (self.shape + 1.0))
+
+    def expect(self, c: float, g, epsabs: float) -> float:
+        """In y = log(z / scale), where the power-law tail is exponential, split where |c z| = 1."""
+        rho, a = self.shape, c * self.scale
+
+        def integrand(y):
+            weight = rho * math.exp(-rho * y)
+            return 0.0 if weight == 0.0 else g(a * math.exp(min(y, 700.0))) * weight
+
+        return _integrate(integrand, (0.0, -math.log(abs(a)), np.inf) if 0.0 < abs(a) < 1.0 else (0.0, np.inf), epsabs)
 
 
 @dataclass(frozen=True)
@@ -210,6 +262,38 @@ class LogNormal:
             raise ValueError("LogNormal mu and sigma must be finite, and sigma positive")
         if self.mu + 0.5 * self.sigma * self.sigma > math.log(np.finfo(float).max):  # sigma**2 would raise
             raise ValueError("LogNormal mean exp(mu + sigma^2/2) overflows a float")
+
+    def mean(self) -> float:
+        return math.exp(self.mu + 0.5 * self.sigma**2)
+
+    def survival(self, u: float) -> float:
+        return 1.0 if u <= 0 else 0.5 * math.erfc((math.log(u) - self.mu) / self.sigma / math.sqrt(2.0))
+
+    def inverse_cdf(self, T: np.ndarray) -> None:
+        from scipy.special import ndtri
+
+        np.clip(T, 1e-16, 1.0 - 1e-16, out=T)
+        ndtri(T, out=T)
+        T *= self.sigma
+        T += self.mu
+        np.exp(T, out=T)
+
+    def scaled(self, c: float) -> "LogNormal":
+        return LogNormal(self.mu - math.log(c), self.sigma)
+
+    def radius_limit(self) -> float:  # E log z = mu, E[1/z] = exp(sigma**2 / 2 - mu)
+        return 0.5 * self.sigma**2
+
+    def expect(self, c: float, g, epsabs: float) -> float:
+        """In standard-normal space, with log|c| in the exponent, capped at 709."""
+        sign, log_c = math.copysign(1.0, c), math.log(abs(c))
+
+        def integrand(y):
+            weight = math.exp(-0.5 * y * y)
+            z = math.exp(min(self.mu + self.sigma * y + log_c, 709.0))
+            return 0.0 if weight == 0.0 else g(sign * z) * weight / math.sqrt(2.0 * math.pi)
+
+        return _integrate(integrand, (-np.inf, np.inf), epsabs)
 
 
 @dataclass(frozen=True)
@@ -225,6 +309,25 @@ class ScaledBernoulli:
         if not (0.0 <= self.high < math.inf):  # NaN fails too
             raise ValueError("Bernoulli high value must be finite and non-negative")
 
+    def mean(self) -> float:
+        return self.p * self.high
+
+    def survival(self, u: float) -> float:
+        return 1.0 if u < 0 else self.p if u < self.high else 0.0
+
+    def inverse_cdf(self, T: np.ndarray) -> None:
+        np.less(T, self.p, out=T)
+        T *= self.high
+
+    def scaled(self, c: float) -> "ScaledBernoulli":
+        return ScaledBernoulli(self.p, self.high / c)
+
+    def radius_limit(self) -> float:  # 0 for a point mass (p = 1); an atom at 0 makes E[1/z] infinite
+        return 0.0 if self.p == 1.0 else math.inf
+
+    def expect(self, c: float, g, epsabs: float) -> float:
+        return (1.0 - self.p) * g(0.0) + self.p * g(c * self.high)
+
 
 @dataclass(frozen=True)
 class UniformBounded:
@@ -235,21 +338,48 @@ class UniformBounded:
         if not (0.0 <= self.lo < self.hi < math.inf):  # NaN fails too
             raise ValueError("uniform bounds must be finite, with 0 <= lo < hi")
 
+    def mean(self) -> float:
+        return 0.5 * self.lo + 0.5 * self.hi  # lo + hi can overflow where the mean does not
+
+    def survival(self, u: float) -> float:
+        return 1.0 if u <= self.lo else 0.0 if u >= self.hi else (self.hi - u) / (self.hi - self.lo)
+
+    def inverse_cdf(self, T: np.ndarray) -> None:
+        T *= self.hi - self.lo
+        T += self.lo
+
+    def scaled(self, c: float) -> "UniformBounded":
+        return UniformBounded(self.lo / c, self.hi / c)
+
+    def radius_limit(self) -> float:  # on [x, 1], x = lo / hi; a density at 0 makes E[1/z] infinite
+        if self.lo == 0.0:
+            return math.inf
+        x = self.lo / self.hi
+        log_x = math.log(x)
+        return -1.0 - x * log_x / (1.0 - x) + math.log(-log_x / (1.0 - x))
+
+    def expect(self, c: float, g, epsabs: float) -> float:
+        return _integrate(lambda u: g(c * u) / (self.hi - self.lo), (self.lo, self.hi), epsabs)
+
 
 DistributionSpec = Union[Pareto, LogNormal, ScaledBernoulli, UniformBounded]
 
 
+def _law(spec) -> DistributionSpec:
+    """spec, if it is one of the four laws; every routine that takes a law checks it here."""
+    if not isinstance(spec, (Pareto, LogNormal, ScaledBernoulli, UniformBounded)):
+        raise TypeError(f"unsupported distribution spec {spec!r}")
+    return spec
+
+
 def true_mean(spec: DistributionSpec) -> float:
     """Closed-form population mean of a generative model."""
-    if isinstance(spec, Pareto):
-        return spec.shape * spec.scale / (spec.shape - 1.0)
-    if isinstance(spec, LogNormal):
-        return math.exp(spec.mu + 0.5 * spec.sigma**2)
-    if isinstance(spec, ScaledBernoulli):
-        return spec.p * spec.high
-    if isinstance(spec, UniformBounded):
-        return 0.5 * spec.lo + 0.5 * spec.hi  # lo + hi can overflow where the mean does not
-    raise TypeError(f"unsupported distribution spec {spec!r}")
+    return _law(spec).mean()
+
+
+def survival_probability(spec: DistributionSpec, u: float) -> float:
+    """P[z > u] for the generative model."""
+    return _law(spec).survival(u)
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
@@ -270,30 +400,6 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
             x1 = hi - invphi * (hi - lo)
             f1 = f(x1)
     return 0.5 * (lo + hi)
-
-
-def survival_probability(spec: DistributionSpec, u: float) -> float:
-    """P[z > u] for the generative model."""
-    if u < 0:
-        return 1.0
-    if isinstance(spec, Pareto):
-        if u < spec.scale:
-            return 1.0
-        return (spec.scale / u) ** spec.shape
-    if isinstance(spec, LogNormal):
-        if u <= 0:
-            return 1.0
-        z = (math.log(u) - spec.mu) / spec.sigma
-        return 0.5 * math.erfc(z / math.sqrt(2.0))
-    if isinstance(spec, ScaledBernoulli):
-        return spec.p if u < spec.high else 0.0
-    if isinstance(spec, UniformBounded):
-        if u <= spec.lo:
-            return 1.0
-        if u >= spec.hi:
-            return 0.0
-        return (spec.hi - u) / (spec.hi - spec.lo)
-    raise TypeError(f"unsupported distribution spec {spec!r}")
 
 
 @dataclass(frozen=True)

@@ -108,16 +108,13 @@ def truncation_constants(a: float, A: float):
 
 
 def kl_disappointment_bound(n: int, lam: float) -> float:
-    """Non-asymptotic disappointment bound min(1, (e lam log n + e^2) e^{-lam}).
-
-    Requires n >= 2 and 1 < lam < inf.
-    """
+    """Non-asymptotic disappointment bound min(1, (e lam log n + e^2) e^{-lam}) for n >= 2 and 1 < lam < inf,
+    taken as exp(log lam + log(e log n + e^2 / lam) - lam), so that no part overflows."""
     if n < 2:
         raise ValueError("bound requires n >= 2")
     if not 1.0 < lam < math.inf:  # NaN fails too
         raise ValueError("bound requires lambda > 1 and finite")
-    raw = (math.e * lam * math.log(n) + math.e**2) * math.exp(-lam)
-    return min(1.0, raw)
+    return min(1.0, math.exp(math.log(lam) + math.log(math.e * math.log(n) + math.e**2 / lam) - lam))
 
 
 def _event_bound(cfg: EstimatorConfig, event: str, n: int, spec: DistributionSpec, b: float):

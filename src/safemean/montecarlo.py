@@ -5,11 +5,11 @@ Reproducibility contract: every trial draws from its own RNG substream keyed
 by (master seed, trial index), so draws and hit counts are the same
 regardless of batching or worker-thread count. Trial i of seed s is the
 uniforms U that default_rng(SeedSequence((s, i))) draws, put through the
-inverse CDF; a Pareto value is exp(log(1 - U) * (-1/shape)) * scale
-(_transform bounds its error). Streams are built a block of trials at a
-time: the SeedSequence hash runs in uint32 arithmetic over
-the whole block, and each row's PCG64 is seeded in C (pcg64_set_seed) from
-that row's hashed words. It is drawn, transformed, averaged, screened and
+law's inverse_cdf; a Pareto value is exp(log(1 - U) * (-1/shape)) * scale
+(Pareto.inverse_cdf bounds its error). Streams are built a block of trials
+at a time: the SeedSequence hash runs in uint32 arithmetic over the whole
+block, and each row's PCG64 is seeded in C (pcg64_set_seed) from that row's
+hashed words. It is drawn, transformed, averaged, screened and
 estimated one tile of dual._TILE_VALUES values at a time, in L2, so a worker
 holds about three tiles, never a block. _draw_tiles is the one routine that
 draws a trial: draw_sample is one row of it. The screen and the estimator
@@ -35,13 +35,12 @@ process has usable cores unless threads (at least 1) says otherwise. A draw
 or estimate that is not finite raises DualSolverError, so it is never
 counted as a safe trial.
 
-scipy is imported only by lognormal draws (ndtri), inside the transform,
-concurrent.futures only where a pool of worker threads starts, and decimal
-only by the enumeration's pmf, so importing the package loads none of them.
-The estimator kernels, the screen's bracket for every kind
-(estimators._brackets) and the bound each report carries are in
-estimators.py, the large-deviation rates and variance-ratio curves in
-rates.py.
+concurrent.futures is imported only where a pool of worker threads starts,
+and decimal only by the enumeration's pmf, so importing the package loads
+neither. A law's formulas are its methods (core.py); the estimator
+kernels, the screen's bracket for every kind (estimators._brackets) and
+the bound each report carries are in estimators.py, the large-deviation
+rates and variance-ratio curves in rates.py.
 """
 
 from __future__ import annotations
@@ -54,15 +53,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (
-    DistributionSpec,
-    LogNormal,
-    Pareto,
-    Sample,
-    ScaledBernoulli,
-    UniformBounded,
-    true_mean,
-)
+from .core import DistributionSpec, Sample, ScaledBernoulli, _law, true_mean
 from .dual import DualSolverError, _row_means, _side_margin, _tile_rows, solve_kl_dro_dual_batch
 from .estimators import (
     EstimatorConfig,
@@ -203,12 +194,12 @@ def _draw_tiles(spec: DistributionSpec, seed: int, start: int, rows: int, n: int
     each in one reused (tile, n) buffer.
 
     Row j is the uniforms default_rng(SeedSequence((seed, start + j))) draws,
-    bit for bit, put through _transform (a Pareto value is exp(log(1 - U) *
-    (-1/shape)) * scale): the seed sequence is hashed for all rows at once,
-    and each row's generator is a PCG64 seeded in C from that row's hashed
-    words (_RowSeed). T is transformed in place with the same ufuncs in the
-    same order and reduced while in L2; it holds its rows until the next
-    tile. A draw that overflows a float raises DualSolverError.
+    bit for bit, put through spec.inverse_cdf (a Pareto value is
+    exp(log(1 - U) * (-1/shape)) * scale): the seed sequence is hashed for
+    all rows at once, and each row's generator is a PCG64 seeded in C from
+    that row's hashed words (_RowSeed). T is transformed in place with the
+    same ufuncs in the same order and reduced while in L2; it holds its rows
+    until the next tile. A draw that overflows a float raises DualSolverError.
     """
     if rows == 1:
         index = _words(start)
@@ -229,7 +220,7 @@ def _draw_tiles(spec: DistributionSpec, seed: int, start: int, rows: int, n: int
         for row, state in zip(T, words):
             generator(pcg64(row_seed(state))).random(out=row)
         with np.errstate(over="ignore"):  # an overflowing draw is inf, which raises below
-            _transform(spec, T)
+            spec.inverse_cdf(T)
         tops = T.max(axis=1)
         if not np.isfinite(tops).all():
             raise DualSolverError(f"{spec!r} draws a value that overflows a float")
@@ -237,50 +228,11 @@ def _draw_tiles(spec: DistributionSpec, seed: int, start: int, rows: int, n: int
         yield T, _row_means(T, tops), tops
 
 
-def _transform(spec: DistributionSpec, T: np.ndarray) -> None:
-    """The inverse-CDF transform of uniform draws, in place.
-
-    A Pareto draw is exp(y) * scale, y = log(1 - U) * (-1/shape). 1 - U is
-    exact on numpy's 2**-53 grid of U, so log never sees 0, and 0 <= y <= 53
-    log 2 / shape < 37, so exp never overflows (only * scale can). It is
-    within 4y + 2 ulp of the correctly rounded (1 - U)**(-1/shape) * scale
-    when np.log and np.exp are each within 1 ulp. With u = 2**-53:
-    log(1 - U) is off by at most 2u of itself, and -1/shape and the product
-    by u each, so y is off by at most 4uy; exp turns that absolute error
-    into a relative one of at most 4uy, under 4y ulp. exp adds 1 ulp, and
-    rounding the reference and * scale half of one each; * scale is skipped
-    at scale 1.0, where it is exact.
-    """
-    if isinstance(spec, Pareto):
-        np.subtract(1.0, T, out=T)
-        np.log(T, out=T)
-        T *= -1.0 / spec.shape
-        np.exp(T, out=T)
-        if spec.scale != 1.0:
-            T *= spec.scale
-    elif isinstance(spec, LogNormal):
-        from scipy.special import ndtri
-
-        np.clip(T, 1e-16, 1.0 - 1e-16, out=T)
-        ndtri(T, out=T)
-        T *= spec.sigma
-        T += spec.mu
-        np.exp(T, out=T)
-    elif isinstance(spec, ScaledBernoulli):
-        np.less(T, spec.p, out=T)
-        T *= spec.high
-    elif isinstance(spec, UniformBounded):
-        T *= spec.hi - spec.lo
-        T += spec.lo
-    else:
-        raise TypeError(f"unsupported distribution spec {spec!r}")
-
-
 def draw_sample(spec: DistributionSpec, n: int, seed: int, stream: int = 0) -> Sample:
     """n i.i.d. draws, trial `stream` of seed `seed`: one row of _draw_tiles."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    T, _, _ = next(_draw_tiles(spec, seed, stream, 1, n))
+    T, _, _ = next(_draw_tiles(_law(spec), seed, stream, 1, n))
     return Sample(T[0])
 
 
@@ -342,10 +294,6 @@ def _run_event_trials(
     threads: Optional[int],
     batch_size: Optional[int] = None,
 ) -> int:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if threads is None:  # the cores this process may run on
         threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     elif threads < 1:
@@ -389,10 +337,15 @@ def _run_event_trials(
 
 
 def _report(spec, cfg, n, trials, seed, event, b, threads) -> TrialReport:
-    """The event's hit count over the trials, its Wilson interval and its bound."""
+    """The event's hit count, Wilson interval and bound, the bound first: a configuration it rejects runs no trial."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    bound = _event_bound(cfg, event, n, spec, b)
     hits = _run_event_trials(spec, cfg, n, trials, seed, event, b, threads)
     lo, hi = wilson_interval(hits, trials)
-    return TrialReport(cfg.kind, n, trials, hits, hits / trials, lo, hi, _event_bound(cfg, event, n, spec, b), seed)
+    return TrialReport(cfg.kind, n, trials, hits, hits / trials, lo, hi, bound, seed)
 
 
 def disappointment_probability(

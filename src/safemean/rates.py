@@ -2,25 +2,24 @@
 left tail, the population KL dual and the variance ratio of its worst-case
 likelihood ratio, and least-squares fits of measured decay rates.
 
-There is one quadrature, for E[g(c z)] under each law: the Laplace transform
-and the Cramer rate take c = -s, the population dual and the variance ratio
-c = atilde. The rate and the ratio do not change when z is scaled, so both
-are computed for the law scaled to mean 1.
-
-This is the only module that imports scipy.integrate (quad) and digamma,
-each inside the routine that uses it, so importing the package loads numpy
-alone; lognormal draws import ndtri the same way, in montecarlo.
+Every expectation is a law's expect(c, g, epsabs) = E[g(c z)]: the Laplace
+transform and the Cramer rate take c = -s, the population dual and the
+variance ratio c = atilde. The rate and the ratio do not change when z is
+scaled, so both are computed for the law scaled to mean 1 (scaled(mean)).
+scipy is imported inside the routines that use it (quad by core's one
+quadrature, digamma here), so importing the package loads numpy alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import DistributionSpec, LogNormal, Pareto, ScaledBernoulli, UniformBounded, _golden_max, true_mean
+from .core import DistributionSpec, UniformBounded, _golden_max, _law, true_mean
 
 __all__ = [
     "RateFit",
@@ -54,51 +53,21 @@ def laplace_transform(spec: DistributionSpec, s: float) -> float:
         return 1.0
     if isinstance(spec, UniformBounded):
         return (math.exp(-s * spec.lo) - math.exp(-s * spec.hi)) / (s * (spec.hi - spec.lo))
-    return _expect(spec, -s, math.exp, 1e-14)
+    return _law(spec).expect(-s, math.exp, 1e-14)
 
 
-def _expect(spec: DistributionSpec, c: float, g, epsabs: float) -> float:
-    """E[g(c z)] for c != 0, by adaptive quadrature for the continuous laws.
-
-    Pareto is integrated in y = log(z / scale), which turns the power-law tail
-    into an exponential one, split where |c z| = 1; lognormal in
-    standard-normal space, with log|c| in the exponent, capped at 709. Where
-    the weight has underflowed the integrand is 0, even if g overflows.
-    """
-    if isinstance(spec, ScaledBernoulli):
-        return (1.0 - spec.p) * g(0.0) + spec.p * g(c * spec.high)
-    if isinstance(spec, UniformBounded):
-        integrand, cuts = (lambda u: g(c * u) / (spec.hi - spec.lo)), (spec.lo, spec.hi)
-    elif isinstance(spec, Pareto):
-        rho, a = spec.shape, c * spec.scale
-
-        def integrand(y):
-            weight = rho * math.exp(-rho * y)
-            return 0.0 if weight == 0.0 else g(a * math.exp(min(y, 700.0))) * weight
-
-        cuts = (0.0, -math.log(abs(a)), np.inf) if 0.0 < abs(a) < 1.0 else (0.0, np.inf)
-    elif isinstance(spec, LogNormal):
-        sign, log_c = math.copysign(1.0, c), math.log(abs(c))
-
-        def integrand(y):
-            weight = math.exp(-0.5 * y * y)
-            z = math.exp(min(spec.mu + spec.sigma * y + log_c, 709.0))
-            return 0.0 if weight == 0.0 else g(sign * z) * weight / math.sqrt(2.0 * math.pi)
-
-        cuts = (-np.inf, np.inf)
-    else:
-        raise TypeError(f"unsupported distribution spec {spec!r}")
-    from scipy.integrate import quad
-
-    return sum(quad(integrand, lo, hi, epsabs=epsabs, epsrel=1e-11, limit=400)[0] for lo, hi in zip(cuts, cuts[1:]))
+def _exp_excess(u: float) -> float:
+    """e**u - 1 - u; where |u| < 1, its Taylor series u**2/2 (1 + u/3 (1 + ... u/20)) by
+    Horner's rule (later terms are below 1e-17 of the sum), which does not cancel near 0."""
+    if abs(u) >= 1.0:
+        return math.expm1(u) - u
+    return functools.reduce(lambda total, k: 1.0 + total * u / k, range(20, 2, -1), 1.0) * u * u / 2.0
 
 
-def _scaled(spec: DistributionSpec, c: float) -> DistributionSpec:
-    """The law of z / c."""
-    if isinstance(spec, LogNormal):
-        return LogNormal(spec.mu - math.log(c), spec.sigma)
-    fields = {Pareto: ("scale",), ScaledBernoulli: ("high",), UniformBounded: ("lo", "hi")}
-    return replace(spec, **{name: getattr(spec, name) / c for name in fields[type(spec)]})
+def _log1p_excess(v: float) -> float:
+    """-v - log1p(-v) for 0 <= v < 1/2, its series v**2/2 + v**3/3 + ... to v**60/60 by Horner's rule
+    (later terms are below 1e-17 of the sum): every term is positive, so nothing cancels."""
+    return functools.reduce(lambda total, k: total * v + 1.0 / k, range(60, 1, -1), 0.0) * v * v
 
 
 def cramer_rate(spec: DistributionSpec, b: float) -> float:
@@ -110,9 +79,9 @@ def cramer_rate(spec: DistributionSpec, b: float) -> float:
     mean 1. The objective is concave in s: s is halved or doubled from 1 until
     the maximum is bracketed, then golden section runs in log s, so a
     maximizer far below 1 is found (5e-17 for LogNormal(0, 5) at b = 0.5).
-    log E[exp(-s z)] is log1p(E[expm1(-s z)]) while that mean exceeds -1/2,
-    so it does not round away at small s. A saturating objective (e.g. an
-    atom at zero as s -> inf) is detected and its limit value returned.
+    While x = E[expm1(-s z)] > -1/2 it is b s - q + (x - log1p(x)), q = x + s mu,
+    free of cancellation near s = 0 (_exp_excess, _log1p_excess). A saturating
+    objective (e.g. an atom at zero as s -> inf) returns its limit value.
     """
     if not 0 <= b < math.inf:  # NaN fails too
         raise ValueError("b must be non-negative and finite")
@@ -121,19 +90,16 @@ def cramer_rate(spec: DistributionSpec, b: float) -> float:
     mu = true_mean(spec)
     if mu == 0.0:
         return math.inf  # z = 0 almost surely
-    spec, b = _scaled(spec, mu), b / mu
+    spec, b = spec.scaled(mu), b / mu
     mu = true_mean(spec)
 
     def f(t: float) -> float:  # the objective at s = exp(t)
         s = math.exp(t)
-        # an absolute tolerance of 1e-12 * min(1, s * mu) is relative to the mean's size
-        shifted = _expect(spec, -s, math.expm1, 1e-12 * min(1.0, s * mu))
-        if shifted > -0.5:
-            return (b - mu) * s - math.log1p(shifted)
+        q = spec.expect(-s, _exp_excess, 0.0)  # q >= 0, so the relative tolerance alone holds
+        if q - s * mu > -0.5:
+            return b * s - q + _log1p_excess(s * mu - q)
         transform = laplace_transform(spec, s)
-        if transform <= 0.0:
-            return math.inf
-        return (b - mu) * s - math.log(transform)
+        return (b - mu) * s - math.log(transform) if transform > 0.0 else math.inf
 
     h, t = math.log(2.0), 0.0
     f_prev, f_cur = f(t - h), f(t)
@@ -175,28 +141,9 @@ def rate_fit(points: Sequence, axis: str = "log-log") -> RateFit:
 
 def _population_radius(spec: DistributionSpec, atilde: float) -> float:
     """r(atilde) = E log(1 + atilde z) + log E 1/(1 + atilde z); nondecreasing in atilde."""
-    e_log = _expect(spec, atilde, math.log1p, 1e-15)
-    e_inv = _expect(spec, atilde, lambda z: 1.0 / (1.0 + z), 1e-15)
+    e_log = spec.expect(atilde, math.log1p, 1e-15)
+    e_inv = spec.expect(atilde, lambda z: 1.0 / (1.0 + z), 1e-15)
     return e_log + math.log(e_inv)
-
-
-def _population_radius_limit(spec: DistributionSpec) -> float:
-    """r(inf) = E log z + log E[1/z], the limit of r(atilde) as atilde grows,
-    in closed form; it does not change when z is scaled, and it is infinite
-    when z has mass at zero or a density there."""
-    if isinstance(spec, ScaledBernoulli):  # a point mass at p = 1
-        return 0.0 if spec.p == 1.0 else math.inf
-    if isinstance(spec, Pareto):  # E log z = log scale + 1/rho, E[1/z] = rho / ((rho + 1) scale)
-        return 1.0 / spec.shape + math.log(spec.shape / (spec.shape + 1.0))
-    if isinstance(spec, LogNormal):  # E log z = mu, E[1/z] = exp(sigma**2 / 2 - mu)
-        return 0.5 * spec.sigma**2
-    if isinstance(spec, UniformBounded):  # on [x, 1], x = lo / hi
-        if spec.lo == 0.0:
-            return math.inf
-        x = spec.lo / spec.hi
-        log_x = math.log(x)
-        return -1.0 - x * log_x / (1.0 - x) + math.log(-log_x / (1.0 - x))
-    raise TypeError(f"unsupported distribution spec {spec!r}")
 
 
 def solve_population_dual(spec: DistributionSpec, r: float) -> float:
@@ -204,18 +151,18 @@ def solve_population_dual(spec: DistributionSpec, r: float) -> float:
 
     r(atilde) depends on atilde z alone, so the root is found for the law
     scaled to mean 1 (where the bracket may grow to MAX_ATILDE) and divided
-    by the mean. r(atilde) increases to r(inf) = E log z + log E[1/z], so a
-    radius at or above r(inf) has no dual point and raises.
+    by the mean. r(atilde) increases to r(inf) = E log z + log E[1/z] (the
+    law's radius_limit), so a radius at or above r(inf) has no dual point and raises.
     """
     if not r > 0:  # NaN fails too
         raise ValueError("radius must be positive")
     mu = true_mean(spec)
     if mu == 0.0:
         raise ValueError("z = 0 almost surely: no population dual point")
-    limit = _population_radius_limit(spec)
+    limit = spec.radius_limit()
     if r >= limit:
         raise ValueError(f"radius {r!r} too large: r(atilde) stays below E log z + log E[1/z] = {limit!r}")
-    unit = _scaled(spec, mu)
+    unit = spec.scaled(mu)
     lo, hi = 1e-14, 1.0
     while _population_radius(unit, hi) < r:
         hi *= 4.0
@@ -239,7 +186,7 @@ def variance_ratio_curve(spec: DistributionSpec, r_grid: Sequence[float]):
     of the law scaled to mean 1; the ratio does not depend on the scale. A
     law with r(inf) = 0, a point mass, has ratio 0 at every radius.
     """
-    constant = _population_radius_limit(spec) == 0.0
+    constant = _law(spec).radius_limit() == 0.0
     out = []
     for r in r_grid:
         if not r > 0:  # NaN fails too
@@ -249,9 +196,9 @@ def variance_ratio_curve(spec: DistributionSpec, r_grid: Sequence[float]):
             continue
         mu = true_mean(spec)
         atilde = solve_population_dual(spec, r) * mu
-        unit = _scaled(spec, mu)
-        e1 = _expect(unit, atilde, math.log1p, 1e-15)
-        e2 = _expect(unit, atilde, lambda z: math.log1p(z) ** 2, 1e-15)
+        unit = spec.scaled(mu)
+        e1 = unit.expect(atilde, math.log1p, 1e-15)
+        e2 = unit.expect(atilde, lambda z: math.log1p(z) ** 2, 1e-15)
         out.append((float(r), (e2 - e1 * e1) / r))
     return out
 

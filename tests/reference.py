@@ -3,7 +3,8 @@
 kl_value, kl_inf and binomial_pmf are computed in mpmath at DPS = 50
 significant digits from the sample's distinct values and their
 frequencies, by plain bisection, and take float inputs exactly; cramer_rate
-from closed-form Laplace transforms, and pareto_power, the Pareto quantile,
+from closed-form Laplace transforms, radius_limit, r(inf) = E log z +
+log E[1/z], by mpmath quadrature, and pareto_power, the Pareto quantile,
 as a power at DPS digits. They return mpmath numbers, which
 compare with floats exactly; float() rounds them once.
 float_kl_value is a fast float bisection for rows too long for mpmath,
@@ -153,6 +154,36 @@ def cramer_rate(spec, b) -> mpmath.mpf:
             hi *= 2
         s = mpmath.findroot(slope, (lo, hi), solver="anderson")
         return +((b - mu) * s - mpmath.log(_laplace(spec, s)[0]))
+
+
+def radius_limit(spec) -> mpmath.mpf:
+    """r(inf) = E log z + log E[1/z], the population radius limit, by mpmath
+    quadrature: Pareto in y = log(z / scale), lognormal over the standard
+    normal, uniform over [lo, hi]. It is inf where z has an atom at 0 (a
+    Bernoulli with p < 1) or a density there (a uniform from 0); a point mass
+    is its one atom."""
+    with mpmath.workdps(DPS):
+        if isinstance(spec, ScaledBernoulli):
+            h = mpmath.mpf(spec.high)
+            return mpmath.log(h) + mpmath.log(1 / h) if spec.p == 1.0 else mpmath.inf
+        if isinstance(spec, UniformBounded):
+            if spec.lo == 0.0:
+                return mpmath.inf
+            lo, hi = mpmath.mpf(spec.lo), mpmath.mpf(spec.hi)
+            e_log = mpmath.quad(mpmath.log, [lo, hi]) / (hi - lo)
+            e_inv = mpmath.quad(lambda z: 1 / z, [lo, hi]) / (hi - lo)
+        elif isinstance(spec, Pareto):
+            rho, scale = mpmath.mpf(spec.shape), mpmath.mpf(spec.scale)
+            e_log = mpmath.log(scale) + mpmath.quad(lambda y: y * rho * mpmath.exp(-rho * y), [0, mpmath.inf])
+            e_inv = mpmath.quad(lambda y: rho * mpmath.exp(-(rho + 1) * y), [0, mpmath.inf]) / scale
+        elif isinstance(spec, LogNormal):
+            mu, sigma = mpmath.mpf(spec.mu), mpmath.mpf(spec.sigma)
+            line = [-mpmath.inf, 0, mpmath.inf]
+            e_log = mpmath.quad(lambda y: (mu + sigma * y) * mpmath.npdf(y), line)
+            e_inv = mpmath.quad(lambda y: mpmath.exp(-mu - sigma * y) * mpmath.npdf(y), line)
+        else:
+            raise ValueError(f"no radius limit for {spec!r}")
+        return e_log + mpmath.log(e_inv)
 
 
 def float_kl_value(row: np.ndarray, r: float) -> float:

@@ -2,7 +2,7 @@
 default_rng(SeedSequence((s, i))) draws, then the inverse-CDF transform. A
 Pareto value is exp(log(1 - U) * (-1/shape)) * scale, which is within
 4y + 2 ulp of the correctly rounded (1 - U)**(-1/shape) * scale, where
-y = log(1/(1 - U)) / shape (montecarlo._transform derives the bound).
+y = log(1/(1 - U)) / shape (Pareto.inverse_cdf derives the bound).
 
 Test fixtures are built from it, not from the harness's own draw, so each is
 the same sample whatever routine the harness draws with; the contract tests

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from safemean import montecarlo
 from safemean.cli import main, parse_distribution, parse_schedule, UsageError
 from safemean.core import Pareto, ScaledBernoulli
 
@@ -204,6 +205,17 @@ def test_simulate_config_line_records_every_estimator_field(tmp_path):
     out = tmp_path / "mean.csv"
     assert main(["simulate", "--dist", "point:1", "--estimator", "mean", "--n", "5", "--trials", "3", "--out", str(out)]) == 0
     assert {k: _config_line(out)[k] for k in ("delta", "a", "A")} == {"delta": 0.0, "a": None, "A": None}
+
+
+def test_simulate_bound_overflow_is_usage_error_before_any_trial(monkeypatch, capsys):
+    # lambda = r * n = 1e309 overflows; the bound rejects it before the harness runs a trial
+    def no_trials(*args):
+        raise AssertionError("trials ran")
+
+    monkeypatch.setattr(montecarlo, "_run_event_trials", no_trials)
+    argv = ["simulate", "--dist", "pareto:2.5:1", "--estimator", "kl", "--r", "1e307", "--n", "100", "--trials", "50"]
+    assert main(argv) == 2
+    assert "bound requires lambda > 1 and finite" in capsys.readouterr().err
 
 
 def test_simulate_conservatism_requires_b(capsys):

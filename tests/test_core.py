@@ -20,6 +20,7 @@ from safemean import (
 )
 from safemean.core import SampleFileError
 from safemean.estimators import row_std
+import reference
 from reference import true_variance
 
 
@@ -283,3 +284,17 @@ def test_discrete_distribution_invariants():
         DiscreteDistribution([0.0, 1.0], [1.0])
     with pytest.raises(ValueError, match="non-negative"):
         DiscreteDistribution([-1.0, 1.0], [0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Pareto(2.5, 1.0), Pareto(1.5, 3.0), LogNormal(0.0, 1.5), UniformBounded(0.5, 2.0), ScaledBernoulli(1.0, 2.0)],
+    ids=repr,
+)
+def test_radius_limit_matches_the_50_digit_reference(spec):
+    assert spec.radius_limit() == pytest.approx(float(reference.radius_limit(spec)), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("spec", [UniformBounded(0.0, 1.0), ScaledBernoulli(0.5, 2.0)], ids=repr)
+def test_radius_limit_is_infinite_with_mass_or_density_at_zero(spec):
+    assert spec.radius_limit() == math.inf

@@ -2,6 +2,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -221,6 +222,19 @@ def test_kl_disappointment_bound_values():
         kl_disappointment_bound(100, 1.0)
     with pytest.raises(ValueError):
         kl_disappointment_bound(1, 2.0)
+
+
+def test_kl_disappointment_bound_is_non_increasing_in_lambda_up_to_the_float_range():
+    # e lam log n overflowed past lam = 1e307, and min(1, inf * 0) read 1; the bound is taken in logs
+    lams = np.concatenate([np.linspace(1.001, 60.0, 400), np.logspace(1.8, 308.0, 600)])
+    for n in (2, 100, 10**6):
+        bounds = [kl_disappointment_bound(n, float(lam)) for lam in lams]
+        assert all(later <= earlier for earlier, later in zip(bounds, bounds[1:])), n
+    assert kl_disappointment_bound(100, 1e308) == 0.0
+    for lam in (1.5, 5.0, 40.0, 300.0):
+        with mpmath.workdps(30):
+            exact = (mpmath.e * lam * mpmath.log(100) + mpmath.e**2) * mpmath.exp(-lam)
+        assert kl_disappointment_bound(100, lam) == pytest.approx(float(min(1, exact)), rel=1e-13, abs=0.0)
 
 
 def test_estimate_dispatch_and_mean_dominance():

@@ -1,5 +1,6 @@
-"""scipy is imported only by the routines that use it: lognormal draws (ndtri),
-and in safemean.rates the rates and variance-ratio quadrature (quad) and
+"""scipy is imported only by the routines that use it: lognormal draws
+(ndtri, in LogNormal.inverse_cdf), the laws' one quadrature behind the rates
+and variance ratios (quad, in core._integrate) and
 pareto_variance_ratio_limit (digamma); concurrent.futures and decimal only
 by the harness's thread pool and the enumeration's pmf. Each check runs in a fresh
 interpreter, where nothing has loaded scipy yet. Every name a module exports

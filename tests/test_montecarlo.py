@@ -25,12 +25,12 @@ from safemean import (
     variance_ratio_curve,
     wilson_interval,
 )
-from safemean import montecarlo, rates
+from safemean import montecarlo
 from safemean.cli import reports_to_csv
 from safemean.dual import _TILE_VALUES, DualSolverError, _row_means, kl_value_upper_bound, solve_kl_dro_dual_batch
 from safemean.estimators import estimate, row_std
 from safemean.montecarlo import TrialReport, _draw_tiles, _finite_estimates, _run_event_trials
-from safemean.rates import _population_radius, _population_radius_limit, solve_population_dual
+from safemean.rates import _population_radius, solve_population_dual
 import reference
 from reference import binomial_pmf
 from streams import reference_block, reference_draw, transform
@@ -166,7 +166,7 @@ def _ulps(got, expected):
 def test_pareto_draw_is_within_its_bound_of_the_correctly_rounded_power(shape, grid_complements):
     x = grid_complements
     T = 1.0 - x  # the uniforms, exactly
-    montecarlo._transform(Pareto(shape, 1.0), T)
+    Pareto(shape, 1.0).inverse_cdf(T)
     expected = np.array([float(reference.pareto_power(v, shape)) for v in x])
     y = np.log(x) * (-1.0 / shape)
     assert np.all(_ulps(T, expected) <= 4.0 * y + 2.0)
@@ -632,9 +632,9 @@ def test_cramer_rate_impossible_event_is_infinite():
     [
         (UniformBounded(0.0, 1.0), 0.25),
         (Pareto(2.5, 1.0), 0.5),
-        pytest.param(UniformBounded(0.0, 1.0), 1e-6, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 7: 3.3e-10 off")),
-        pytest.param(Pareto(2.5, 1.0), 1e-6, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 7: 3.8e-10 off")),
-        pytest.param(Pareto(2.5, 1.0), 1e-10, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 7: 6.9e-6 off")),
+        (UniformBounded(0.0, 1.0), 1e-6),
+        (Pareto(2.5, 1.0), 1e-6),
+        (Pareto(2.5, 1.0), 1e-10),
     ],
     ids=repr,
 )
@@ -768,12 +768,12 @@ def test_population_dual_radius_too_large():
 def test_population_dual_exists_only_below_the_radius_limit(spec, limit):
     # r(atilde) rises to E log z + log E[1/z]; at or above it there is no root
     # (LogNormal(0, 1) at r = 0.5 returned atilde = 2.58e10)
-    assert _population_radius_limit(spec) == pytest.approx(limit, rel=1e-14)
+    assert spec.radius_limit() == pytest.approx(limit, rel=1e-14)
     if limit == 0.0:
         with pytest.raises(ValueError, match="too large"):
             solve_population_dual(spec, 1e-6)
         return
-    unit = rates._scaled(spec, true_mean(spec))
+    unit = spec.scaled(true_mean(spec))
     assert _population_radius(unit, 1e3) < _population_radius(unit, 1e6) < limit
     for r in ([0.9 * limit, 0.5 * limit] if math.isfinite(limit) else [1.0]):
         atilde = solve_population_dual(spec, r) * true_mean(spec)
@@ -811,8 +811,14 @@ def test_rates_of_a_law_at_zero_and_invalid_arguments():
 
 @pytest.mark.parametrize(
     "dispatch",
-    [lambda spec: laplace_transform(spec, 1.0), _population_radius_limit, lambda spec: draw_sample(spec, 3, 0)],
-    ids=["laplace_transform", "population_radius_limit", "draw_sample"],
+    [
+        lambda spec: laplace_transform(spec, 1.0),
+        lambda spec: variance_ratio_curve(spec, [0.1]),
+        lambda spec: solve_population_dual(spec, 0.1),
+        lambda spec: cramer_rate(spec, 0.5),
+        lambda spec: draw_sample(spec, 3, 0),
+    ],
+    ids=["laplace_transform", "variance_ratio_curve", "solve_population_dual", "cramer_rate", "draw_sample"],
 )
 def test_every_spec_dispatcher_rejects_a_non_spec(dispatch):
     with pytest.raises(TypeError, match="unsupported distribution spec"):

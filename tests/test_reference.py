@@ -7,8 +7,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from safemean import LogNormal, Pareto, ScaledBernoulli
-from reference import DPS, cramer_rate, float_kl_value, kl_inf, kl_value
+from safemean import LogNormal, Pareto, ScaledBernoulli, UniformBounded
+from reference import DPS, cramer_rate, float_kl_value, kl_inf, kl_value, radius_limit
 from streams import reference_block
 
 
@@ -35,6 +35,24 @@ def test_cramer_rate_matches_the_bernoulli_closed_form(b):
         p, q = mpmath.mpf(0.5), (1 - mpmath.mpf(b)) / 2
         exact = q * mpmath.log(q / p) + (1 - q) * mpmath.log((1 - q) / (1 - p))
         assert abs(cramer_rate(ScaledBernoulli(0.5, 2.0), b) / exact - 1) < 1e-40
+
+
+@pytest.mark.parametrize(
+    "spec", [Pareto(2.5, 1.0), Pareto(1.5, 3.0), LogNormal(0.0, 1.5), UniformBounded(0.5, 2.0)], ids=repr
+)
+def test_radius_limit_quadrature_matches_the_closed_forms(spec):
+    # E log z + log E[1/z]: 1/rho + log(rho / (rho + 1)) for Pareto, sigma**2 / 2 for lognormal,
+    # -1 - x log x / (1 - x) + log(-log x / (1 - x)) for the uniform on [x, 1], x = lo / hi
+    with mpmath.workdps(DPS):
+        if isinstance(spec, Pareto):
+            rho = mpmath.mpf(spec.shape)
+            exact = 1 / rho + mpmath.log(rho / (rho + 1))
+        elif isinstance(spec, LogNormal):
+            exact = mpmath.mpf(spec.sigma) ** 2 / 2
+        else:
+            x = mpmath.mpf(spec.lo) / spec.hi
+            exact = -1 - x * mpmath.log(x) / (1 - x) + mpmath.log(-mpmath.log(x) / (1 - x))
+        assert abs(radius_limit(spec) / exact - 1) < 1e-40
 
 
 # rows of 60 values with and without zeros, and {0, 2}, at radii where a* is
