@@ -16,13 +16,14 @@ import math
 import sys
 import time
 from dataclasses import asdict, astuple, fields
+from functools import partial
 from typing import Sequence
 
 from . import __version__
 from .core import (
+    SCHEDULE_KINDS,
     LogNormal,
     Pareto,
-    RadiusSchedule,
     SampleFileError,
     ScaledBernoulli,
     UniformBounded,
@@ -47,39 +48,41 @@ class UsageError(ValueError):
     pass
 
 
-# each spelling's law and parameter count; point:c, the point mass at c, is bern:1:c
-_DISTRIBUTIONS = {"pareto": (Pareto, 2), "lognormal": (LogNormal, 2), "bern": (ScaledBernoulli, 2),
-                  "bernoulli": (ScaledBernoulli, 2), "point": (lambda c: ScaledBernoulli(1.0, c), 1),
-                  "uniform": (UniformBounded, 2)}
+# the --dist grammar, pareto:rho:xm | lognormal:mu:sigma | bern:p:high | point:c | uniform:lo:hi: each law's
+# constructor and the parameter counts it takes; point:c, the point mass at c, is bern:1:c
+_DISTRIBUTIONS = {"pareto": (Pareto, (2,)), "lognormal": (LogNormal, (2,)), "bern": (ScaledBernoulli, (2,)),
+                  "bernoulli": (ScaledBernoulli, (2,)), "point": (lambda c: ScaledBernoulli(1.0, c), (1,)),
+                  "uniform": (UniformBounded, (2,))}
 
 
-def parse_distribution(text: str):
-    """Grammar: pareto:rho:xm | lognormal:mu:sigma | bern:p:high | point:c | uniform:lo:hi (_DISTRIBUTIONS)."""
-    parts = text.split(":")
-    args = [float(p) for p in parts[1:]]
-    law, arity = _DISTRIBUTIONS.get(parts[0].lower(), (None, None))
-    if len(args) != arity:
-        raise UsageError(f"cannot parse distribution {text!r}")
+def _read_spelling(text: str, grammar: str, spellings):
+    """The value of a name:p1:p2 spelling by its row in spellings, which starts with a constructor and the
+    parameter counts it takes; any failure is a UsageError that names the grammar and quotes the text."""
+    name, *params = text.split(":")
+    make, counts = spellings.get(name.lower(), (None, ()))[:2]
+    if len(params) not in counts:
+        raise UsageError(f"cannot parse {grammar} {text!r}")
     try:
-        return law(*args)
+        return make(*map(float, params))
     except ValueError as exc:
-        raise UsageError(f"invalid distribution {text!r}: {exc}") from None
+        raise UsageError(f"invalid {grammar} {text!r}: {exc}") from None
 
 
-def parse_schedule(text: str) -> RadiusSchedule:
-    """Grammar: logn[:<c>] | loglogn[:<c>] | power:<c>:<beta>; a constant exponent is --lambda."""
-    parts = text.split(":")
-    name = parts[0].lower()
+def _read_list(text: str, flag: str, item, what: str, least=-math.inf) -> list:
+    """A flag's comma list, each item read by item (int or float), empty ones skipped; no item, or one that
+    item cannot read or that is below least, is a UsageError that names the flag and quotes the text."""
     try:
-        if name == "logn" and len(parts) <= 2:
-            return RadiusSchedule.log_n(float(parts[1]) if len(parts) == 2 else 1.0)
-        if name == "loglogn" and len(parts) <= 2:
-            return RadiusSchedule.log_log_n(float(parts[1]) if len(parts) == 2 else 1.0)
-        if name == "power" and len(parts) == 3:
-            return RadiusSchedule.power(float(parts[1]), float(parts[2]))
-    except ValueError as exc:
-        raise UsageError(f"invalid schedule {text!r}: {exc}") from None
-    raise UsageError(f"cannot parse schedule {text!r}")
+        values = [item(x) for x in text.split(",") if x]
+    except ValueError:
+        values = []
+    if not values or min(values) < least:
+        raise UsageError(f"{flag} must be a comma-separated list of {what}, not {text!r}")
+    return values
+
+
+parse_distribution = partial(_read_spelling, grammar="distribution", spellings=_DISTRIBUTIONS)
+# logn[:<c>] | loglogn[:<c>] | power:<c>:<beta>, by core.SCHEDULE_KINDS; a constant exponent is --lambda
+parse_schedule = partial(_read_spelling, grammar="schedule", spellings=SCHEDULE_KINDS)
 
 
 def _build_config(args) -> EstimatorConfig:
@@ -141,13 +144,9 @@ def cmd_estimate(args) -> int:
 def cmd_simulate(args) -> int:
     spec = parse_distribution(args.dist)
     cfg = _build_config(args)
-    n_grid = [int(x) for x in args.n.split(",") if x]
-    if not n_grid or min(n_grid) < 1:
-        raise UsageError("--n must be a comma-separated list of positive integers")
-    if args.event == "conservatism" and args.b is None:
-        raise UsageError("--event conservatism requires --b")
-    if args.event == "disappointment" and args.b is not None:
-        raise UsageError("--event disappointment does not take --b")
+    n_grid = _read_list(args.n, "--n", int, "positive integers", 1)
+    if (args.event == "conservatism") != (args.b is not None):
+        raise UsageError(f"--event {args.event} {'requires' if args.b is None else 'does not take'} --b")
     t0 = time.perf_counter()
     reports = [
         disappointment_probability(spec, cfg, n, args.trials, args.seed, threads=args.threads)
@@ -249,8 +248,7 @@ def cmd_rates(args) -> int:
         raise UsageError(f"{_flag(mode)} requires {' and '.join(map(_flag, reads))}")
     if args.variance_ratio:
         spec = parse_distribution(args.dist)
-        grid = [float(x) for x in args.r_grid.split(",") if x]
-        curve = variance_ratio_curve(spec, grid)
+        curve = variance_ratio_curve(spec, _read_list(args.r_grid, "--r-grid", float, "radii"))
         lines = [f"# safemean {__version__}", f"# dist: {args.dist}", "r,ratio"]
         lines += [f"{_fmt(r)},{_fmt(ratio)}" for r, ratio in curve]
         _emit("\n".join(lines) + "\n", args.out)

@@ -142,37 +142,28 @@ class DiscreteDistribution:
 class RadiusSchedule:
     """Disappointment-exponent schedule n -> lambda(n), with radius r(n) = lambda(n)/n.
 
-    Supported kinds: "logn", "loglogn", and "power" (lambda = c * n^beta with
-    beta in (0,1)). A constant lambda is EstimatorConfig(lam=...).
+    Kinds (SCHEDULE_KINDS): "logn", "loglogn", and "power" (lambda = c * n^beta
+    with beta in (0,1)). A constant lambda is EstimatorConfig(lam=...).
     """
 
     kind: str
     c: float
     beta: float = 0.0
 
-    _KINDS = ("logn", "loglogn", "power")
-
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not 0 < self.c < math.inf:  # NaN fails too
             raise ValueError("schedule coefficient must be positive and finite")
-        if self.kind == "power" and not (0.0 < self.beta < 1.0):
-            raise ValueError("power schedule requires beta in (0, 1)")
+        if 2 in SCHEDULE_KINDS[self.kind][1] and not (0.0 < self.beta < 1.0):  # a second parameter is beta
+            raise ValueError(f"{self.kind} schedule requires beta in (0, 1)")
 
     def lam(self, n: int) -> float:
-        """lambda(n); must be positive for every valid n."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if self.kind == "logn":
-            if n < 2:
-                raise ValueError("logn schedule requires n >= 2")
-            return self.c * math.log(n)
-        if self.kind == "loglogn":
-            if n < 3:
-                raise ValueError("loglogn schedule requires n >= 3")
-            return self.c * math.log(math.log(n))
-        return self.c * n**self.beta  # power
+        """lambda(n); positive for every n from the kind's least."""
+        _, _, least_n, per_c = SCHEDULE_KINDS[self.kind]
+        if n < least_n:
+            raise ValueError("n must be >= 1" if n < 1 else f"{self.kind} schedule requires n >= {least_n}")
+        return self.c * per_c(n, self.beta)
 
     @staticmethod
     def log_n(c: float = 1.0) -> "RadiusSchedule":
@@ -185,6 +176,15 @@ class RadiusSchedule:
     @staticmethod
     def power(c: float, beta: float) -> "RadiusSchedule":
         return RadiusSchedule("power", c, beta)
+
+
+# each schedule kind: its constructor, the parameter counts it takes (c, then beta; log_n and log_log_n
+# default c to 1), its least n and lambda(n) / c. Adding a kind is one entry.
+SCHEDULE_KINDS = {
+    "logn": (RadiusSchedule.log_n, (0, 1), 2, lambda n, beta: math.log(n)),
+    "loglogn": (RadiusSchedule.log_log_n, (0, 1), 3, lambda n, beta: math.log(math.log(n))),
+    "power": (RadiusSchedule.power, (2,), 1, lambda n, beta: n**beta),
+}
 
 
 def _integrate(integrand, cuts, epsabs: float) -> float:

@@ -51,8 +51,9 @@ def laplace_transform(spec: DistributionSpec, s: float) -> float:
         raise ValueError("s must be non-negative")
     if s == 0:
         return 1.0
-    if isinstance(spec, UniformBounded):
-        return (math.exp(-s * spec.lo) - math.exp(-s * spec.hi)) / (s * (spec.hi - spec.lo))
+    if isinstance(spec, UniformBounded):  # exp(-s lo) (1 - exp(-s d)) / (s d), d = hi - lo, by expm1; 1 at s d = 0
+        sd = s * (spec.hi - spec.lo)
+        return math.exp(-s * spec.lo) * (-math.expm1(-sd) / sd if sd > 0.0 else 1.0)
     return _law(spec).expect(-s, math.exp, 1e-14)
 
 
@@ -121,16 +122,16 @@ def cramer_rate(spec: DistributionSpec, b: float) -> float:
 def rate_fit(points: Sequence, axis: str = "log-log") -> RateFit:
     """Least squares of log p against log n (axis="log-log") or n (axis="log-linear").
 
-    Every point must be finite; those with p_hat <= 0 are dropped, and at least 3 positive ones are required.
+    Every point must be finite; those with p_hat <= 0 are dropped, and 3 positive ones at 2 distinct n are needed.
     """
     if axis not in ("log-log", "log-linear"):
         raise ValueError(f"unknown axis {axis!r}")
     if not np.all(np.isfinite(np.asarray(points, dtype=float))):
         raise ValueError("every point must be finite")
     kept = [(float(n), float(p)) for n, p in points if p > 0.0]
-    if len(kept) < 3:
-        raise ValueError(f"need at least 3 points with positive p_hat, got {len(kept)}")
     x = np.array([math.log(n) if axis == "log-log" else n for n, _ in kept])
+    if len(kept) < 3 or len(set(x)) < 2:  # points at one n fix no slope
+        raise ValueError(f"need 3 points with p_hat > 0 at 2 or more distinct n, got {len(kept)} at {len(set(x))}")
     y = np.array([math.log(p) for _, p in kept])
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)

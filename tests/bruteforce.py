@@ -16,24 +16,39 @@ from safemean.core import Sample, _golden_max
 
 MAX_ORACLE_SUPPORT = 64
 BRUTEFORCE_RESTARTS = 32  # random simplex starting points of the brute-force search
+SEARCH_BATCH = 4096  # the number of KL terms a round of _toward_feasible aims at
 
 
 def _kl_rows(w: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """KL(w, q) for each row q of Q, one dot over each contiguous row."""
-    cols = np.flatnonzero(w)
-    return np.vecdot(np.log(w[cols] / np.maximum(Q.take(cols, axis=1), 1e-300)), w[cols])
+    """KL(w, q) for each q along the last axis of Q, one dot over each."""
+    if not w.all():
+        cols = np.flatnonzero(w)
+        w, Q = w[cols], Q[..., cols]
+    return np.vecdot(np.log(w / np.maximum(Q, 1e-300)), w)
 
 
 def _toward_feasible(good: np.ndarray, bad: np.ndarray, w: np.ndarray, r: float) -> np.ndarray:
     """The feasible point nearest `bad` on each segment from a feasible `good`
-    to `bad` (rows broadcast), to 45 halvings of the mixing weight t: the
-    feasible t form an interval containing 1, since KL(w, .) is convex."""
-    lo = np.zeros((np.broadcast(good, bad).shape[0], 1))
-    hi = lo + 1.0
-    for _ in range(45):
-        t = 0.5 * (lo + hi)
-        ok = (_kl_rows(w, (1 - t) * bad + t * good) <= r)[:, None]
-        lo, hi = np.where(ok, lo, t), np.where(ok, t, hi)
+    to `bad` (rows broadcast), to 2**-45 in the mixing weight t: the feasible
+    t form an interval containing 1, since KL(w, .) is convex. Each round
+    splits every row's interval [lo, lo + width] into 2**k parts, tests the
+    2**k - 1 interior points in one _kl_rows call and moves lo past the
+    infeasible ones. These are the dyadic points bisection tests, so any k
+    ends on the interval of 45 halvings. k is 5 for a few short rows and
+    falls to 1 as rows * columns nears SEARCH_BATCH, where the KL values, not
+    the calls, take the time."""
+    cols = np.flatnonzero(w)  # a column of weight 0 adds nothing to KL(w, .)
+    g, b = np.atleast_2d(good)[:, None, cols], np.atleast_2d(bad)[:, None, cols]
+    rows = max(g.shape[0], b.shape[0])
+    bits = int(np.clip(np.log2(SEARCH_BATCH / (rows * cols.size)), 1, 5))
+    lo, width, done = np.zeros((rows, 1)), 1.0, 0
+    while done < 45:
+        k = min(bits, 45 - done)
+        done += k
+        width /= 2**k
+        t = (lo + width * np.arange(1.0, 2**k))[:, :, None]
+        lo = lo + width * (_kl_rows(w[cols], (1 - t) * b + t * g) > r).sum(axis=1, keepdims=True)
+    hi = lo + width
     return (1 - hi) * bad + hi * good
 
 
@@ -81,15 +96,18 @@ def kl_projection_bruteforce(
     e0 = np.zeros(m)
     e0[0] = 1.0
 
-    def feasible_min(chains: np.ndarray) -> float:
-        """Smallest mean after mixing infeasible rows toward the empirical
-        weights and then moving every row as far toward the zero vertex as
-        the ball allows (which always lowers the mean)."""
+    def feasible_means(chains: np.ndarray) -> np.ndarray:
+        """Each row's mean after mixing it toward the empirical weights if it
+        is infeasible, and then moving it as far toward the zero vertex as the
+        ball allows (which always lowers the mean)."""
         chains = chains.copy()
         bad = _kl_rows(w, chains) > r
         if bad.any():
             chains[bad] = _toward_feasible(w, chains[bad], w, r)
-        return float(np.min(_toward_feasible(chains, e0, w, r) @ vals))
+        return _toward_feasible(chains, e0, w, r) @ vals
+
+    def feasible_min(chains: np.ndarray) -> float:
+        return float(np.min(feasible_means(chains)))
 
     best = feasible_min(Q)
     eta0 = 1.0 / scale
@@ -109,12 +127,15 @@ def kl_projection_bruteforce(
     # derivative-free refinement within the tilt family: the repaired and
     # zero-pushed value is smooth in the tilt parameter, so a golden-section
     # sweep around the best coarse grid point closes the remaining gap
+    def tilt_values(log_gammas: np.ndarray) -> np.ndarray:
+        q = np.maximum(w, 1e-9) / (np.exp(log_gammas)[:, None] + vals)
+        return feasible_means(q / q.sum(axis=1, keepdims=True))
+
     def tilt_value(log_gamma: float) -> float:
-        q = np.maximum(w, 1e-9) / (math.exp(log_gamma) + vals)
-        return feasible_min(q[None, :] / q.sum())
+        return float(tilt_values(np.array([log_gamma]))[0])
 
     log_grid = np.log(gammas)
-    coarse = [tilt_value(lg) for lg in log_grid]
+    coarse = tilt_values(log_grid)
     center = int(np.argmin(coarse))
     lo = log_grid[max(0, center - 1)]
     hi = log_grid[min(log_grid.size - 1, center + 1)]

@@ -2,11 +2,11 @@
 
 kl_value, kl_inf and binomial_pmf are computed in mpmath at DPS = 50
 significant digits from the sample's distinct values and their
-frequencies, by plain bisection, and take float inputs exactly; cramer_rate
-from closed-form Laplace transforms, radius_limit, r(inf) = E log z +
-log E[1/z], by mpmath quadrature, and pareto_power, the Pareto quantile,
-as a power at DPS digits. They return mpmath numbers, which
-compare with floats exactly; float() rounds them once.
+frequencies, by plain bisection, and take float inputs exactly;
+laplace_transform and cramer_rate from closed-form Laplace transforms,
+radius_limit, r(inf) = E log z + log E[1/z], by mpmath quadrature, and
+pareto_power, the Pareto quantile, as a power at DPS digits. They return
+mpmath numbers, which compare with floats exactly; float() rounds them once.
 float_kl_value is a fast float bisection for rows too long for mpmath,
 checked against kl_value in tests/test_reference.py. true_variance is a
 law's closed-form population variance in floats, which criterion 4 reads for
@@ -113,9 +113,14 @@ def pareto_power(x: float, shape: float) -> mpmath.mpf:
 
 
 def _laplace(spec, s):
-    """(E exp(-s z), E z exp(-s z), E z) in closed form."""
-    if isinstance(spec, UniformBounded) and (spec.lo, spec.hi) == (0.0, 1.0):
-        return -mpmath.expm1(-s) / s, (-mpmath.expm1(-s) - s * mpmath.exp(-s)) / s**2, mpmath.mpf(1) / 2
+    """(E exp(-s z), E z exp(-s z), E z) in closed form, at the working precision. For the uniform on
+    [lo, hi], d = hi - lo, they are e**(-s lo) u and e**(-s lo) ((lo + 1/s) u - e**(-s d) / s), where
+    u = -expm1(-s d) / (s d) does not cancel at any s."""
+    if isinstance(spec, UniformBounded):
+        lo, d = mpmath.mpf(spec.lo), mpmath.mpf(spec.hi) - mpmath.mpf(spec.lo)
+        u = -mpmath.expm1(-s * d) / (s * d)
+        tilted = mpmath.exp(-s * lo) * ((lo + 1 / s) * u - mpmath.exp(-s * d) / s)
+        return mpmath.exp(-s * lo) * u, tilted, lo + d / 2
     if isinstance(spec, ScaledBernoulli):
         p, h = mpmath.mpf(spec.p), mpmath.mpf(spec.high)
         return 1 - p + p * mpmath.exp(-s * h), p * h * mpmath.exp(-s * h), p * h
@@ -125,11 +130,17 @@ def _laplace(spec, s):
     raise ValueError(f"no closed-form Laplace transform for {spec!r}")
 
 
+def laplace_transform(spec, s) -> mpmath.mpf:
+    """E exp(-s z) in closed form at DPS digits, for the laws _laplace covers."""
+    with mpmath.workdps(DPS):
+        return _laplace(spec, mpmath.mpf(s))[0]
+
+
 def cramer_rate(spec, b) -> mpmath.mpf:
     """The left-tail rate sup over s > 0 of (b - mu) s - log E exp(-s z), for
-    UniformBounded(0, 1), ScaledBernoulli(p, h) and Pareto(rho, 1), whose
-    transforms are (1 - e**-s) / s, 1 - p + p e**(-s h) and rho s**rho
-    Gamma(-rho, s).
+    UniformBounded(lo, hi), ScaledBernoulli(p, h) and Pareto(rho, 1), whose
+    transforms are e**(-s lo) (1 - e**(-s (hi - lo))) / (s (hi - lo)),
+    1 - p + p e**(-s h) and rho s**rho Gamma(-rho, s).
 
     The objective is concave, and its derivative b - mu + m(s), where m(s) =
     E z e**(-s z) / E e**(-s z) is the tilted mean, falls from b at s = 0. Its

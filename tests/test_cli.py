@@ -544,6 +544,18 @@ SIMULATE = ["simulate", "--dist", "point:1", "--trials", "3", "--estimator"]
         (["rates", "--from-csv", "pts.csv", "--dist", "pareto:2.5:1"], "rates --from-csv does not take --dist"),
         (["rates", "--cramer", "--dist", "bern:0.5:2", "--b", "0.5", "--axis", "log-log"], "does not take --axis"),
         ([*SIMULATE, "mean", "--b", "0.5", "--n", "5"], "--event disappointment does not take --b"),
+        (["simulate", "--dist", "pareto:x:1", "--estimator", "mean", "--n", "5", "--trials", "3"],
+         "error: invalid distribution 'pareto:x:1': "),
+        (["simulate", "--dist", "cauchy:x", "--estimator", "mean", "--n", "5", "--trials", "3"],
+         "error: cannot parse distribution 'cauchy:x'"),
+        (["simulate", "--dist", "pareto:2.5:1:", "--estimator", "mean", "--n", "5", "--trials", "3"],
+         "error: cannot parse distribution 'pareto:2.5:1:'"),
+        ([*SIMULATE, "mean", "--n", "10,x"], "error: --n must be a comma-separated list of positive integers, not '10,x'"),
+        (["rates", "--variance-ratio", "--dist", "pareto:1.5:1", "--r-grid", "1e-2,x"],
+         "error: --r-grid must be a comma-separated list of radii, not '1e-2,x'"),
+        ([*SIMULATE, "kl", "--lambda-schedule", "logn:x", "--n", "5"], "error: invalid schedule 'logn:x': "),
+        ([*SIMULATE, "kl", "--lambda-schedule", "power:1", "--n", "5"], "error: cannot parse schedule 'power:1'"),
+        (["rates", "--from-csv", "one-n.csv"], "at 2 or more distinct n, got 3 at 1"),
     ],
     ids=[
         "power-beta",
@@ -569,8 +581,18 @@ SIMULATE = ["simulate", "--dist", "point:1", "--trials", "3", "--estimator"]
         "rates-from-csv-reads-no-dist",
         "rates-cramer-reads-no-axis",
         "disappointment-b",
+        "dist-non-numeric-parameter",
+        "dist-unknown-name-non-numeric",
+        "dist-trailing-colon",
+        "n-non-numeric-item",
+        "r-grid-non-numeric-item",
+        "schedule-non-numeric-coefficient",
+        "schedule-missing-beta",
+        "rates-from-csv-one-n",
     ],
 )
-def test_missing_or_invalid_flag_is_usage_error(capsys, argv, message):
+def test_missing_or_invalid_flag_is_usage_error(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "one-n.csv").write_text("n,p_hat\n100,0.1\n100,0.01\n100,0.001\n")  # three points at one n
     assert main(argv) == 2
     assert message in capsys.readouterr().err

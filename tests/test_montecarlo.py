@@ -598,6 +598,15 @@ def test_laplace_transform_closed_forms():
     assert laplace_transform(Pareto(2.5, 1.0), 0.5) == pytest.approx(direct, rel=1e-5)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.5, 2.0), (3.0, 3.5), (1e-3, 1e3), (0.0, 1e-300), (1e300, 1.5e300)])
+def test_uniform_laplace_transform_matches_the_50_digit_reference(lo, hi):
+    # from s = 1e-300, where s (hi - lo) underflows, to where exp(-s lo) does; within 1e-15 relative,
+    # never above 1 and never a cancelled 0
+    for s in (1e-300, 1e-200, 1e-100, 1e-30, 1e-16, 1e-12, 1e-8, 1e-4, 0.01, 0.3, 1.0, 3.0, 100.0, 1e4):
+        expected = float(reference.laplace_transform(UniformBounded(lo, hi), s))
+        assert laplace_transform(UniformBounded(lo, hi), s) == pytest.approx(expected, rel=1e-15, abs=0.0), s
+
+
 @pytest.mark.parametrize("s", [0.05, 0.3, 1.0, 4.0])
 def test_laplace_transform_lognormal_matches_gauss_hermite(s):
     nodes, weights = np.polynomial.hermite_e.hermegauss(200)
@@ -688,6 +697,10 @@ def test_rate_fit_synthetic_powers():
 def test_rate_fit_requires_three_positive_points():
     with pytest.raises(ValueError):
         rate_fit([(10, 0.1), (100, 0.0), (1000, 0.0)])
+    # three points at one n fix no slope: an error, not a rank warning and an arbitrary fit
+    for axis in ("log-log", "log-linear"):
+        with pytest.raises(ValueError, match="2 or more distinct n"):
+            rate_fit([(100, 0.1), (100, 0.01), (100, 0.001)], axis=axis)
     with pytest.raises(ValueError):
         rate_fit([(10, 0.1), (100, 0.01)], axis="nope")
     # a non-finite point is an error, not a NaN slope or an SVD failure
