@@ -221,6 +221,8 @@ def _read_points_csv(path):
                 raise UsageError(f"{path}: line {i}: needs numbers in columns {n_idx + 1} and {p_idx + 1}") from None
             if not all(map(math.isfinite, point)):
                 raise UsageError(f"{path}: line {i}: needs finite numbers in columns {n_idx + 1} and {p_idx + 1}")
+            if point[0] < 1:
+                raise UsageError(f"{path}: line {i}: n must be >= 1, not {cells[n_idx]}")
             points.append(point)
     return points
 

@@ -143,7 +143,8 @@ class RadiusSchedule:
     """Disappointment-exponent schedule n -> lambda(n), with radius r(n) = lambda(n)/n.
 
     Kinds (SCHEDULE_KINDS): "logn", "loglogn", and "power" (lambda = c * n^beta
-    with beta in (0,1)). A constant lambda is EstimatorConfig(lam=...).
+    with beta in (0,1)); only "power" takes a beta. A constant lambda is
+    EstimatorConfig(lam=...).
     """
 
     kind: str
@@ -155,8 +156,11 @@ class RadiusSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not 0 < self.c < math.inf:  # NaN fails too
             raise ValueError("schedule coefficient must be positive and finite")
-        if 2 in SCHEDULE_KINDS[self.kind][1] and not (0.0 < self.beta < 1.0):  # a second parameter is beta
+        takes_beta = 2 in SCHEDULE_KINDS[self.kind][1]  # a second parameter is beta
+        if takes_beta and not (0.0 < self.beta < 1.0):
             raise ValueError(f"{self.kind} schedule requires beta in (0, 1)")
+        if not takes_beta and self.beta != 0.0:  # NaN too: a beta the kind never reads is an error
+            raise ValueError(f"{self.kind} schedule takes no beta")
 
     def lam(self, n: int) -> float:
         """lambda(n); positive for every n from the kind's least."""

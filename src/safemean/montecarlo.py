@@ -7,9 +7,11 @@ regardless of batching or worker-thread count. Trial i of seed s is the
 uniforms U that default_rng(SeedSequence((s, i))) draws, put through the
 law's inverse_cdf; a Pareto value is exp(log(1 - U) * (-1/shape)) * scale
 (Pareto.inverse_cdf bounds its error). Streams are built a block of trials
-at a time: the SeedSequence hash runs in uint32 arithmetic over the whole
-block, and each row's PCG64 is seeded in C (pcg64_set_seed) from that row's
-hashed words. It is drawn, transformed, averaged, screened and
+at a time: the SeedSequence hash and the 128-bit (state, inc) that numpy's
+pcg64_set_seed makes of it run in 32-bit limbs over the whole block, and
+each row is drawn by writing its state into the C state of one PCG64 per
+thread, whose layout is checked once when it is built (_state_view). It is
+drawn, transformed, averaged, screened and
 estimated one tile of dual._TILE_VALUES values at a time, in L2, so a worker
 holds about three tiles, never a block. _draw_tiles is the one routine that
 draws a trial: draw_sample is one row of it. The screen and the estimator
@@ -45,9 +47,10 @@ rates and variance-ratio curves in rates.py.
 
 from __future__ import annotations
 
-import functools
+import ctypes
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -128,11 +131,11 @@ def _words(x: int) -> list:
 
 
 def _seed_state(entropy: list) -> list:
-    """SeedSequence(entropy).generate_state(4, np.uint64) as 8 uint32 words.
+    """SeedSequence(entropy).generate_state(4, np.uint64) as 8 32-bit words, low word first.
 
-    Each entropy word is an int or a uint32 array holding one word per row, so
-    one pass seeds a whole block; words that are the same for every row stay
-    Python ints (masked to 32 bits) until a per-row word is mixed in.
+    Each entropy word is an int or a uint64 array holding one 32-bit word per
+    row, so one pass seeds a whole block; words that are the same for every
+    row stay Python ints (masked to 32 bits) until a per-row word is mixed in.
     """
     hash_const = _INIT_A
 
@@ -165,27 +168,82 @@ def _seed_state(entropy: list) -> list:
     return state
 
 
-@functools.cache
-def _row_seed():
-    """The _RowSeed class, defined on first use: ISeedSequence lives in
-    numpy.random, which importing the package does not load."""
-    from numpy.random.bit_generator import ISeedSequence
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h) as 32-bit limbs, low limb first
+_PCG_MULT = [0x2360ED051FC65DA44385DF649FCCF645 >> k & _M32 for k in range(0, 128, 32)]
+_M64 = 0xFFFFFFFFFFFFFFFF
 
-    class _RowSeed(ISeedSequence):
-        """One trial's seed sequence, already hashed: PCG64 asks it for
-        generate_state(4, np.uint64) and runs pcg64_set_seed on the words in C."""
 
-        __slots__ = ("words",)
+def _add128(x: list, y: list) -> list:
+    """x + y mod 2**128, each four 32-bit limbs, low limb first."""
+    out, carry = [], 0
+    for a, b in zip(x, y):
+        t = a + b + carry
+        out.append(t & _M32)
+        carry = t >> 32
+    return out
 
-        def __init__(self, words: np.ndarray):
-            self.words = words  # one C-contiguous row of four uint64 words
 
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or dtype is not np.uint64:  # a numpy that seeds PCG64 otherwise draws other streams
-                raise RuntimeError(f"PCG64 asked for generate_state({n_words}, {dtype!r}), not (4, np.uint64)")
-            return self.words
+def _mul128(x: list, y: list) -> list:
+    """x * y mod 2**128 in 32-bit limbs; a limb product plus two limbs is at most 2**64 - 1, so a uint64 holds it."""
+    out = [0] * 4
+    for i in range(4):
+        carry = 0
+        for j in range(4 - i):
+            t = out[i + j] + x[i] * y[j] + carry
+            out[i + j] = t & _M32
+            carry = t >> 32
+    return out
 
-    return _RowSeed
+
+def _pcg64_state(w: list) -> list:
+    """The C state numpy's PCG64 seeds itself with (pcg64_set_seed) from generate_state(4, np.uint64) = g,
+    given as _seed_state's 8 words (g_k = w[2k] | w[2k + 1] << 32): the four uint64 words of its
+    pcg64_random_t, state lo, state hi, inc lo, inc hi. With initstate = g0:g1 and initseq = g2:g3 (high
+    word first), inc = initseq << 1 | 1 and state = ((inc + initstate) * M + inc) mod 2**128: the LCG's
+    two steps from 0 (O'Neill 2014). Each word is an int or a uint64 array of 32-bit values, one per row."""
+    seq = [w[6], w[7], w[4], w[5]]
+    inc = [(seq[0] << 1 | 1) & _M32] + [(seq[k] << 1 | seq[k - 1] >> 31) & _M32 for k in (1, 2, 3)]
+    state = _add128(_mul128(_add128(inc, [w[2], w[3], w[0], w[1]]), _PCG_MULT), inc)
+    return [state[0] | state[1] << 32, state[2] | state[3] << 32, inc[0] | inc[1] << 32, inc[2] | inc[3] << 32]
+
+
+def _reported_state(bit_generator) -> list:
+    """A PCG64's state and increment as its state property reports them: state lo, state hi, inc lo, inc hi."""
+    words = bit_generator.state["state"]
+    return [words["state"] & _M64, words["state"] >> 64, words["inc"] & _M64, words["inc"] >> 64]
+
+
+def _state_view(bit_generator) -> np.ndarray:
+    """A writable uint64[4] view of a PCG64's C state, the pcg64_random_t its ctypes.state_address points
+    to: state lo, state hi, inc lo, inc hi. Raises RuntimeError unless that layout holds: the words lie
+    inside the PCG64 object, they are what its state property reports, and after a write it reports the
+    words written. A numpy that keeps its 128-bit words high word first fails the check."""
+    address = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
+    if not id(bit_generator) <= address <= id(bit_generator) + type(bit_generator).__basicsize__ - 32:
+        raise RuntimeError("the PCG64 state pointer does not point into the PCG64 object")
+    view = np.frombuffer((ctypes.c_uint64 * 4).from_address(address), dtype=np.uint64)
+    words = view.tolist()
+    if _reported_state(bit_generator) != words:
+        raise RuntimeError("the PCG64 C state is not laid out as state lo, state hi, inc lo, inc hi")
+    flipped = [word ^ _M64 for word in words]
+    view[:] = flipped
+    if _reported_state(bit_generator) != flipped:
+        raise RuntimeError("the PCG64 state does not read back the words written to its C state")
+    return view
+
+
+_THREAD = threading.local()
+
+
+def _thread_generator():
+    """This thread's Generator and the _state_view of its PCG64, built on first use and never shared between
+    threads: a row is drawn by writing its state into the view, then one random(out=row)."""
+    try:
+        return _THREAD.generator
+    except AttributeError:
+        bit_generator = np.random.PCG64(0)
+        _THREAD.generator = np.random.Generator(bit_generator), _state_view(bit_generator)
+        return _THREAD.generator
 
 
 def _draw_tiles(spec: DistributionSpec, seed: int, start: int, rows: int, n: int):
@@ -195,30 +253,30 @@ def _draw_tiles(spec: DistributionSpec, seed: int, start: int, rows: int, n: int
 
     Row j is the uniforms default_rng(SeedSequence((seed, start + j))) draws,
     bit for bit, put through spec.inverse_cdf (a Pareto value is
-    exp(log(1 - U) * (-1/shape)) * scale): the seed sequence is hashed for
-    all rows at once, and each row's generator is a PCG64 seeded in C from
-    that row's hashed words (_RowSeed). T is transformed in place with the
-    same ufuncs in the same order and reduced while in L2; it holds its rows
-    until the next tile. A draw that overflows a float raises DualSolverError.
+    exp(log(1 - U) * (-1/shape)) * scale): the seed sequence is hashed and the
+    PCG64 state that numpy would seed from it is computed for all rows at once
+    (_pcg64_state), and each row is drawn by writing its state into this
+    thread's one generator (_thread_generator), so iterators may interleave. T
+    is transformed in place with the same ufuncs in the same order and reduced
+    while in L2; it holds its rows until the next tile. A draw that overflows a
+    float raises DualSolverError.
     """
     if rows == 1:
         index = _words(start)
     elif start + rows <= 1 << 32:
-        index = [np.arange(start, start + rows, dtype=np.uint32)]
+        index = [np.arange(start, start + rows, dtype=np.uint64)]
     else:
         raise ValueError("trial indices must stay below 2**32")
-    w = np.empty((8, rows), dtype=np.uint64)
-    for k, word in enumerate(_seed_state(_words(seed) + index)):
-        w[k] = word
-    # generate_state(4, np.uint64) is (w0 | w1 << 32, ..., w6 | w7 << 32): one row per trial
-    words = iter((w[0::2] | w[1::2] << 32).T.copy())
-    row_seed, pcg64, generator = _row_seed(), np.random.PCG64, np.random.Generator
+    # one row of (state lo, state hi, inc lo, inc hi) per trial
+    states = np.array(_pcg64_state(_seed_state(_words(seed) + index)), dtype=np.uint64).reshape(4, rows).T
     tile = _tile_rows(n)
     buf = np.empty((min(tile, rows), n))
     for i in range(0, rows, tile):
         T = buf[: min(tile, rows - i)]
-        for row, state in zip(T, words):
-            generator(pcg64(row_seed(state))).random(out=row)
+        generator, state = _thread_generator()  # per tile: a resumed iterator may be on another thread
+        for row, words in zip(T, states[i:]):
+            state[:] = words
+            generator.random(out=row)
         with np.errstate(over="ignore"):  # an overflowing draw is inf, which raises below
             spec.inverse_cdf(T)
         tops = T.max(axis=1)

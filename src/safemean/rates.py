@@ -122,12 +122,15 @@ def cramer_rate(spec: DistributionSpec, b: float) -> float:
 def rate_fit(points: Sequence, axis: str = "log-log") -> RateFit:
     """Least squares of log p against log n (axis="log-log") or n (axis="log-linear").
 
-    Every point must be finite; those with p_hat <= 0 are dropped, and 3 positive ones at 2 distinct n are needed.
+    Every point must be finite with n >= 1; those with p_hat <= 0 are dropped, and 3 positive ones at 2
+    distinct n are needed.
     """
     if axis not in ("log-log", "log-linear"):
         raise ValueError(f"unknown axis {axis!r}")
     if not np.all(np.isfinite(np.asarray(points, dtype=float))):
         raise ValueError("every point must be finite")
+    if any(n < 1 for n, _ in points):
+        raise ValueError("every point's n must be >= 1")
     kept = [(float(n), float(p)) for n, p in points if p > 0.0]
     x = np.array([math.log(n) if axis == "log-log" else n for n, _ in kept])
     if len(kept) < 3 or len(set(x)) < 2:  # points at one n fix no slope

@@ -296,6 +296,21 @@ def test_rates_short_or_non_numeric_row_is_usage_error(tmp_path, capsys, text, l
     assert capsys.readouterr().err.startswith(f"error: {csv}: line {line}: ")
 
 
+@pytest.mark.parametrize(
+    "text, line, axis",
+    [
+        ("n,p_hat\n0,0.1\n100,0.01\n1000,0.001\n", 2, "log-log"),
+        ("n,p_hat\n10,0.1\n-5,0.01\n1000,0.001\n", 3, "log-linear"),
+        ("n,p_hat\n10,0.1\n100,0.01\n1000,0.001\n0.5,0\n", 5, "log-log"),
+    ],
+)
+def test_rates_sample_size_below_one_is_usage_error(tmp_path, capsys, text, line, axis):
+    csv = tmp_path / "pts.csv"
+    csv.write_text(text)
+    assert main(["rates", "--from-csv", str(csv), "--axis", axis]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {csv}: line {line}: n must be >= 1, not ")
+
+
 @pytest.mark.parametrize("threads", ["0", "-5"])
 def test_simulate_rejects_fewer_than_one_thread(capsys, threads):
     argv = ["simulate", "--dist", "pareto:2.5:1", "--estimator", "mean", "--n", "20", "--trials", "10"]

@@ -248,6 +248,14 @@ def test_radius_schedule_validation():
         RadiusSchedule.log_n().lam(0)
 
 
+@pytest.mark.parametrize("kind", ["logn", "loglogn"])
+@pytest.mark.parametrize("beta", [0.5, -1.0, math.nan])
+def test_radius_schedule_rejects_a_beta_its_kind_does_not_take(kind, beta):
+    # logn and loglogn read c alone, so a beta would be silently ignored
+    with pytest.raises(ValueError, match=f"{kind} schedule takes no beta"):
+        RadiusSchedule(kind, 1.0, beta)
+
+
 def test_read_sample_file(tmp_path):
     path = tmp_path / "sample.txt"
     path.write_text("0\n2.5\n\n1e-3\n")

@@ -38,6 +38,12 @@ def test_cli_import_loads_no_scipy():
     assert json.loads(_child("import safemean.cli\n" + SCIPY_MODULES)[-1]) == []
 
 
+def test_package_import_loads_no_numpy_random_and_no_scipy():
+    # the harness builds its per-thread generator on the first draw
+    code = "import safemean\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random'] or m.split('.')[0] == 'scipy')))"
+    assert json.loads(_child(code)[-1]) == []
+
+
 def test_cli_import_loads_no_thread_pool_and_no_decimal():
     # concurrent.futures is imported where a pool of worker threads starts, decimal by the enumeration's pmf
     code = "import safemean.cli\nprint(json.dumps(sorted(m for m in ('concurrent.futures', 'decimal') if m in sys.modules)))"

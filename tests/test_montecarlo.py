@@ -1,5 +1,8 @@
+import ctypes
 import math
 import tracemalloc
+import types
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -105,17 +108,113 @@ def test_block_draw_matches_per_trial_generators(spec, seed):
             assert np.array_equal(got, np.sort(reference_draw(spec, n, seed, stream))), n
 
 
-def test_row_seed_gives_pcg64_only_the_words_it_was_built_for():
-    # PCG64 seeds itself from generate_state(4, np.uint64); any other request
-    # means numpy seeds it otherwise, and the streams would silently differ
-    words = np.random.SeedSequence((7, 3)).generate_state(4, np.uint64)
-    row_seed = montecarlo._row_seed()(words)
-    assert row_seed.generate_state(4, np.uint64) is words
-    for n_words, dtype in ((4, np.uint32), (8, np.uint64), (2, np.uint64)):
-        with pytest.raises(RuntimeError, match="generate_state"):
-            row_seed.generate_state(n_words, dtype)
-    got = np.random.Generator(np.random.PCG64(row_seed)).random(5)
-    assert np.array_equal(got, np.random.default_rng(np.random.SeedSequence((7, 3))).random(5))
+SEEDS = (0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5)
+INDICES = (0, 1, 4095, 2**32 - 1)
+
+
+def _numpy_state(bit_generator) -> list:
+    """A PCG64's (state, inc) as the four uint64 words _pcg64_state gives: state lo, state hi, inc lo, inc hi."""
+    words = bit_generator.state["state"]
+    return [words["state"] % 2**64, words["state"] >> 64, words["inc"] % 2**64, words["inc"] >> 64]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_seed_state_of_a_block_and_of_one_row_is_what_pcg64_seeds_itself_with(seed):
+    # the block form hashes a uint64 array of indices, the one-row form (draw_sample) Python ints
+    block = montecarlo._pcg64_state(montecarlo._seed_state(montecarlo._words(seed) + [np.array(INDICES, np.uint64)]))
+    for j, index in enumerate(INDICES):
+        expected = _numpy_state(np.random.PCG64(np.random.SeedSequence((seed, index))))
+        assert [int(word[j]) for word in block] == expected, index
+        row = montecarlo._pcg64_state(montecarlo._seed_state(montecarlo._words(seed) + montecarlo._words(index)))
+        assert row == expected, index
+
+
+class _Words(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands PCG64 the given generate_state(4, np.uint64) words, so numpy's own
+    pcg64_set_seed is the reference for any words."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert (n_words, dtype) == (4, np.uint64)
+        return self.words
+
+
+@pytest.mark.parametrize("limbs", [[2**32 - 1] * 8, [2**32 - 1, 0] * 4, [0, 2**32 - 1] * 4, [0] * 8, [1] + [0] * 7])
+def test_seed_state_limbs_carry_as_pcg64_does(limbs):
+    # all-ones limbs carry out of every limb of the add and of every limb product; the state's words
+    # are the same from ints and from uint64 arrays of them
+    g = [limbs[2 * k] | limbs[2 * k + 1] << 32 for k in range(4)]
+    expected = _numpy_state(np.random.PCG64(_Words(g)))
+    assert montecarlo._pcg64_state(limbs) == expected
+    arrays = montecarlo._pcg64_state([np.full(3, limb, np.uint64) for limb in limbs])
+    assert [word.tolist() for word in arrays] == [[word] * 3 for word in expected]
+
+
+class _OtherWords(np.random.PCG64):
+    """A PCG64 whose state property reports an increment other than its C state's."""
+
+    @property
+    def state(self):
+        state = np.random.PCG64.state.__get__(self)
+        state["state"]["inc"] ^= 2
+        return state
+
+
+class _Frozen(np.random.PCG64):
+    """A PCG64 whose state property reports its first state whatever is written after."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.first = np.random.PCG64.state.__get__(self)
+
+    @property
+    def state(self):
+        return self.first
+
+
+class _Elsewhere(np.random.PCG64):
+    """A PCG64 whose state_address points at words outside the object."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.outside = np.zeros(4, np.uint64)
+        self.pointer = ctypes.c_void_p(self.outside.ctypes.data)
+
+    @property
+    def ctypes(self):
+        return types.SimpleNamespace(state_address=ctypes.addressof(self.pointer))
+
+
+@pytest.mark.parametrize(
+    "bit_generator, message",
+    [(_OtherWords, "laid out"), (_Frozen, "read back"), (_Elsewhere, "does not point into")],
+)
+def test_state_view_rejects_a_layout_it_cannot_confirm(bit_generator, message):
+    with pytest.raises(RuntimeError, match=message):
+        montecarlo._state_view(bit_generator(5))
+
+
+def test_each_thread_draws_with_its_own_generator():
+    here = montecarlo._thread_generator()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        there = pool.submit(montecarlo._thread_generator).result()
+    assert montecarlo._thread_generator() is here
+    assert there[0] is not here[0] and there[1].ctypes.data != here[1].ctypes.data
+
+
+def test_seed_interleaved_tiled_draws_match_their_streams():
+    # two iterators advanced alternately in one thread share its generator: each row's state is written
+    # before its fill, so each matches its own streams; 6 rows per tile at n = 20000, 3 tiles each
+    spec, n, rows = Pareto(2.5, 1.0), 20000, 13
+    first, second = _draw_tiles(spec, 7, 0, rows, n), _draw_tiles(spec, 11, 4094, rows, n)
+    got = {7: [], 11: []}
+    for (T7, _, _), (T11, _, _) in zip(first, second):
+        got[7].append(T7.copy())
+        got[11].append(T11.copy())
+    assert np.array_equal(np.concatenate(got[7]), reference_block(spec, 7, 0, rows, n))
+    assert np.array_equal(np.concatenate(got[11]), reference_block(spec, 11, 4094, rows, n))
 
 
 TILE_GRID_N = (1, 2, 7, 8, 9, 100, 1000, 3000, 20000)
@@ -707,6 +806,11 @@ def test_rate_fit_requires_three_positive_points():
     for bad in [(100, math.inf), (math.nan, 0.01), (100, math.nan)]:
         with pytest.raises(ValueError, match="every point must be finite"):
             rate_fit([(10, 0.1), bad, (1000, 0.001), (10000, 1e-4)])
+    # a sample size below 1 is an error on either axis, also where its p_hat would be dropped
+    for axis in ("log-log", "log-linear"):
+        for bad in [(0, 0.1), (-5, 0.1), (0.5, 0.1), (-5, 0.0)]:
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                rate_fit([(10, 0.1), bad, (1000, 0.001), (10000, 1e-4)], axis=axis)
 
 
 def test_variance_ratio_point_mass_zero():
