@@ -1,8 +1,8 @@
 """Core domain types: samples, discrete distributions, radius schedules,
 and parametric generative models.
 
-Each law holds its formulas as methods (mean, survival, inverse_cdf, scaled,
-radius_limit, expect), so no other module tests a law's type.
+Each law holds its formulas as methods (mean, survival, minimum, inverse_cdf,
+scaled, radius_limit, expect), so no other module tests a law's type.
 
 Everything here is immutable after construction and safe to share across
 threads; all operations are pure.
@@ -219,6 +219,9 @@ class Pareto:
     def survival(self, u: float) -> float:
         return 1.0 if u < self.scale else (self.scale / u) ** self.shape
 
+    def minimum(self) -> float:
+        return self.scale
+
     def inverse_cdf(self, T: np.ndarray) -> None:
         """Uniforms T to draws, in place: exp(y) * scale, y = log(1 - U) * (-1/shape).
 
@@ -273,6 +276,9 @@ class LogNormal:
     def survival(self, u: float) -> float:
         return 1.0 if u <= 0 else 0.5 * math.erfc((math.log(u) - self.mu) / self.sigma / math.sqrt(2.0))
 
+    def minimum(self) -> float:  # the infimum of the support, which z never takes
+        return 0.0
+
     def inverse_cdf(self, T: np.ndarray) -> None:
         from scipy.special import ndtri
 
@@ -319,6 +325,9 @@ class ScaledBernoulli:
     def survival(self, u: float) -> float:
         return 1.0 if u < 0 else self.p if u < self.high else 0.0
 
+    def minimum(self) -> float:
+        return self.high if self.p == 1.0 else 0.0
+
     def inverse_cdf(self, T: np.ndarray) -> None:
         np.less(T, self.p, out=T)
         T *= self.high
@@ -326,8 +335,8 @@ class ScaledBernoulli:
     def scaled(self, c: float) -> "ScaledBernoulli":
         return ScaledBernoulli(self.p, self.high / c)
 
-    def radius_limit(self) -> float:  # 0 for a point mass (p = 1); an atom at 0 makes E[1/z] infinite
-        return 0.0 if self.p == 1.0 else math.inf
+    def radius_limit(self) -> float:  # 0 for a point mass (p = 0 or 1, or high = 0); an atom at 0 makes E[1/z] infinite
+        return 0.0 if self.p in (0.0, 1.0) or self.high == 0.0 else math.inf
 
     def expect(self, c: float, g, epsabs: float) -> float:
         return (1.0 - self.p) * g(0.0) + self.p * g(c * self.high)
@@ -347,6 +356,9 @@ class UniformBounded:
 
     def survival(self, u: float) -> float:
         return 1.0 if u <= self.lo else 0.0 if u >= self.hi else (self.hi - u) / (self.hi - self.lo)
+
+    def minimum(self) -> float:
+        return self.lo
 
     def inverse_cdf(self, T: np.ndarray) -> None:
         T *= self.hi - self.lo
@@ -384,26 +396,6 @@ def true_mean(spec: DistributionSpec) -> float:
 def survival_probability(spec: DistributionSpec, u: float) -> float:
     """P[z > u] for the generative model."""
     return _law(spec).survival(u)
-
-
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    """Maximizer of a unimodal f on [lo, hi] by golden-section search: the
-    midpoint of the first bracket within tol * max(1, |lo| + |hi|)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(300):
-        if hi - lo <= tol * max(1.0, abs(lo) + abs(hi)):
-            break
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ transform and the Cramer rate take c = -s, the population dual and the
 variance ratio c = atilde. The rate and the ratio do not change when z is
 scaled, so both are computed for the law scaled to mean 1 (scaled(mean)).
 scipy is imported inside the routines that use it (quad by core's one
-quadrature, digamma here), so importing the package loads numpy alone.
+quadrature; here Brent's bracketed methods from scipy.optimize, and digamma),
+so importing the package loads numpy alone.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DistributionSpec, UniformBounded, _golden_max, _law, true_mean
+from .core import DistributionSpec, UniformBounded, _law, true_mean
 
 __all__ = [
     "RateFit",
@@ -74,11 +75,11 @@ def _log1p_excess(v: float) -> float:
 def cramer_rate(spec: DistributionSpec, b: float) -> float:
     """Left-tail large-deviation exponent sup_{s>0} (b - mu) s - log E[exp(-s z)].
 
-    Zero at b = 0; positive for b in (0, mu]; +inf when the event
-    mean < mu - b is impossible (b beyond mu minus the support minimum).
-    The rate is unchanged by z -> z / mu, b -> b / mu, so it is computed at
-    mean 1. The objective is concave in s: s is halved or doubled from 1 until
-    the maximum is bracketed, then golden section runs in log s, so a
+    Zero at b = 0; positive for b in (0, mu]; +inf, before any search, when the event
+    mean < mu - b is impossible: P[z <= mu - b] = 0, so mu - b is at most the law's minimum
+    and survival is 1 there, with no atom. The rate is unchanged by z -> z / mu, b -> b / mu,
+    so it is computed at mean 1. The objective is concave in s: s is halved or doubled from
+    1 until the maximum is bracketed, then a bounded Brent search runs in log s, so a
     maximizer far below 1 is found (5e-17 for LogNormal(0, 5) at b = 0.5).
     While x = E[expm1(-s z)] > -1/2 it is b s - q + (x - log1p(x)), q = x + s mu,
     free of cancellation near s = 0 (_exp_excess, _log1p_excess). A saturating
@@ -89,8 +90,8 @@ def cramer_rate(spec: DistributionSpec, b: float) -> float:
     if b == 0.0:
         return 0.0
     mu = true_mean(spec)
-    if mu == 0.0:
-        return math.inf  # z = 0 almost surely
+    if mu - b <= spec.minimum() and spec.survival(mu - b) == 1.0:  # above it, survival alone can round to 1
+        return math.inf  # P[z <= mu - b] = 0, also where z = 0 almost surely
     spec, b = spec.scaled(mu), b / mu
     mu = true_mean(spec)
 
@@ -116,7 +117,10 @@ def cramer_rate(spec: DistributionSpec, b: float) -> float:
         expansions += 1
         if expansions > 120 or f_cur > 1e6:
             return math.inf  # event is impossible; rate grows without bound
-    return max(f(_golden_max(f, t - 2.0 * h, t, 1e-9)), 0.0)
+    from scipy.optimize import minimize_scalar
+
+    peak = minimize_scalar(lambda t: -f(t), bounds=(t - 2.0 * h, t), method="bounded", options={"xatol": 1e-9})
+    return max(float(-peak.fun), 0.0)
 
 
 def rate_fit(points: Sequence, axis: str = "log-log") -> RateFit:
@@ -150,6 +154,20 @@ def _population_radius(spec: DistributionSpec, atilde: float) -> float:
     return e_log + math.log(e_inv)
 
 
+def _unit_dual_point(unit: DistributionSpec, limit: float, r: float) -> float:
+    """The root atilde of r(atilde) = r, for a law of mean 1 whose r(inf) is limit, by brentq in log atilde."""
+    if r >= limit:
+        raise ValueError(f"radius {r!r} too large: r(atilde) stays below E log z + log E[1/z] = {limit!r}")
+    hi = 1.0
+    while _population_radius(unit, hi) < r:
+        hi *= 4.0
+        if hi > MAX_ATILDE:
+            raise ValueError(f"radius {r!r} too large: population dual bracket not found")
+    from scipy.optimize import brentq
+
+    return math.exp(brentq(lambda t: _population_radius(unit, math.exp(t)) - r, math.log(1e-14), math.log(hi)))
+
+
 def solve_population_dual(spec: DistributionSpec, r: float) -> float:
     """Reciprocal dual variable atilde = 1/alpha at population level for radius r.
 
@@ -163,22 +181,7 @@ def solve_population_dual(spec: DistributionSpec, r: float) -> float:
     mu = true_mean(spec)
     if mu == 0.0:
         raise ValueError("z = 0 almost surely: no population dual point")
-    limit = spec.radius_limit()
-    if r >= limit:
-        raise ValueError(f"radius {r!r} too large: r(atilde) stays below E log z + log E[1/z] = {limit!r}")
-    unit = spec.scaled(mu)
-    lo, hi = 1e-14, 1.0
-    while _population_radius(unit, hi) < r:
-        hi *= 4.0
-        if hi > MAX_ATILDE:
-            raise ValueError(f"radius {r!r} too large: population dual bracket not found")
-    for _ in range(90):
-        mid = math.sqrt(lo * hi)
-        if _population_radius(unit, mid) < r:
-            lo = mid
-        else:
-            hi = mid
-    return math.sqrt(lo * hi) / mu
+    return _unit_dual_point(spec.scaled(mu), spec.radius_limit(), r) / mu
 
 
 def variance_ratio_curve(spec: DistributionSpec, r_grid: Sequence[float]):
@@ -190,17 +193,15 @@ def variance_ratio_curve(spec: DistributionSpec, r_grid: Sequence[float]):
     of the law scaled to mean 1; the ratio does not depend on the scale. A
     law with r(inf) = 0, a point mass, has ratio 0 at every radius.
     """
-    constant = _law(spec).radius_limit() == 0.0
+    limit = _law(spec).radius_limit()
+    if not all(r > 0 for r in r_grid):  # NaN fails too
+        raise ValueError("radii must be positive")
+    if limit == 0.0:
+        return [(float(r), 0.0) for r in r_grid]
+    unit = spec.scaled(spec.mean())
     out = []
     for r in r_grid:
-        if not r > 0:  # NaN fails too
-            raise ValueError("radii must be positive")
-        if constant:
-            out.append((float(r), 0.0))
-            continue
-        mu = true_mean(spec)
-        atilde = solve_population_dual(spec, r) * mu
-        unit = spec.scaled(mu)
+        atilde = _unit_dual_point(unit, limit, r)
         e1 = unit.expect(atilde, math.log1p, 1e-15)
         e2 = unit.expect(atilde, lambda z: math.log1p(z) ** 2, 1e-15)
         out.append((float(r), (e2 - e1 * e1) / r))

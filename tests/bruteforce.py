@@ -3,16 +3,17 @@ independent check that criterion 2 and tests/test_oracle.py hold the dual
 solver to.
 
 It shares no code with the solver in safemean.dual or with the probe in
-safemean.oracle: it reads only Sample and the golden-section search
-core._golden_max from the package, and has its own _kl_rows and its own
-zero-first support layout.
+safemean.oracle: it reads only Sample from the package, refines its tilt with
+scipy's bounded Brent search, and has its own _kl_rows and its own zero-first
+support layout.
 """
 
 import math
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
-from safemean.core import Sample, _golden_max
+from safemean.core import Sample
 
 MAX_ORACLE_SUPPORT = 64
 BRUTEFORCE_RESTARTS = 32  # random simplex starting points of the brute-force search
@@ -125,8 +126,8 @@ def kl_projection_bruteforce(
             best = min(best, feasible_min(Q))
 
     # derivative-free refinement within the tilt family: the repaired and
-    # zero-pushed value is smooth in the tilt parameter, so a golden-section
-    # sweep around the best coarse grid point closes the remaining gap
+    # zero-pushed value is smooth in the tilt parameter, so a bounded Brent
+    # search around the best coarse grid point closes the remaining gap
     def tilt_values(log_gammas: np.ndarray) -> np.ndarray:
         q = np.maximum(w, 1e-9) / (np.exp(log_gammas)[:, None] + vals)
         return feasible_means(q / q.sum(axis=1, keepdims=True))
@@ -139,5 +140,5 @@ def kl_projection_bruteforce(
     center = int(np.argmin(coarse))
     lo = log_grid[max(0, center - 1)]
     hi = log_grid[min(log_grid.size - 1, center + 1)]
-    refined = tilt_value(_golden_max(lambda lg: -tilt_value(lg), lo, hi, 1e-10))
+    refined = minimize_scalar(tilt_value, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10}).fun
     return min(best, min(coarse), refined)

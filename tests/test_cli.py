@@ -351,6 +351,23 @@ def test_rates_variance_ratio_of_a_point_mass_is_zero(tmp_path, dist):
     assert out.read_text().splitlines()[-3:] == ["r,ratio", "0.01,0", "0.001,0"]
 
 
+def test_rates_cramer_of_an_impossible_event_at_the_minimum_is_null(capsys):
+    # mu - b = 0 is the minimum of uniform:0:1 with no atom there, so the event is impossible
+    assert main(["rates", "--cramer", "--dist", "uniform:0:1", "--b", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["rate"] is None
+
+
+@pytest.mark.parametrize("dist", ["bern:0.5:0", "bern:0:2"])
+def test_rates_variance_ratio_of_a_law_at_zero_is_that_of_point_0(tmp_path, dist):
+    # z = 0 almost surely, spelled three ways: the same rows, a ratio of 0
+    rows = {}
+    for spelling in (dist, "point:0"):
+        out = tmp_path / "curve.csv"
+        assert main(["rates", "--variance-ratio", "--dist", spelling, "--r-grid", "1e-2", "--out", str(out)]) == 0
+        rows[spelling] = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert rows[dist] == rows["point:0"] == ["r,ratio", "0.01,0"]
+
+
 def test_rates_requires_a_mode(capsys):
     assert main(["rates"]) == 2
 

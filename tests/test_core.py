@@ -303,6 +303,25 @@ def test_radius_limit_matches_the_50_digit_reference(spec):
     assert spec.radius_limit() == pytest.approx(float(reference.radius_limit(spec)), rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "spec, least, above_least",
+    [
+        (Pareto(2.5, 3.0), 3.0, 1.0),
+        (LogNormal(0.0, 1.5), 0.0, 1.0),
+        (UniformBounded(0.5, 2.0), 0.5, 1.0),
+        (ScaledBernoulli(0.5, 2.0), 0.0, 0.5),
+        (ScaledBernoulli(1.0, 2.0), 2.0, 0.0),
+        (ScaledBernoulli(0.0, 2.0), 0.0, 0.0),
+    ],
+    ids=repr,
+)
+def test_minimum_is_the_support_infimum(spec, least, above_least):
+    # survival is exactly 1 below the minimum, and at it too unless z has an atom there
+    assert spec.minimum() == least
+    assert spec.survival(least - 1.0) == 1.0
+    assert spec.survival(least) == above_least
+
+
 @pytest.mark.parametrize("spec", [UniformBounded(0.0, 1.0), ScaledBernoulli(0.5, 2.0)], ids=repr)
 def test_radius_limit_is_infinite_with_mass_or_density_at_zero(spec):
     assert spec.radius_limit() == math.inf

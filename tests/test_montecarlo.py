@@ -784,6 +784,43 @@ def test_cramer_rate_is_scale_free(c):
             assert cramer_rate(scaled, c * b) == pytest.approx(cramer_rate(spec, b), rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "spec,b",
+    [
+        (UniformBounded(0.0, 1.0), 0.5),
+        (UniformBounded(0.0, 3.0), 1.5),
+        (UniformBounded(0.0, 1e-300), 5e-301),
+        (UniformBounded(0.5, 1.5), 0.5),
+        (Pareto(2.5, 1.0), 2.0 / 3.0),
+        (ScaledBernoulli(0.5, 2.0), 1.5),
+    ],
+    ids=repr,
+)
+def test_cramer_rate_is_infinite_where_no_mass_lies_at_or_below_mu_minus_b(spec, b):
+    # P[z <= mu - b] = 0: mu - b is the law's minimum with no atom there, or below it; the search
+    # used to return a finite rate at the minimum (37.28535178716628 for the first three)
+    assert spec.survival(true_mean(spec) - b) == 1.0
+    assert cramer_rate(spec, b) == math.inf
+
+
+def test_cramer_rate_is_finite_where_survival_rounds_to_one_above_the_minimum():
+    # P[z <= 1e-4] is about 1e-20 for LogNormal(0, 1), and 5.6e-17 for the uniform on [0, 1] one ulp
+    # below b = 1/2: survival rounds to 1.0 at both, yet each event is possible and its rate finite
+    spec = LogNormal(0.0, 1.0)
+    assert spec.survival(1e-4) == 1.0
+    assert cramer_rate(spec, true_mean(spec) - 1e-3) < cramer_rate(spec, true_mean(spec) - 1e-4) < math.inf
+    assert UniformBounded(0.0, 1.0).survival(0.5 - math.nextafter(0.5, 0.0)) == 1.0
+    assert cramer_rate(UniformBounded(0.0, 1.0), math.nextafter(0.5, 0.0)) < math.inf
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 18: E exp(-s z) underflows at the maximizer near the minimum")
+@pytest.mark.parametrize("spec,b", [(Pareto(2.5, 1.0), 2.0 / 3.0 - 1e-9), (UniformBounded(0.5, 1.5), 0.4999999)], ids=repr)
+def test_cramer_rate_near_the_minimum_matches_the_50_digit_reference(spec, b):
+    # the rate is finite (18.8069750998468 and 15.1180956509296), but the maximizer is near s = 1e7 to
+    # 1e9, where exp(-s min z) underflows, and the search returns inf
+    assert cramer_rate(spec, b) == pytest.approx(float(reference.cramer_rate(spec, b)), rel=1e-12, abs=0.0)
+
+
 def test_rate_fit_synthetic_powers():
     ns = [10, 100, 1000, 10_000]
     fit = rate_fit([(n, n**-1.5) for n in ns], axis="log-log")
@@ -900,6 +937,26 @@ def test_population_dual_exists_only_below_the_radius_limit(spec, limit):
         for r in (limit, 1.01 * limit):
             with pytest.raises(ValueError, match="too large"):
                 solve_population_dual(spec, r)
+
+
+@pytest.mark.parametrize(
+    "spec", [ScaledBernoulli(0.5, 2.0), UniformBounded(0.0, 1.0), Pareto(2.5, 1.0), Pareto(1.5, 1.0)], ids=_law
+)
+@pytest.mark.parametrize("r", [1e-4, 1e-3, 1e-2])
+def test_population_dual_point_has_the_radius_of_the_50_digit_reference(spec, r):
+    # the reference r(atilde) at the returned dual point, for the law as given (not scaled to mean 1)
+    atilde = solve_population_dual(spec, r)
+    assert float(reference.population_radius(spec, atilde)) == pytest.approx(r, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("spec", [ScaledBernoulli(0.5, 0.0), ScaledBernoulli(0.0, 2.0)], ids=repr)
+def test_a_law_at_zero_is_a_point_mass(spec):
+    # z = 0 almost surely, as for ScaledBernoulli(1.0, 0.0): r(inf) = 0, the variance ratio is 0 at every
+    # radius, and the Cramer rate is infinite at every b > 0
+    assert spec.radius_limit() == 0.0 == ScaledBernoulli(1.0, 0.0).radius_limit()
+    assert variance_ratio_curve(spec, [1e-2, 1e-3]) == variance_ratio_curve(ScaledBernoulli(1.0, 0.0), [1e-2, 1e-3])
+    assert variance_ratio_curve(spec, [1e-2, 1e-3]) == [(1e-2, 0.0), (1e-3, 0.0)]
+    assert cramer_rate(spec, 0.5) == math.inf
 
 
 def test_csv_and_json_serialization():

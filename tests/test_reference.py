@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from safemean import LogNormal, Pareto, ScaledBernoulli, UniformBounded
-from reference import DPS, cramer_rate, float_kl_value, kl_inf, kl_value, radius_limit
+from reference import DPS, cramer_rate, float_kl_value, kl_inf, kl_value, population_radius, radius_limit
 from streams import reference_block
 
 
@@ -53,6 +53,28 @@ def test_radius_limit_quadrature_matches_the_closed_forms(spec):
             x = mpmath.mpf(spec.lo) / spec.hi
             exact = -1 - x * mpmath.log(x) / (1 - x) + mpmath.log(-mpmath.log(x) / (1 - x))
         assert abs(radius_limit(spec) / exact - 1) < 1e-40
+
+
+@pytest.mark.parametrize(
+    "spec", [Pareto(2.5, 1.0), Pareto(1.5, 3.0), UniformBounded(0.0, 1.0), UniformBounded(0.5, 2.0)], ids=repr
+)
+@pytest.mark.parametrize("atilde", [1e-3, 0.1, 10.0])
+def test_population_radius_quadrature_matches_the_closed_forms(spec, atilde):
+    # E log(1 + a z) + log E[1/(1 + a z)]. For Pareto(rho, 1), with a = atilde * scale, E log(1 + a z) is
+    # log(1 + a) + 2F1(1, rho; rho + 1; -1/a) / rho and E[1/(1 + a z)] is
+    # rho / (a (rho + 1)) 2F1(1, rho + 1; rho + 2; -1/a); for the uniform on [lo, hi], with
+    # F(z) = (1 + a z) log(1 + a z), they are (F(hi) - F(lo)) / (a (hi - lo)) - 1 and
+    # log((1 + a hi) / (1 + a lo)) / (a (hi - lo))
+    with mpmath.workdps(DPS):
+        if isinstance(spec, Pareto):
+            rho, a = mpmath.mpf(spec.shape), mpmath.mpf(atilde) * spec.scale
+            e_log = mpmath.log1p(a) + mpmath.hyp2f1(1, rho, rho + 1, -1 / a) / rho
+            e_inv = rho / (a * (rho + 1)) * mpmath.hyp2f1(1, rho + 1, rho + 2, -1 / a)
+        else:
+            a, lo, hi = mpmath.mpf(atilde), mpmath.mpf(spec.lo), mpmath.mpf(spec.hi)
+            e_log = ((1 + a * hi) * mpmath.log1p(a * hi) - (1 + a * lo) * mpmath.log1p(a * lo)) / (a * (hi - lo)) - 1
+            e_inv = mpmath.log((1 + a * hi) / (1 + a * lo)) / (a * (hi - lo))
+        assert abs(population_radius(spec, atilde) / (e_log + mpmath.log(e_inv)) - 1) < 1e-40
 
 
 # rows of 60 values with and without zeros, and {0, 2}, at radii where a* is
