@@ -31,7 +31,7 @@ from .core import (
 )
 from .dual import DualSolverError
 from .estimators import ESTIMATOR_KINDS, EstimatorConfig, estimate
-from .montecarlo import TrialReport, conservatism_probability, disappointment_probability
+from .montecarlo import _POOL_MIN_N, TrialReport, conservatism_probability, disappointment_probability
 from .oracle import random_instances, verify_certificate
 from .rates import cramer_rate, rate_fit, variance_ratio_curve
 
@@ -289,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--event", choices=("disappointment", "conservatism"), default="disappointment")
     p_sim.add_argument("--b", type=float, default=None)
-    p_sim.add_argument("--threads", type=int, default=None, help="worker threads (default: usable cores)")
+    default_threads = f"1 below n = {_POOL_MIN_N}, else usable cores"
+    p_sim.add_argument("--threads", type=int, default=None, help=f"worker threads (default: {default_threads})")
     p_sim.add_argument("--out", default=None)
     add_estimator_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)

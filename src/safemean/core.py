@@ -269,6 +269,8 @@ class LogNormal:
             raise ValueError("LogNormal mu and sigma must be finite, and sigma positive")
         if self.mu + 0.5 * self.sigma * self.sigma > math.log(np.finfo(float).max):  # sigma**2 would raise
             raise ValueError("LogNormal mean exp(mu + sigma^2/2) overflows a float")
+        if self.mean() == 0.0:
+            raise ValueError("LogNormal mean exp(mu + sigma^2/2) underflows to 0")
 
     def mean(self) -> float:
         return math.exp(self.mu + 0.5 * self.sigma**2)

@@ -1,25 +1,20 @@
 """Monte Carlo measurement of disappointment and conservatism probabilities,
 and their exact values for two-point samples by enumeration.
 
-Reproducibility contract: every trial draws from its own RNG substream keyed
-by (master seed, trial index), so draws and hit counts are the same
-regardless of batching or worker-thread count. Trial i of seed s is the
-uniforms U that default_rng(SeedSequence((s, i))) draws, put through the
-law's inverse_cdf; a Pareto value is exp(log(1 - U) * (-1/shape)) * scale
-(Pareto.inverse_cdf bounds its error). Streams are built a block of trials
-at a time: the SeedSequence hash and the 128-bit (state, inc) that numpy's
-pcg64_set_seed makes of it run in 32-bit limbs over the whole block, and
-each row is drawn by writing its state into the C state of one PCG64 per
-thread, whose layout is checked once when it is built (_state_view). It is
-drawn, transformed, averaged, screened and
-estimated one tile of dual._TILE_VALUES values at a time, in L2, so a worker
-holds about three tiles, never a block. _draw_tiles is the one routine that
-draws a trial: draw_sample is one row of it. The screen and the estimator
-kernels share that one mean per row. A KL estimate is bit-identical
-whichever rows share its solve (each row is reduced on its own), so
-estimates, like draws, do not depend on batching or worker threads;
-undecided rows reach a kernel a full tile at a time only because larger
-solves run faster.
+Reproducibility contract: trial i of seed s is the uniforms U that
+default_rng(SeedSequence((s, i))) draws, put through the law's inverse_cdf
+(a Pareto value is exp(log(1 - U) * (-1/shape)) * scale; Pareto.inverse_cdf
+bounds its error), so draws, estimates and hit counts do not depend on
+batching or worker threads. _draw_tiles is the one routine that draws a
+trial (draw_sample is one row of it): it computes a block's PCG64 states in
+32-bit limbs (SeedSequence's hash, then pcg64_set_seed), draws each row by
+writing its state into a PCG64 that it builds for itself (_state_view), and
+draws, transforms, averages, screens and estimates one tile of
+dual._TILE_VALUES values at a time, in L2, so a worker holds about three
+tiles, never a block. The screen and the estimator kernels share one mean
+per row. A KL estimate is bit-identical whichever rows share its solve (each
+row is reduced on its own); undecided rows reach a kernel a full tile at a
+time only because larger solves run faster.
 
 A count reads only each estimate's side of its threshold, mu or mu - b, so
 one screen (_screen) serves both events and both counters, the harness's
@@ -32,10 +27,10 @@ estimators._closed_form otherwise. The KL rows left are solved with the
 threshold: a row stops once a certified bracket [g(a), U] on its value
 clears it, and only undecided rows get a converged value. Every row mean is
 held within its row's [min, max] (dual._row_means), so n copies of v average
-to v unless their sum overflows. Blocks run on as many worker threads as the
-process has usable cores unless threads (at least 1) says otherwise. A draw
-or estimate that is not finite raises DualSolverError, so it is never
-counted as a safe trial.
+to v unless their sum overflows. Blocks run on `threads` (at least 1) worker
+threads; by default, on one per usable core from n = _POOL_MIN_N on, else in
+the calling thread. A draw or estimate that is not finite raises
+DualSolverError, so it is never counted as a safe trial.
 
 concurrent.futures is imported only where a pool of worker threads starts,
 and decimal only by the enumeration's pmf, so importing the package loads
@@ -50,7 +45,6 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -232,34 +226,19 @@ def _state_view(bit_generator) -> np.ndarray:
     return view
 
 
-_THREAD = threading.local()
-
-
-def _thread_generator():
-    """This thread's Generator and the _state_view of its PCG64, built on first use and never shared between
-    threads: a row is drawn by writing its state into the view, then one random(out=row)."""
-    try:
-        return _THREAD.generator
-    except AttributeError:
-        bit_generator = np.random.PCG64(0)
-        _THREAD.generator = np.random.Generator(bit_generator), _state_view(bit_generator)
-        return _THREAD.generator
-
-
 def _draw_tiles(spec: DistributionSpec, seed: int, start: int, rows: int, n: int):
     """Yield trials start, ..., start + rows - 1 of size n as (T, means, tops),
     the row means and maxima, one tile of dual._TILE_VALUES values at a time,
     each in one reused (tile, n) buffer.
 
     Row j is the uniforms default_rng(SeedSequence((seed, start + j))) draws,
-    bit for bit, put through spec.inverse_cdf (a Pareto value is
-    exp(log(1 - U) * (-1/shape)) * scale): the seed sequence is hashed and the
-    PCG64 state that numpy would seed from it is computed for all rows at once
-    (_pcg64_state), and each row is drawn by writing its state into this
-    thread's one generator (_thread_generator), so iterators may interleave. T
-    is transformed in place with the same ufuncs in the same order and reduced
-    while in L2; it holds its rows until the next tile. A draw that overflows a
-    float raises DualSolverError.
+    bit for bit, put through spec.inverse_cdf: the PCG64 state that numpy
+    would seed from the seed sequence is computed for all rows at once
+    (_pcg64_state), and each row is drawn by writing its state into the
+    generator this call builds and no other call shares, so iterators may
+    interleave or move between threads. T is transformed in place and reduced
+    while in L2; it holds its rows until the next tile. A draw that overflows
+    a float raises DualSolverError.
     """
     if rows == 1:
         index = _words(start)
@@ -269,11 +248,12 @@ def _draw_tiles(spec: DistributionSpec, seed: int, start: int, rows: int, n: int
         raise ValueError("trial indices must stay below 2**32")
     # one row of (state lo, state hi, inc lo, inc hi) per trial
     states = np.array(_pcg64_state(_seed_state(_words(seed) + index)), dtype=np.uint64).reshape(4, rows).T
+    bit_generator = np.random.PCG64(0)
+    generator, state = np.random.Generator(bit_generator), _state_view(bit_generator)
     tile = _tile_rows(n)
     buf = np.empty((min(tile, rows), n))
     for i in range(0, rows, tile):
         T = buf[: min(tile, rows - i)]
-        generator, state = _thread_generator()  # per tile: a resumed iterator may be on another thread
         for row, words in zip(T, states[i:]):
             state[:] = words
             generator.random(out=row)
@@ -341,6 +321,11 @@ def _screen(cfg: EstimatorConfig, T: np.ndarray, means: np.ndarray, tops: np.nda
     return (above if event == "disappointment" else below), np.flatnonzero(~(above | below))
 
 
+# The smallest n at which default threads start a pool: each row's random(out=row) holds the GIL between short
+# releases, so below it a second thread lost time on a 2-core host (CHANGES.md has the table).
+_POOL_MIN_N = 3000
+
+
 def _run_event_trials(
     spec: DistributionSpec,
     cfg: EstimatorConfig,
@@ -352,8 +337,9 @@ def _run_event_trials(
     threads: Optional[int],
     batch_size: Optional[int] = None,
 ) -> int:
-    if threads is None:  # the cores this process may run on
-        threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if threads is None:  # the cores this process may run on, from the n where a pool pays
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        threads = cores if n >= _POOL_MIN_N else 1
     elif threads < 1:
         raise ValueError("threads must be >= 1")
     if batch_size is None:
@@ -416,7 +402,7 @@ def disappointment_probability(
 ) -> TrialReport:
     """Monte Carlo estimate of P[estimate > true mean] (strict: ties are safe).
 
-    threads defaults to the number of usable cores; hits do not depend on it.
+    threads defaults to one per usable core from n = _POOL_MIN_N on, else 1; hits do not depend on it.
     """
     return _report(spec, cfg, n, trials, seed, "disappointment", 0.0, threads)
 

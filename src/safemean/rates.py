@@ -147,15 +147,25 @@ def rate_fit(points: Sequence, axis: str = "log-log") -> RateFit:
     return RateFit(tuple(kept), float(slope), float(intercept), r2, axis)
 
 
+def _phi_of_y(w: float) -> float:
+    """phi(y) = -y - log1p(-y) at y = w / (1 + w) >= 0; log1p(w) - y above 1/2, where y can round to 1."""
+    y = w / (1.0 + w)
+    return _log1p_excess(y) if y < 0.5 else math.log1p(w) - y
+
+
 def _population_radius(spec: DistributionSpec, atilde: float) -> float:
-    """r(atilde) = E log(1 + atilde z) + log E 1/(1 + atilde z); nondecreasing in atilde."""
-    e_log = spec.expect(atilde, math.log1p, 1e-15)
-    e_inv = spec.expect(atilde, lambda z: 1.0 / (1.0 + z), 1e-15)
-    return e_log + math.log(e_inv)
+    """r(atilde) = E log(1 + atilde z) + log E 1/(1 + atilde z), nondecreasing in atilde. The logs cancel to the
+    size of r, so while E y < 1/2, y = atilde z / (1 + atilde z), it is taken as E phi(y) - phi(E y), whose
+    terms are both about as small as r: a relative quadrature tolerance then holds for r too."""
+    e_y = spec.expect(atilde, lambda w: w / (1.0 + w), 0.0)
+    if e_y >= 0.5:  # the logs no longer cancel
+        return spec.expect(atilde, math.log1p, 0.0) + math.log(spec.expect(atilde, lambda w: 1.0 / (1.0 + w), 0.0))
+    return spec.expect(atilde, _phi_of_y, 0.0) - _log1p_excess(e_y)
 
 
 def _unit_dual_point(unit: DistributionSpec, limit: float, r: float) -> float:
-    """The root atilde of r(atilde) = r, for a law of mean 1 whose r(inf) is limit, by brentq in log atilde."""
+    """The root atilde of r(atilde) = r, for a law of mean 1 whose r(inf) is limit, by brentq in log atilde
+    from 1e-150, where r(atilde) is about 1e-300 for a law of finite variance."""
     if r >= limit:
         raise ValueError(f"radius {r!r} too large: r(atilde) stays below E log z + log E[1/z] = {limit!r}")
     hi = 1.0
@@ -165,7 +175,7 @@ def _unit_dual_point(unit: DistributionSpec, limit: float, r: float) -> float:
             raise ValueError(f"radius {r!r} too large: population dual bracket not found")
     from scipy.optimize import brentq
 
-    return math.exp(brentq(lambda t: _population_radius(unit, math.exp(t)) - r, math.log(1e-14), math.log(hi)))
+    return math.exp(brentq(lambda t: _population_radius(unit, math.exp(t)) - r, math.log(1e-150), math.log(hi)))
 
 
 def solve_population_dual(spec: DistributionSpec, r: float) -> float:
@@ -202,8 +212,8 @@ def variance_ratio_curve(spec: DistributionSpec, r_grid: Sequence[float]):
     out = []
     for r in r_grid:
         atilde = _unit_dual_point(unit, limit, r)
-        e1 = unit.expect(atilde, math.log1p, 1e-15)
-        e2 = unit.expect(atilde, lambda z: math.log1p(z) ** 2, 1e-15)
+        e1 = unit.expect(atilde, math.log1p, 0.0)
+        e2 = unit.expect(atilde, lambda z: math.log1p(z) ** 2, 0.0)
         out.append((float(r), (e2 - e1 * e1) / r))
     return out
 

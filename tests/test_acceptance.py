@@ -175,7 +175,7 @@ def test_criterion_07_varreg_disappointment_window():
     rows = []
     ok = True
     for n, trials in ((1000, 2_000_000), (10_000, 600_000)):
-        rep = disappointment_probability(spec, cfg, n, trials, MASTER_SEED, threads=2)
+        rep = disappointment_probability(spec, cfg, n, trials, MASTER_SEED)
         lam = math.log(n)
         ratio = -math.log(rep.p_hat) / lam if rep.p_hat > 0 else math.inf
         ratio_ci_lo = -math.log(rep.ci_hi) / lam  # most favorable ratio consistent with data

@@ -456,6 +456,19 @@ def test_simulate_non_finite_law_is_usage_error(tmp_path, capsys, dist):
     assert NON_FINITE_LAWS[dist] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--estimator", "mean", "--n", "3", "--trials", "3"], ["rates", "--variance-ratio", "--r-grid", "1e-2"]],
+    ids=["simulate", "rates"],
+)
+def test_lognormal_whose_mean_underflows_is_usage_error(capsys, command):
+    # simulate ran on mu = 0, and rates exited 2 with "math domain error" from scaling the law by its mean
+    assert main(command + ["--dist", "lognormal:-800:1"]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: invalid distribution 'lognormal:-800:1': LogNormal mean exp(mu + sigma^2/2) underflows to 0"
+    )
+
+
 def test_simulate_non_finite_estimate_is_numeric_failure(tmp_path, capsys):
     # every draw is finite, but the sum behind the sample mean overflows
     out = tmp_path / "sim.csv"

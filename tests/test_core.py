@@ -193,6 +193,13 @@ def test_lognormal_mean_overflow_is_a_value_error():
         LogNormal(0.0, 1e200)
 
 
+def test_lognormal_mean_underflow_is_a_value_error():
+    # exp(-800 + 1/2) is 0.0, which no law with z > 0 almost surely has; a subnormal mean is kept
+    with pytest.raises(ValueError, match="underflows to 0"):
+        LogNormal(-800.0, 1.0)
+    assert 0.0 < LogNormal(-745.0, 1.0).mean() < np.finfo(float).tiny
+
+
 def test_pareto_mean_overflow_is_a_value_error():
     # shape * scale / (shape - 1) is inf, though both parameters are finite
     with pytest.raises(ValueError, match="overflows a float"):

@@ -39,7 +39,7 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_package_import_loads_no_numpy_random_and_no_scipy():
-    # the harness builds its per-thread generator on the first draw
+    # each draw builds its own generator
     code = "import safemean\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random'] or m.split('.')[0] == 'scipy')))"
     assert json.loads(_child(code)[-1]) == []
 
@@ -48,6 +48,24 @@ def test_cli_import_loads_no_thread_pool_and_no_decimal():
     # concurrent.futures is imported where a pool of worker threads starts, decimal by the enumeration's pmf
     code = "import safemean.cli\nprint(json.dumps(sorted(m for m in ('concurrent.futures', 'decimal') if m in sys.modules)))"
     assert json.loads(_child(code)[-1]) == []
+
+
+def test_default_threads_start_a_pool_only_from_the_cut_off():
+    # with 4 usable cores, a default-threads cell below montecarlo._POOL_MIN_N counts in the calling thread
+    # and loads no concurrent.futures, and a cell at it starts the pool; each gives its threads=1 hits
+    code = (
+        "import os\n"
+        "os.sched_getaffinity = lambda pid: {0, 1, 2, 3}\n"
+        "from safemean import EstimatorConfig, Pareto, disappointment_probability, montecarlo\n"
+        "cfg = EstimatorConfig('mean', delta=0.5)\n"
+        "for n in (montecarlo._POOL_MIN_N - 1, montecarlo._POOL_MIN_N):\n"
+        "    trials = 3 * (4_000_000 // n)  # three blocks\n"
+        "    hits = [disappointment_probability(Pareto(1.5), cfg, n, trials, 7, threads=t).hits for t in (None, 1)]\n"
+        "    print(json.dumps([hits, 'concurrent.futures' in sys.modules]))\n"
+    )
+    (below, below_pool), (above, above_pool) = [json.loads(line) for line in _child(code)]
+    assert below[0] == below[1] > 0 and not below_pool
+    assert above[0] == above[1] > 0 and above_pool
 
 
 def test_rates_import_loads_no_scipy():

@@ -196,17 +196,24 @@ def test_state_view_rejects_a_layout_it_cannot_confirm(bit_generator, message):
         montecarlo._state_view(bit_generator(5))
 
 
-def test_each_thread_draws_with_its_own_generator():
-    here = montecarlo._thread_generator()
+def test_tiled_draws_resumed_on_other_threads_match_their_streams():
+    # each _draw_tiles call owns its generator, so an iterator may move between threads: two iterators take
+    # turns, each tile drawn on the main thread or on a worker in alternation; 6 rows per tile at n = 20000
+    spec, n, rows = Pareto(2.5, 1.0), 20000, 13
+    iterators = {7: _draw_tiles(spec, 7, 0, rows, n), 11: _draw_tiles(spec, 11, 4094, rows, n)}
+    got = {7: [], 11: []}
     with ThreadPoolExecutor(max_workers=1) as pool:
-        there = pool.submit(montecarlo._thread_generator).result()
-    assert montecarlo._thread_generator() is here
-    assert there[0] is not here[0] and there[1].ctypes.data != here[1].ctypes.data
+        for turn in range(3):
+            for seed, tiles in iterators.items():
+                T, _, _ = next(tiles) if turn % 2 == 0 else pool.submit(next, tiles).result()
+                got[seed].append(T.copy())
+    assert np.array_equal(np.concatenate(got[7]), reference_block(spec, 7, 0, rows, n))
+    assert np.array_equal(np.concatenate(got[11]), reference_block(spec, 11, 4094, rows, n))
 
 
 def test_seed_interleaved_tiled_draws_match_their_streams():
-    # two iterators advanced alternately in one thread share its generator: each row's state is written
-    # before its fill, so each matches its own streams; 6 rows per tile at n = 20000, 3 tiles each
+    # two iterators advanced alternately in one thread each draw with their own generator and match their
+    # own streams; 6 rows per tile at n = 20000, 3 tiles each
     spec, n, rows = Pareto(2.5, 1.0), 20000, 13
     first, second = _draw_tiles(spec, 7, 0, rows, n), _draw_tiles(spec, 11, 4094, rows, n)
     got = {7: [], 11: []}
@@ -863,12 +870,14 @@ def test_variance_ratio_bounded_near_two():
 
 
 def test_variance_ratio_pareto_decreasing_toward_limit():
-    curve = variance_ratio_curve(Pareto(1.5, 1.0), [1e-2, 1e-3, 1e-4])
+    # down to r = 1e-16, where it was 7.4e-06; at 1e-12 it was 2.45465, below the limit 2.45482
+    curve = variance_ratio_curve(Pareto(1.5, 1.0), [1e-2, 1e-3, 1e-4, 1e-8, 1e-12, 1e-16])
     ratios = [ratio for _, ratio in curve]
     limit = pareto_variance_ratio_limit(1.5)
-    gaps = [abs(rat - limit) for rat in ratios]
-    assert gaps[0] > gaps[1] > gaps[2]
-    assert ratios[-1] == pytest.approx(limit, rel=0.05)
+    gaps = [rat - limit for rat in ratios]
+    assert gaps == sorted(gaps, reverse=True) and gaps[-1] > 0.0
+    assert ratios[2] == pytest.approx(limit, rel=0.05)
+    assert ratios[-1] == pytest.approx(limit, rel=1e-4)
 
 
 def test_pareto_variance_ratio_limit_values():
@@ -942,11 +951,16 @@ def test_population_dual_exists_only_below_the_radius_limit(spec, limit):
 @pytest.mark.parametrize(
     "spec", [ScaledBernoulli(0.5, 2.0), UniformBounded(0.0, 1.0), Pareto(2.5, 1.0), Pareto(1.5, 1.0)], ids=_law
 )
-@pytest.mark.parametrize("r", [1e-4, 1e-3, 1e-2])
+@pytest.mark.parametrize("r", [1e-16, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2])
 def test_population_dual_point_has_the_radius_of_the_50_digit_reference(spec, r):
-    # the reference r(atilde) at the returned dual point, for the law as given (not scaled to mean 1)
+    # the reference r(atilde) at the returned dual point, for the law as given (not scaled to mean 1), and
+    # r(atilde) there: as E phi(y) - phi(E y) it does not cancel, where log E[1/(1 + atilde z)] was rounded
+    # to about 1e-16 absolute (Pareto(1.5)'s variance ratio at r = 1e-16 was 7.4e-06)
     atilde = solve_population_dual(spec, r)
-    assert float(reference.population_radius(spec, atilde)) == pytest.approx(r, rel=1e-10, abs=0.0)
+    mu = true_mean(spec)
+    reference_r = float(reference.population_radius(spec, atilde))
+    assert reference_r == pytest.approx(r, rel=1e-10, abs=0.0)
+    assert _population_radius(spec.scaled(mu), atilde * mu) == pytest.approx(reference_r, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("spec", [ScaledBernoulli(0.5, 0.0), ScaledBernoulli(0.0, 2.0)], ids=repr)
