@@ -191,11 +191,12 @@ SCHEDULE_KINDS = {
 }
 
 
-def _integrate(integrand, cuts, epsabs: float) -> float:
-    """scipy's adaptive quad summed over the pieces between cuts; an integrand is 0 where its weight underflows."""
+def _integrate(integrand, cuts) -> float:
+    """scipy's adaptive quad summed over the pieces between cuts; an integrand is 0 where its weight underflows.
+    Its tolerances, positional after (args, full_output), are 0 absolute and 1e-11 relative: each integrand is >= 0."""
     from scipy.integrate import quad
 
-    return sum(quad(integrand, lo, hi, epsabs=epsabs, epsrel=1e-11, limit=400)[0] for lo, hi in zip(cuts, cuts[1:]))
+    return sum(quad(integrand, lo, hi, (), 0, 0.0, 1e-11, 400)[0] for lo, hi in zip(cuts, cuts[1:]))
 
 
 @dataclass(frozen=True)
@@ -248,7 +249,7 @@ class Pareto:
     def radius_limit(self) -> float:  # E log z = log scale + 1/shape, E[1/z] = shape / ((shape + 1) scale)
         return 1.0 / self.shape + math.log(self.shape / (self.shape + 1.0))
 
-    def expect(self, c: float, g, epsabs: float) -> float:
+    def expect(self, c: float, g) -> float:
         """In y = log(z / scale), where the power-law tail is exponential, split where |c z| = 1."""
         rho, a = self.shape, c * self.scale
 
@@ -256,7 +257,7 @@ class Pareto:
             weight = rho * math.exp(-rho * y)
             return 0.0 if weight == 0.0 else g(a * math.exp(min(y, 700.0))) * weight
 
-        return _integrate(integrand, (0.0, -math.log(abs(a)), np.inf) if 0.0 < abs(a) < 1.0 else (0.0, np.inf), epsabs)
+        return _integrate(integrand, (0.0, -math.log(abs(a)), np.inf) if 0.0 < abs(a) < 1.0 else (0.0, np.inf))
 
 
 @dataclass(frozen=True)
@@ -296,7 +297,7 @@ class LogNormal:
     def radius_limit(self) -> float:  # E log z = mu, E[1/z] = exp(sigma**2 / 2 - mu)
         return 0.5 * self.sigma**2
 
-    def expect(self, c: float, g, epsabs: float) -> float:
+    def expect(self, c: float, g) -> float:
         """In standard-normal space, with log|c| in the exponent, capped at 709."""
         sign, log_c = math.copysign(1.0, c), math.log(abs(c))
 
@@ -305,7 +306,7 @@ class LogNormal:
             z = math.exp(min(self.mu + self.sigma * y + log_c, 709.0))
             return 0.0 if weight == 0.0 else g(sign * z) * weight / math.sqrt(2.0 * math.pi)
 
-        return _integrate(integrand, (-np.inf, np.inf), epsabs)
+        return _integrate(integrand, (-np.inf, np.inf))
 
 
 @dataclass(frozen=True)
@@ -340,7 +341,7 @@ class ScaledBernoulli:
     def radius_limit(self) -> float:  # 0 for a point mass (p = 0 or 1, or high = 0); an atom at 0 makes E[1/z] infinite
         return 0.0 if self.p in (0.0, 1.0) or self.high == 0.0 else math.inf
 
-    def expect(self, c: float, g, epsabs: float) -> float:
+    def expect(self, c: float, g) -> float:
         return (1.0 - self.p) * g(0.0) + self.p * g(c * self.high)
 
 
@@ -376,8 +377,8 @@ class UniformBounded:
         log_x = math.log(x)
         return -1.0 - x * log_x / (1.0 - x) + math.log(-log_x / (1.0 - x))
 
-    def expect(self, c: float, g, epsabs: float) -> float:
-        return _integrate(lambda u: g(c * u) / (self.hi - self.lo), (self.lo, self.hi), epsabs)
+    def expect(self, c: float, g) -> float:
+        return _integrate(lambda u: g(c * u) / (self.hi - self.lo), (self.lo, self.hi))
 
 
 DistributionSpec = Union[Pareto, LogNormal, ScaledBernoulli, UniformBounded]

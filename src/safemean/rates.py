@@ -2,7 +2,7 @@
 left tail, the population KL dual and the variance ratio of its worst-case
 likelihood ratio, and least-squares fits of measured decay rates.
 
-Every expectation is a law's expect(c, g, epsabs) = E[g(c z)]: the Laplace
+Every expectation is a law's expect(c, g) = E[g(c z)]: the Laplace
 transform and the Cramer rate take c = -s, the population dual and the
 variance ratio c = atilde. The rate and the ratio do not change when z is
 scaled, so both are computed for the law scaled to mean 1 (scaled(mean)).
@@ -55,7 +55,7 @@ def laplace_transform(spec: DistributionSpec, s: float) -> float:
     if isinstance(spec, UniformBounded):  # exp(-s lo) (1 - exp(-s d)) / (s d), d = hi - lo, by expm1; 1 at s d = 0
         sd = s * (spec.hi - spec.lo)
         return math.exp(-s * spec.lo) * (-math.expm1(-sd) / sd if sd > 0.0 else 1.0)
-    return _law(spec).expect(-s, math.exp, 1e-14)
+    return _law(spec).expect(-s, math.exp)
 
 
 def _exp_excess(u: float) -> float:
@@ -97,7 +97,7 @@ def cramer_rate(spec: DistributionSpec, b: float) -> float:
 
     def f(t: float) -> float:  # the objective at s = exp(t)
         s = math.exp(t)
-        q = spec.expect(-s, _exp_excess, 0.0)  # q >= 0, so the relative tolerance alone holds
+        q = spec.expect(-s, _exp_excess)
         if q - s * mu > -0.5:
             return b * s - q + _log1p_excess(s * mu - q)
         transform = laplace_transform(spec, s)
@@ -157,34 +157,33 @@ def _population_radius(spec: DistributionSpec, atilde: float) -> float:
     """r(atilde) = E log(1 + atilde z) + log E 1/(1 + atilde z), nondecreasing in atilde. The logs cancel to the
     size of r, so while E y < 1/2, y = atilde z / (1 + atilde z), it is taken as E phi(y) - phi(E y), whose
     terms are both about as small as r: a relative quadrature tolerance then holds for r too."""
-    e_y = spec.expect(atilde, lambda w: w / (1.0 + w), 0.0)
+    e_y = spec.expect(atilde, lambda w: w / (1.0 + w))
     if e_y >= 0.5:  # the logs no longer cancel
-        return spec.expect(atilde, math.log1p, 0.0) + math.log(spec.expect(atilde, lambda w: 1.0 / (1.0 + w), 0.0))
-    return spec.expect(atilde, _phi_of_y, 0.0) - _log1p_excess(e_y)
+        return spec.expect(atilde, math.log1p) + math.log(spec.expect(atilde, lambda w: 1.0 / (1.0 + w)))
+    return spec.expect(atilde, _phi_of_y) - _log1p_excess(e_y)
 
 
 def _unit_dual_point(unit: DistributionSpec, limit: float, r: float) -> float:
-    """The root atilde of r(atilde) = r, for a law of mean 1 whose r(inf) is limit, by brentq in log atilde
-    from 1e-150, where r(atilde) is about 1e-300 for a law of finite variance."""
+    """The root atilde of r(atilde) = r for a law of mean 1 whose r(inf) is limit: brentq on [1e-150, MAX_ATILDE]."""
     if r >= limit:
         raise ValueError(f"radius {r!r} too large: r(atilde) stays below E log z + log E[1/z] = {limit!r}")
-    hi = 1.0
-    while _population_radius(unit, hi) < r:
-        hi *= 4.0
-        if hi > MAX_ATILDE:
-            raise ValueError(f"radius {r!r} too large: population dual bracket not found")
+    r_lo, r_hi = _population_radius(unit, 1e-150), _population_radius(unit, MAX_ATILDE)
+    if not r_lo < r <= r_hi:  # r_lo is about 1e-300 for a law of finite variance; a NaN end value fails too
+        raise ValueError(
+            f"radius {r!r} has no population dual point: it must lie in ({r_lo!r}, {r_hi!r}], the range of r(atilde)"
+            f" over atilde in [1e-150, {MAX_ATILDE:g}] for the law scaled to mean 1"
+        )
     from scipy.optimize import brentq
 
-    return math.exp(brentq(lambda t: _population_radius(unit, math.exp(t)) - r, math.log(1e-150), math.log(hi)))
+    return math.exp(brentq(lambda t: _population_radius(unit, math.exp(t)) - r, math.log(1e-150), math.log(MAX_ATILDE)))
 
 
 def solve_population_dual(spec: DistributionSpec, r: float) -> float:
     """Reciprocal dual variable atilde = 1/alpha at population level for radius r.
 
-    r(atilde) depends on atilde z alone, so the root is found for the law
-    scaled to mean 1 (where the bracket may grow to MAX_ATILDE) and divided
-    by the mean. r(atilde) increases to r(inf) = E log z + log E[1/z] (the
-    law's radius_limit), so a radius at or above r(inf) has no dual point and raises.
+    r(atilde) depends on atilde z alone, so the root is found for the law scaled to mean 1 (over the bracket
+    [1e-150, MAX_ATILDE]) and divided by the mean. r(atilde) increases to r(inf) = E log z + log E[1/z] (the
+    law's radius_limit); a radius at or above it, or outside r's range on the bracket, has no dual point and raises.
     """
     if not r > 0:  # NaN fails too
         raise ValueError("radius must be positive")
@@ -199,9 +198,10 @@ def variance_ratio_curve(spec: DistributionSpec, r_grid: Sequence[float]):
     worst case, divided by the radius.
 
     The log ratio is log((alpha + z)/nu), whose variance equals
-    V[log(1 + z/alpha)], computed by quadrature at the population dual point
-    of the law scaled to mean 1; the ratio does not depend on the scale. A
-    law with r(inf) = 0, a point mass, has ratio 0 at every radius.
+    V[log(1 + z/alpha)], taken in two passes, E[(log1p(atilde z) - e1)**2]
+    after e1, at the population dual point of the law scaled to mean 1; the
+    ratio does not depend on the scale. A law with r(inf) = 0, a point mass,
+    has ratio 0 at every radius.
     """
     limit = _law(spec).radius_limit()
     if not all(r > 0 for r in r_grid):  # NaN fails too
@@ -212,9 +212,8 @@ def variance_ratio_curve(spec: DistributionSpec, r_grid: Sequence[float]):
     out = []
     for r in r_grid:
         atilde = _unit_dual_point(unit, limit, r)
-        e1 = unit.expect(atilde, math.log1p, 0.0)
-        e2 = unit.expect(atilde, lambda z: math.log1p(z) ** 2, 0.0)
-        out.append((float(r), (e2 - e1 * e1) / r))
+        e1 = unit.expect(atilde, math.log1p)
+        out.append((float(r), unit.expect(atilde, lambda w: (math.log1p(w) - e1) ** 2) / r))
     return out
 
 

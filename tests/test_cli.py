@@ -601,6 +601,14 @@ SIMULATE = ["simulate", "--dist", "point:1", "--trials", "3", "--estimator"]
         ([*SIMULATE, "kl", "--lambda-schedule", "logn:x", "--n", "5"], "error: invalid schedule 'logn:x': "),
         ([*SIMULATE, "kl", "--lambda-schedule", "power:1", "--n", "5"], "error: cannot parse schedule 'power:1'"),
         (["rates", "--from-csv", "one-n.csv"], "at 2 or more distinct n, got 3 at 1"),
+        (["rates", "--variance-ratio", "--dist", "uniform:0:1", "--r-grid", "1e-305"],
+         "error: radius 1e-305 has no population dual point"),
+        (["rates", "--variance-ratio", "--dist", "bern:0.5:2", "--r-grid", "1e-305"],
+         "error: radius 1e-305 has no population dual point"),
+        (["rates", "--variance-ratio", "--dist", "pareto:1.0001:1", "--r-grid", "1e-200"],
+         "error: radius 1e-200 has no population dual point"),
+        (["rates", "--variance-ratio", "--dist", "bern:1e-300:2", "--r-grid", "1e-2"],
+         "error: radius 0.01 has no population dual point"),
     ],
     ids=[
         "power-beta",
@@ -634,6 +642,10 @@ SIMULATE = ["simulate", "--dist", "point:1", "--trials", "3", "--estimator"]
         "schedule-non-numeric-coefficient",
         "schedule-missing-beta",
         "rates-from-csv-one-n",
+        "variance-ratio-uniform-below-the-bracket",
+        "variance-ratio-bernoulli-below-the-bracket",
+        "variance-ratio-pareto-below-the-bracket",
+        "variance-ratio-bernoulli-nan-at-the-bracket-end",
     ],
 )
 def test_missing_or_invalid_flag_is_usage_error(tmp_path, monkeypatch, capsys, argv, message):

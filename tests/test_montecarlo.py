@@ -695,13 +695,12 @@ def test_laplace_transform_closed_forms():
     expected_unif = (1.0 - math.exp(-s)) / s
     assert laplace_transform(UniformBounded(0.0, 1.0), s) == pytest.approx(expected_unif, rel=1e-10)
     assert laplace_transform(Pareto(2.5, 1.0), 0.0) == 1.0
-    # Pareto transform against a direct Riemann check
-    direct = np.trapezoid(
-        np.exp(-0.5 * np.linspace(1, 400, 2_000_000))
-        * 2.5 * np.linspace(1, 400, 2_000_000) ** -3.5,
-        np.linspace(1, 400, 2_000_000),
-    )
-    assert laplace_transform(Pareto(2.5, 1.0), 0.5) == pytest.approx(direct, rel=1e-5)
+    # Pareto(rho, 1) against rho s**rho Gamma(-rho, s) at 50 digits; an absolute quadrature floor of 1e-14
+    # left the transform 1.7e-3 off at s = 200 and 10% off at s = 700
+    for rho in (1.5, 2.5, 4.0):
+        for s in (1e-3, 0.1, 0.5, 1.0, 10.0, 50.0, 200.0, 700.0):
+            expected = float(reference.laplace_transform(Pareto(rho, 1.0), s))
+            assert laplace_transform(Pareto(rho, 1.0), s) == pytest.approx(expected, rel=2e-14, abs=0.0), (rho, s)
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.5, 2.0), (3.0, 3.5), (1e-3, 1e3), (0.0, 1e-300), (1e300, 1.5e300)])
@@ -713,11 +712,12 @@ def test_uniform_laplace_transform_matches_the_50_digit_reference(lo, hi):
         assert laplace_transform(UniformBounded(lo, hi), s) == pytest.approx(expected, rel=1e-15, abs=0.0), s
 
 
-@pytest.mark.parametrize("s", [0.05, 0.3, 1.0, 4.0])
+@pytest.mark.parametrize("s", [0.05, 0.3, 1.0, 4.0, 20.0])
 def test_laplace_transform_lognormal_matches_gauss_hermite(s):
+    # the 200- and 300-node sums agree to about 1e-15 up to s = 20; an absolute 1e-9 passed any transform that small
     nodes, weights = np.polynomial.hermite_e.hermegauss(200)
     expected = float(np.sum(weights * np.exp(-s * np.exp(nodes)))) / math.sqrt(2.0 * math.pi)
-    assert laplace_transform(LogNormal(0.0, 1.0), s) == pytest.approx(expected, abs=1e-9)
+    assert laplace_transform(LogNormal(0.0, 1.0), s) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def test_cramer_rate_examples():
@@ -750,6 +750,8 @@ def test_cramer_rate_impossible_event_is_infinite():
         (UniformBounded(0.0, 1.0), 1e-6),
         (Pareto(2.5, 1.0), 1e-6),
         (Pareto(2.5, 1.0), 1e-10),
+        (Pareto(2.5, 1.0), 0.65),  # 5.9e-12 and 4.2e-5 off with the transform's absolute floor of 1e-14
+        (Pareto(2.5, 1.0), 0.66),
     ],
     ids=repr,
 )
@@ -946,6 +948,33 @@ def test_population_dual_exists_only_below_the_radius_limit(spec, limit):
         for r in (limit, 1.01 * limit):
             with pytest.raises(ValueError, match="too large"):
                 solve_population_dual(spec, r)
+
+
+@pytest.mark.parametrize(
+    "spec, r",
+    [
+        (UniformBounded(0.0, 1.0), 1e-305),
+        (ScaledBernoulli(0.5, 2.0), 1e-305),
+        (Pareto(1.0001, 1.0), 1e-200),
+        (ScaledBernoulli(1e-300, 2.0), 1e-2),
+    ],
+    ids=repr,
+)
+def test_population_dual_outside_the_bracket_names_the_radius(spec, r):
+    # r at or below r(1e-150), or above r(MAX_ATILDE) (NaN for the last law, whose unit high is 1e300), has no
+    # root over the fixed bracket: a message that names the radius, not scipy's sign or NaN message
+    for solve in (lambda: solve_population_dual(spec, r), lambda: variance_ratio_curve(spec, [r])):
+        with pytest.raises(ValueError, match=f"radius {r!r} has no population dual point"):
+            solve()
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("sigma", [37.0, 30.0])
+def test_variance_ratio_is_never_negative(sigma):
+    # a two-pass variance, E[(log1p(atilde z) - e1)**2], has a nonnegative integrand; e2 - e1**2 gave -5.8e-83 and
+    # -5.5e-96 at r = 1e-100. These quadratures warn, and the positive ratios are not verified
+    (_, ratio), = variance_ratio_curve(LogNormal(0.0, sigma), [1e-100])
+    assert ratio >= 0.0
 
 
 @pytest.mark.parametrize(
